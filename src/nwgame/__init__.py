@@ -20,7 +20,7 @@ from .analysis import (
     run_reduction,
     trace_census,
 )
-from .crypto import HardBit, Permutation, check_bijection, make_permutation, preimage_bit
+from .crypto import HardBit, Permutation, check_bijection, preimage_bit
 from .design import (
     Design,
     DesignReport,
@@ -109,7 +109,6 @@ __all__ = [
     "failure_set",
     "find_off_range",
     "make_instance",
-    "make_permutation",
     "measure_advantage",
     "omniscient_strategy",
     "play",

@@ -11,15 +11,15 @@ at run time; inversion happens only while the advice is being built.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bits import all_bitstrings, int_to_bits
+from .bits import all_bitstrings
 from .crypto import preimage_bit
 from .design import embed, restrict
-from .game import EXHAUSTIVE_MAX_N, GameView, StudentStrategy, _run, failure_set
+from .game import GameView, StudentStrategy, failure_set, play, scan
 from .generator import Instance
-from .sharding import run_sharded
 
 Trace = tuple[int, ...]
 
@@ -87,24 +87,7 @@ class TraceCensus:
 
 def trace_census(inst: Instance, strategy: StudentStrategy, jobs: int = 1) -> TraceCensus:
     """Play every input and tally traces of successful runs (n <= 14)."""
-    if inst.n > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"census needs n <= {EXHAUSTIVE_MAX_N}, got {inst.n}")
-    if inst.b is None:
-        raise ValueError("instance has no off-range string b; attach one first")
-
-    def worker(lo: int, hi: int) -> dict[Trace, int]:
-        view = GameView(inst, strategy.may_invert, strategy.advice)
-        local: dict[Trace, int] = {}
-        for value in range(lo, hi):
-            trace = _run(inst, strategy, view, int_to_bits(value, inst.n), witness=False).trace
-            if trace is not None:
-                local[trace] = local.get(trace, 0) + 1
-        return local
-
-    counts: dict[Trace, int] = {}
-    for shard in run_sharded(1 << inst.n, jobs, worker):
-        for trace, count in shard.items():
-            counts[trace] = counts.get(trace, 0) + count
+    counts: dict[Trace, int] = dict(Counter(scan(inst, strategy, lambda t: t.trace, jobs=jobs)))
     w_size = sum(counts.values())
     if not counts:
         return TraceCensus(inst.m, inst.c, 0, counts, None, 0)
@@ -158,8 +141,9 @@ def _classify(trace: Trace | None, target: Trace) -> str:
 def best_partial_assignment(
     inst: Instance, strategy: StudentStrategy, trace: Trace, jobs: int = 1
 ) -> PartialAssignment:
-    """Scan all 2^(n-ell) outside fixings and keep the one maximizing the
-    margin; ties go to the lexicographically smallest fixing.
+    """Group all 2^n inputs by their bits outside the trace's final row and
+    keep the fixing maximizing the margin; ties go to the lexicographically
+    smallest fixing.
 
     The best margin is at least ceil(full_margin / 2^(n-ell)) by averaging:
     summing per-fixing margins over all fixings gives the full margin.
@@ -167,37 +151,22 @@ def best_partial_assignment(
     if not trace:
         raise ValueError("trace must be nonempty")
     row = trace[-1]
-    positions = inst.design.sets[row]
-    outside_width = inst.n - inst.ell
+    inside = set(inst.design.sets[row])
+    outside_positions = tuple(p for p in range(inst.n) if p not in inside)
 
-    def worker(lo: int, hi: int) -> tuple[int, str, int, int] | None:
-        view = GameView(inst, strategy.may_invert, strategy.advice)
-        best: tuple[int, str, int, int] | None = None
-        for value in range(lo, hi):
-            outside = int_to_bits(value, outside_width)
-            exact = proper = 0
-            for u in all_bitstrings(inst.ell):
-                a = embed(u, outside, positions, inst.n)
-                kind = _classify(_run(inst, strategy, view, a, witness=False).trace, trace)
-                if kind == "exact":
-                    exact += 1
-                elif kind == "proper":
-                    proper += 1
-            margin = exact - proper
-            if best is None or margin > best[0]:
-                best = (margin, outside, exact, proper)
-        return best
+    def keep(t) -> tuple[str, str]:
+        return restrict(t.a, outside_positions), _classify(t.trace, trace)
 
-    best: tuple[int, str, int, int] | None = None
-    for shard in run_sharded(1 << outside_width, jobs, worker):
-        if shard is None:
-            continue
-        # strict inequality keeps the earliest (lex-min) fixing on ties
-        if best is None or shard[0] > best[0]:
-            best = shard
+    tally = Counter(scan(inst, strategy, keep, jobs=jobs))
+    best: PartialAssignment | None = None
+    # input order meets each fixing first at its lexicographic rank, so the
+    # strict inequality keeps the lex-min fixing on ties
+    for outside in dict.fromkeys(outside for outside, _ in tally):
+        exact, proper = tally[outside, "exact"], tally[outside, "proper"]
+        if best is None or exact - proper > best.margin:
+            best = PartialAssignment(row, outside, exact - proper, exact, proper)
     assert best is not None
-    margin, outside, exact, proper = best
-    return PartialAssignment(row, outside, margin, exact, proper)
+    return best
 
 
 def build_witness_tables(
@@ -309,12 +278,11 @@ def build_predictor(
     if tables is None:
         tables = build_witness_tables(inst, trace, outside)
     positions = inst.design.sets[trace[-1]]
-    view = GameView(inst, strategy.may_invert, strategy.advice)
     ones = 0
     total = 0
     for u in all_bitstrings(inst.ell):
         a = embed(u, outside, positions, inst.n)
-        if _classify(_run(inst, strategy, view, a, witness=False).trace, trace) == "other":
+        if _classify(play(inst, strategy, a).trace, trace) == "other":
             total += 1
             ones += preimage_bit(inst.h, inst.hard_bit, u)
     default_bit = 1 if 2 * ones > total else 0

@@ -20,7 +20,7 @@ from .bits import check_bits, hex_to_bits
 from .crypto import HardBit, Permutation, check_bijection
 from .design import Design, build_polynomial_design, extend_greedy, require_valid, verify_design
 from .errors import SearchExhausted, ValidationError
-from .game import evaluate_partial, failure_set, play, strategy_from_spec
+from .game import StudentStrategy, evaluate_partial, failure_set, play, strategy_from_spec
 from .generator import (
     ENUMERATION_MAX_N,
     Instance,
@@ -62,34 +62,15 @@ def _load_instance(path: str) -> Instance:
     return Instance.from_json_dict(_load_json(path))
 
 
-def _parse_strategy(text: str) -> dict:
-    """Either inline JSON ({...}), a path to a JSON file, or shorthand
-    kind[:arg[:arg]] for the library strategies."""
+def _strategy_from_arg(text: str) -> StudentStrategy:
+    """Inline JSON ({...}), a path to a JSON file, or the library's
+    kind[:arg[:arg]] shorthand."""
     text = text.strip()
     if text.startswith("{"):
-        return json.loads(text)
+        return strategy_from_spec(json.loads(text))
     if text.endswith(".json"):
-        return _load_json(text)
-    parts = text.split(":")
-    kind, args = parts[0], parts[1:]
-    if kind == "constant":
-        spec: dict[str, Any] = {"kind": "constant", "row": int(args[0])}
-        if len(args) > 1:
-            spec["queries"] = int(args[1])
-        return spec
-    if kind == "round-robin":
-        spec = {"kind": "round-robin", "max_queries": int(args[0])}
-        if len(args) > 1:
-            spec["start"] = int(args[1])
-        return spec
-    if kind == "seeded-random":
-        spec = {"kind": "seeded-random", "max_queries": int(args[0])}
-        if len(args) > 1:
-            spec["seed"] = int(args[1])
-        return spec
-    if kind == "omniscient":
-        return {"kind": "omniscient"}
-    raise ValueError(f"cannot parse strategy {text!r}")
+        return strategy_from_spec(_load_json(text))
+    return strategy_from_spec(text)
 
 
 def _parse_trace(text: str) -> tuple[int, ...]:
@@ -98,6 +79,13 @@ def _parse_trace(text: str) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # Experiment configs
+
+
+def _list_field(config: dict, key: str, default: list) -> list:
+    value = config.get(key, default)
+    if not isinstance(value, list):
+        raise ValueError(f"config {key!r} must be a list, got {value!r}")
+    return list(value)
 
 
 def _resolve_config(config: dict) -> dict:
@@ -109,8 +97,8 @@ def _resolve_config(config: dict) -> dict:
         "permutation": dict(config.get("permutation", {"kind": "identity"})),
         "hard_bit": config.get("hard_bit", "last-bit"),
         "b": dict(config.get("b", {"mode": "lex-min"})),
-        "strategies": list(config.get("strategies", [])),
-        "analyses": list(config.get("analyses", ["census"])),
+        "strategies": _list_field(config, "strategies", []),
+        "analyses": _list_field(config, "analyses", ["census"]),
     }
     if "hardcore" in config:
         resolved["hardcore"] = config["hardcore"]
@@ -276,7 +264,7 @@ def _cmd_instance_check(args: argparse.Namespace) -> int:
 
 def _cmd_game_play(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    strategy = strategy_from_spec(_parse_strategy(args.strategy))
+    strategy = _strategy_from_arg(args.strategy)
     a = check_bits(args.input, inst.n, "--input")
     transcript = evaluate_partial(inst, strategy, a) if args.witness else play(inst, strategy, a)
     _dump(transcript.to_json_dict(), args.out)
@@ -285,7 +273,7 @@ def _cmd_game_play(args: argparse.Namespace) -> int:
 
 def _cmd_game_failureset(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    strategy = strategy_from_spec(_parse_strategy(args.strategy))
+    strategy = _strategy_from_arg(args.strategy)
     sample = None
     if args.sample is not None:
         sample = (args.sample, args.sample_seed)
@@ -296,14 +284,14 @@ def _cmd_game_failureset(args: argparse.Namespace) -> int:
 
 def _cmd_analyze_census(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    strategy = strategy_from_spec(_parse_strategy(args.strategy))
+    strategy = _strategy_from_arg(args.strategy)
     _dump(analysis.trace_census(inst, strategy, jobs=args.jobs).to_json_dict(), args.out)
     return EXIT_OK
 
 
 def _cmd_analyze_assignment(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    strategy = strategy_from_spec(_parse_strategy(args.strategy))
+    strategy = _strategy_from_arg(args.strategy)
     if args.trace is not None:
         trace = _parse_trace(args.trace)
     else:
@@ -319,14 +307,14 @@ def _cmd_analyze_assignment(args: argparse.Namespace) -> int:
 
 def _cmd_analyze_reduce(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    strategy = strategy_from_spec(_parse_strategy(args.strategy))
+    strategy = _strategy_from_arg(args.strategy)
     _dump(analysis.run_reduction(inst, strategy, jobs=args.jobs).to_json_dict(), args.out)
     return EXIT_OK
 
 
 def _cmd_analyze_advantage(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    strategy = strategy_from_spec(_parse_strategy(args.strategy))
+    strategy = _strategy_from_arg(args.strategy)
     report = analysis.run_reduction(inst, strategy, jobs=args.jobs)
     payload = report.to_json_dict()
     _dump(
@@ -372,6 +360,8 @@ def _cmd_hardcore_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_json(args.config)
+    if not isinstance(config, dict):
+        raise ValueError(f"config must be a JSON object, got {type(config).__name__}")
     if args.seed is not None:
         config["seed"] = args.seed
     if args.strict:

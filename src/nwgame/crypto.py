@@ -113,10 +113,6 @@ class Permutation:
         )
 
 
-def make_permutation(ell: int, kind: str, seed: int = 0, rounds: int = DEFAULT_ROUNDS) -> Permutation:
-    return Permutation(ell=ell, kind=kind, seed=seed, rounds=rounds)
-
-
 def check_bijection(h: Permutation) -> bool:
     """Exhaustively verify invert(apply(v)) == v and that apply is onto.
     Costs 2^ell evaluations; callers gate on ell."""

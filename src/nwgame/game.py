@@ -22,6 +22,7 @@ from .design import restrict
 from .errors import CapabilityError
 from .generator import Instance
 from .seeds import derive_seed
+from .sharding import run_sharded
 
 EXHAUSTIVE_MAX_N = 14
 
@@ -216,6 +217,35 @@ class FailureReport:
         }
 
 
+def scan(
+    inst: Instance,
+    strategy: StudentStrategy,
+    keep: Callable[[Transcript], Any],
+    witness: bool = False,
+    jobs: int = 1,
+) -> list:
+    """Play each of the 2^n inputs once, in input order (n <= 14), and
+    return keep(transcript) for every run where that value is not None.
+
+    Every exhaustive question about a strategy is a fold over this list;
+    shards merge in input order, so `jobs` never changes the result.
+    """
+    _require_playable(inst)
+    if inst.n > EXHAUSTIVE_MAX_N:
+        raise ValueError(f"n={inst.n} > {EXHAUSTIVE_MAX_N}: exhaustive scan refused")
+
+    def worker(lo: int, hi: int) -> list:
+        view = GameView(inst, strategy.may_invert, strategy.advice)
+        kept = []
+        for value in range(lo, hi):
+            out = keep(_run(inst, strategy, view, int_to_bits(value, inst.n), witness))
+            if out is not None:
+                kept.append(out)
+        return kept
+
+    return [out for shard in run_sharded(1 << inst.n, jobs, worker) for out in shard]
+
+
 def failure_set(
     inst: Instance,
     strategy: StudentStrategy,
@@ -224,14 +254,10 @@ def failure_set(
 ) -> FailureReport:
     """All inputs where the solve-mode run fails (exhaustive, n <= 14), or
     a seeded sample of them when `sample=(size, seed)` is given."""
-    _require_playable(inst)
-    if sample is None and inst.n > EXHAUSTIVE_MAX_N:
-        raise ValueError(
-            f"n={inst.n} > {EXHAUSTIVE_MAX_N}: exhaustive scan refused; "
-            "pass sample=(size, seed) for a labeled estimate"
-        )
     if sample is not None:
         size, seed = sample
+        if size < 1:
+            raise ValueError(f"sample size must be at least 1, got {size}")
         rng = random.Random(derive_seed("failure-sample", seed))
         failures = []
         successes = 0
@@ -246,24 +272,8 @@ def failure_set(
             success_count=successes, sample_size=size, seed=seed,
         )
 
-    from .sharding import run_sharded
-
-    def worker(lo: int, hi: int) -> tuple[list[str], int]:
-        view = GameView(inst, strategy.may_invert, strategy.advice)
-        bad: list[str] = []
-        good = 0
-        for value in range(lo, hi):
-            a = int_to_bits(value, inst.n)
-            if _run(inst, strategy, view, a, witness=False).success:
-                good += 1
-            else:
-                bad.append(a)
-        return bad, good
-
-    shards = run_sharded(1 << inst.n, jobs, worker)
-    failures = tuple(a for bad, _ in shards for a in bad)
-    successes = sum(good for _, good in shards)
-    return FailureReport(inst.n, exhaustive=True, failures=failures, success_count=successes)
+    failed = tuple(scan(inst, strategy, lambda t: None if t.success else t.a, jobs=jobs))
+    return FailureReport(inst.n, exhaustive=True, failures=failed, success_count=(1 << inst.n) - len(failed))
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +345,40 @@ def table_strategy(moves: dict[str, tuple], max_queries: int, name: str = "table
     return StudentStrategy(name, max_queries=max_queries, move=move)
 
 
-def strategy_from_spec(spec: dict) -> StudentStrategy:
-    """Build a library strategy from a JSON-style description.
+# shorthand kind[:arg[:arg]]: the spec fields its arguments fill, in order;
+# the first field is required
+_SHORTHAND_FIELDS = {
+    "constant": ("row", "queries"),
+    "round-robin": ("max_queries", "start"),
+    "seeded-random": ("max_queries", "seed"),
+    "omniscient": (),
+}
+
+
+def _parse_shorthand(text: str) -> dict:
+    kind, *args = text.strip().split(":")
+    fields = _SHORTHAND_FIELDS.get(kind)
+    if fields is None:
+        raise ValueError(f"cannot parse strategy {text!r}")
+    if not min(1, len(fields)) <= len(args) <= len(fields):
+        usage = ":".join([kind, *fields[:1]]) + "".join(f"[:{field}]" for field in fields[1:])
+        raise ValueError(f"strategy {text!r} does not match {usage}")
+    return {"kind": kind, **{field: int(arg) for field, arg in zip(fields, args)}}
+
+
+def strategy_from_spec(spec: dict | str) -> StudentStrategy:
+    """Build a library strategy from a JSON-style description, or from the
+    shorthand constant:ROW[:QUERIES], round-robin:MAX[:START],
+    seeded-random:MAX[:SEED] or omniscient.
 
     Kinds: constant {row, queries?, output?}, round-robin {max_queries,
     start?}, seeded-random {max_queries, seed?}, omniscient {}, table
     {moves, max_queries?}.  Each accepts an optional name.
     """
+    if isinstance(spec, str):
+        spec = _parse_shorthand(spec)
+    if not isinstance(spec, dict):
+        raise ValueError(f"strategy spec must be an object or a shorthand string, got {spec!r}")
     kind = spec.get("kind")
     name = spec.get("name")
     if kind == "constant":

@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bits import bits_to_hex, int_to_bits
-from .game import EXHAUSTIVE_MAX_N, GameView, Output, StudentStrategy, _run
+from .bits import bits_to_hex
+from .game import GameView, Output, StudentStrategy, scan
 from .generator import Instance
 from .analysis import failure_bound
-from .sharding import run_sharded
 
 
 @dataclass(frozen=True)
@@ -125,21 +124,7 @@ class HardcoreReport:
 
 def definedness_set(inst: Instance, strategy: StudentStrategy, jobs: int = 1) -> set[str]:
     """All inputs whose witness-mode run is defined (n <= 14)."""
-    if inst.n > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"definedness scan needs n <= {EXHAUSTIVE_MAX_N}, got {inst.n}")
-    if inst.b is None:
-        raise ValueError("instance has no off-range string b; attach one first")
-
-    def worker(lo: int, hi: int) -> list[str]:
-        view = GameView(inst, strategy.may_invert, strategy.advice)
-        kept = []
-        for value in range(lo, hi):
-            a = int_to_bits(value, inst.n)
-            if _run(inst, strategy, view, a, witness=True).defined:
-                kept.append(a)
-        return kept
-
-    return {a for shard in run_sharded(1 << inst.n, jobs, worker) for a in shard}
+    return set(scan(inst, strategy, lambda t: t.a if t.defined else None, witness=True, jobs=jobs))
 
 
 def extract_hardcore(inst: Instance, family: StudentFamily, k: int, jobs: int = 1) -> HardcoreReport:

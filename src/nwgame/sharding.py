@@ -1,14 +1,14 @@
 """Deterministic sharded enumeration.
 
-Index ranges are split into contiguous shards and shard results are merged
-in shard order, so the outcome is a pure function of the inputs no matter
-how many workers run.  Threads buy no speed for these CPU-bound scans; the
-point of --jobs is that it must not change any answer.
+Index ranges are split into contiguous shards that run one after another
+and merge in shard order, so the outcome is a pure function of the inputs
+whatever the shard count.  The scans are CPU-bound Python, so threads
+would only add switching cost under the interpreter lock; the point of
+--jobs is that it must not change any answer.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
 T = TypeVar("T")
@@ -25,9 +25,4 @@ def shard_bounds(total: int, jobs: int) -> list[tuple[int, int]]:
 
 def run_sharded(total: int, jobs: int, worker: Callable[[int, int], T]) -> list[T]:
     """Run worker(lo, hi) over each shard; results come back in shard order."""
-    bounds = shard_bounds(total, jobs)
-    if len(bounds) == 1:
-        return [worker(*bounds[0])]
-    with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-        futures = [pool.submit(worker, lo, hi) for lo, hi in bounds]
-        return [f.result() for f in futures]
+    return [worker(lo, hi) for lo, hi in shard_bounds(total, jobs)]

@@ -203,6 +203,27 @@ def test_run_rejects_unknown_analysis(tmp_path):
     assert main(["run", str(config)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (["game", "failureset", "--strategy", "constant"], None),
+        (["game", "failureset", "--strategy", "constant:0", "--sample", "-5"], None),
+        (["run"], [CONFIG]),
+        (["run"], dict(CONFIG, strategies="abc")),
+    ],
+    ids=["shorthand-missing-row", "negative-sample", "config-is-a-list", "strategies-is-a-string"],
+)
+def test_bad_input_exits_config(workspace, args, config):
+    tmp, _, instance = workspace
+    if config is None:
+        argv = [*args, "--instance", str(instance)]
+    else:
+        path = tmp / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [*args, str(path)]
+    assert main(argv) == EXIT_CONFIG
+
+
 def test_run_strict_flag(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(CONFIG))

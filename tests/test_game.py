@@ -4,8 +4,14 @@ from hypothesis import given, settings, strategies as st
 from nwgame import (
     CapabilityError,
     Output,
+    StudentFamily,
     StudentStrategy,
+    best_margin_trace,
+    best_partial_assignment,
+    compose,
     constant_strategy,
+    definedness_set,
+    embed,
     evaluate_partial,
     failure_set,
     omniscient_strategy,
@@ -14,11 +20,13 @@ from nwgame import (
     seeded_random_strategy,
     strategy_from_spec,
     table_strategy,
+    trace_census,
 )
 from nwgame.bits import all_bitstrings
+from nwgame.game import scan
 from nwgame.generator import evaluate
 
-from helpers import bad_index_strategy, near_omniscient, reference_instance
+from helpers import bad_index_strategy, greedy_instance, near_omniscient, reference_instance
 
 
 def test_play_constant_row0_semantics(inst_a):
@@ -132,6 +140,8 @@ def test_failure_set_sampling_is_labeled(inst_a):
     assert report.failure_count + report.success_count == 64
     again = failure_set(inst_a, constant_strategy(0), sample=(64, 5))
     assert again.failures == report.failures
+    with pytest.raises(ValueError):
+        failure_set(inst_a, constant_strategy(0), sample=(0, 5))
 
 
 def test_seeded_random_strategy_is_reproducible(inst_a):
@@ -158,8 +168,16 @@ def test_strategy_from_spec_round_trip(inst_a):
     ):
         s = strategy_from_spec(spec)
         play(inst_a, s, "0010")
-    with pytest.raises(ValueError):
-        strategy_from_spec({"kind": "psychic"})
+    for shorthand, spec in (
+        ("constant:1:2", {"kind": "constant", "row": 1, "queries": 2}),
+        ("round-robin:2:1", {"kind": "round-robin", "max_queries": 2, "start": 1}),
+        ("seeded-random:1:3", {"kind": "seeded-random", "max_queries": 1, "seed": 3}),
+        ("omniscient", {"kind": "omniscient"}),
+    ):
+        assert strategy_from_spec(shorthand).name == strategy_from_spec(spec).name
+    for bad in ({"kind": "psychic"}, "psychic", "constant", "constant:x", "round-robin:1:2:3", "omniscient:1", 7):
+        with pytest.raises(ValueError):
+            strategy_from_spec(bad)
 
 
 def test_transcript_json_shape(inst_a):
@@ -186,3 +204,62 @@ def test_budget_property(a_value, max_queries, seed):
     assert len(solve.queries) <= min(max_queries, inst.c)
     witness = evaluate_partial(inst, s, a)
     assert len(witness.queries) <= max_queries
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(5, 8),
+    ell=st.integers(2, 3),
+    seed=st.integers(0, 1000),
+    c=st.integers(1, 2),
+    hard=st.sampled_from(["last-bit", "parity"]),
+    kind=st.sampled_from(["constant", "round-robin", "seeded-random", "omniscient", "composed"]),
+    arg=st.integers(0, 20),
+    jobs=st.integers(1, 3),
+)
+def test_scan_folds_match_per_input_reference(n, ell, seed, c, hard, kind, arg, jobs):
+    inst = greedy_instance(n, ell, ell - 1, seed=seed, perm_seed=seed, hard=hard, c=c)
+    student = {
+        "constant": lambda: constant_strategy(arg % inst.m, queries=c),
+        "round-robin": lambda: round_robin_strategy(c, start=arg),
+        "seeded-random": lambda: seeded_random_strategy(c, seed=arg),
+        "omniscient": omniscient_strategy,
+        "composed": lambda: compose(
+            StudentFamily((constant_strategy(arg % inst.m), seeded_random_strategy(2, seed=arg))), 2
+        ),
+    }[kind]()
+    inputs = list(all_bitstrings(n))
+    solve = [play(inst, student, a) for a in inputs]
+    assert scan(inst, student, lambda t: t, jobs=jobs) == solve
+
+    counts: dict = {}
+    for t in solve:
+        if t.trace is not None:
+            counts[t.trace] = counts.get(t.trace, 0) + 1
+    census = trace_census(inst, student, jobs=jobs)
+    assert census.counts == counts
+
+    report = failure_set(inst, student, jobs=jobs)
+    assert report.failures == tuple(t.a for t in solve if not t.success)
+    assert report.success_count == sum(t.success for t in solve)
+
+    defined = {a for a in inputs if evaluate_partial(inst, student, a).defined}
+    assert definedness_set(inst, student, jobs=jobs) == defined
+
+    picked = best_margin_trace(census)
+    for trace in ([picked[0]] if picked else []) + [(arg % inst.m,)]:
+        positions = inst.design.sets[trace[-1]]
+        best = None
+        for outside in all_bitstrings(n - ell):
+            exact = proper = 0
+            for u in all_bitstrings(ell):
+                played = play(inst, student, embed(u, outside, positions, n)).trace
+                if played == trace:
+                    exact += 1
+                elif played and len(played) > len(trace) and played[: len(trace)] == trace:
+                    proper += 1
+            if best is None or exact - proper > best[0]:
+                best = (exact - proper, outside, exact, proper)
+        got = best_partial_assignment(inst, student, trace, jobs=jobs)
+        assert got.row == trace[-1]
+        assert (got.margin, got.outside, got.exact_count, got.proper_count) == best
