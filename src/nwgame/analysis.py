@@ -69,6 +69,17 @@ class TraceCensus:
         )
         return exact - longer
 
+    def margins(self) -> dict[Trace, int]:
+        """margin(trace) for every counted trace, in one pass: each trace's
+        count is taken off each of its proper prefixes that was counted."""
+        margins = dict(self.counts)
+        for trace, count in self.counts.items():
+            for k in range(len(trace)):
+                prefix = trace[:k]
+                if prefix in margins:
+                    margins[prefix] -= count
+        return margins
+
     def to_json_dict(self) -> dict:
         ordered = sorted(self.counts.items(), key=lambda kv: (len(kv[0]), kv[0]))
         best = None
@@ -100,8 +111,7 @@ def best_margin_trace(census: TraceCensus) -> tuple[Trace, int] | None:
     reduction uses, since exact-count wins can be cancelled by extensions."""
     if not census.counts:
         return None
-    margins = {trace: census.margin(trace) for trace in census.counts}
-    trace, margin = min(margins.items(), key=_score_key(census.m))
+    trace, margin = min(census.margins().items(), key=_score_key(census.m))
     return trace, margin
 
 

@@ -88,28 +88,44 @@ def _list_field(config: dict, key: str, default: list) -> list:
     return list(value)
 
 
+def _object_field(config: dict, key: str, default: dict) -> dict:
+    value = config.get(key, default)
+    if not isinstance(value, dict):
+        raise ValueError(f"config {key!r} must be an object, got {value!r}")
+    return dict(value)
+
+
+def _int(value: Any, key: str) -> int:
+    """int(value); a value of the wrong JSON type is a bad config
+    (ValueError, exit 2), not a TypeError."""
+    try:
+        return int(value)
+    except TypeError:
+        raise ValueError(f"config {key!r} must be an integer, got {value!r}") from None
+
+
 def _resolve_config(config: dict) -> dict:
     resolved = {
-        "seed": int(config.get("seed", 0)),
-        "c": int(config.get("c", 1)),
+        "seed": _int(config.get("seed", 0), "seed"),
+        "c": _int(config.get("c", 1), "c"),
         "strict": bool(config.get("strict", False)),
-        "design": config.get("design", {"q": 2, "degree": 1}),
-        "permutation": dict(config.get("permutation", {"kind": "identity"})),
+        "design": _object_field(config, "design", {"q": 2, "degree": 1}),
+        "permutation": _object_field(config, "permutation", {"kind": "identity"}),
         "hard_bit": config.get("hard_bit", "last-bit"),
-        "b": dict(config.get("b", {"mode": "lex-min"})),
+        "b": _object_field(config, "b", {"mode": "lex-min"}),
         "strategies": _list_field(config, "strategies", []),
         "analyses": _list_field(config, "analyses", ["census"]),
     }
     if "hardcore" in config:
-        resolved["hardcore"] = config["hardcore"]
+        resolved["hardcore"] = _object_field(config, "hardcore", {})
     return resolved
 
 
 def _design_from_config(cfg: dict, seed: int) -> Design:
     if "explicit" in cfg:
-        return require_valid(Design.from_json_dict(cfg["explicit"]))
-    base = build_polynomial_design(int(cfg["q"]), int(cfg["degree"]))
-    target = int(cfg.get("extend_to", base.m))
+        return require_valid(Design.from_json_dict(_object_field(cfg, "explicit", {})))
+    base = build_polynomial_design(_int(cfg["q"], "q"), _int(cfg["degree"], "degree"))
+    target = _int(cfg.get("extend_to", base.m), "extend_to")
     if target != base.m:
         base = extend_greedy(base, target, derive_seed("design-extend", seed))
     return require_valid(base)
@@ -117,10 +133,10 @@ def _design_from_config(cfg: dict, seed: int) -> Design:
 
 def _permutation_from_config(cfg: dict, ell: int, seed: int) -> Permutation:
     kind = cfg.get("kind", "identity")
-    perm_seed = int(cfg["seed"]) if "seed" in cfg else derive_seed("permutation", seed)
+    perm_seed = _int(cfg["seed"], "seed") if "seed" in cfg else derive_seed("permutation", seed)
     kwargs: dict[str, Any] = {}
     if "rounds" in cfg:
-        kwargs["rounds"] = int(cfg["rounds"])
+        kwargs["rounds"] = _int(cfg["rounds"], "rounds")
     return Permutation(ell=ell, kind=kind, seed=perm_seed, **kwargs)
 
 
@@ -184,17 +200,17 @@ def run_experiment(config: dict, jobs: int = 1) -> dict:
     if "hardcore" in resolved:
         hc = resolved["hardcore"]
         family = hardcore.StudentFamily(
-            tuple(strategy_from_spec(s) for s in hc["stages"])
+            tuple(strategy_from_spec(s) for s in _list_field(hc, "stages", None))
         )
         section: dict[str, Any] = {}
         if "k" in hc:
             section["extract"] = hardcore.extract_hardcore(
-                inst, family, int(hc["k"]), jobs=jobs
+                inst, family, _int(hc["k"], "k"), jobs=jobs
             ).to_json_dict()
         if "k_max" in hc:
             section["sweep"] = [
                 r.to_json_dict()
-                for r in hardcore.sweep(inst, family, int(hc["k_max"]), jobs=jobs)
+                for r in hardcore.sweep(inst, family, _int(hc["k_max"], "k_max"), jobs=jobs)
             ]
         report["hardcore"] = section
 

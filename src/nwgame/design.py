@@ -165,7 +165,7 @@ def extend_greedy(
 
 def restrict(x: str, positions: tuple[int, ...]) -> str:
     """Project x onto the given positions: bit t of the result is x[positions[t]]."""
-    return "".join(x[p] for p in positions)
+    return "".join([x[p] for p in positions])
 
 
 def embed(inner: str, outer: str, positions: tuple[int, ...], n: int) -> str:

@@ -2,7 +2,8 @@
 
 Solve mode: on a shared n-bit input, the student names rows of the design
 and the teacher answers each row i with the unique permutation preimage of
-the input's restriction to that row.  The run succeeds the moment a reply's
+the input's restriction to that row, read from the instance's memo
+(`Instance.answer`).  The run succeeds the moment a reply's
 hard bit disagrees with the published off-range string at the queried row;
 the sequence of rows of a successful run is its trace.
 
@@ -34,8 +35,15 @@ class Output:
     value: Any = None
 
 
-# A move is a row index to query, an Output to stop with a value, or None
-# to stop with nothing.
+@dataclass(frozen=True)
+class ProtocolViolation:
+    """A move that breaks the rules on purpose, e.g. a composite whose
+    stage overruns its own budget: the run fails with the violation flag,
+    as a query to a row that does not exist would."""
+
+
+# A move is a row index to query, an Output to stop with a value, a
+# ProtocolViolation to fail the run, or None to stop with nothing.
 Move = Any
 
 
@@ -45,7 +53,8 @@ class GameView:
     Public data: the design, the target string b, the budget c, the hard
     bit, and the strategy's advice bytes.  The forward permutation is free;
     invert is gated on the strategy's may_invert flag and every use is
-    counted so reports can attribute oracle calls.
+    counted so reports can attribute oracle calls.  It is the student's
+    own oracle, so it never reads or fills the teacher's memo.
     """
 
     def __init__(self, inst: Instance, may_invert: bool, advice: bytes = b"") -> None:
@@ -148,12 +157,12 @@ def _run(inst: Instance, strategy: StudentStrategy, view: GameView, a: str, witn
             return stopped(success=False)
         if isinstance(move, Output):
             return stopped(success=False, output=move.value)
-        if not isinstance(move, int) or not 0 <= move < inst.m:
+        if isinstance(move, ProtocolViolation) or not isinstance(move, int) or not 0 <= move < inst.m:
             return stopped(success=False, violation=True)
         queries.append(move)
-        reply = inst.h.invert(restrict(a, inst.design.sets[move]))
+        reply, bit = inst.answer(restrict(a, inst.design.sets[move]))
         replies.append(reply)
-        if inst.hard_bit.value(reply) != int(inst.b[move]):
+        if bit != inst.b[move]:
             return stopped(success=True)
     if not witness:
         # the game ends at the budget; solve mode has nothing left to collect
@@ -164,7 +173,7 @@ def _run(inst: Instance, strategy: StudentStrategy, view: GameView, a: str, witn
         return stopped(success=False, output=move.value)
     if move is None:
         return stopped(success=False)
-    # querying past the budget is a violation, not an error
+    # a ProtocolViolation, or a query past the budget, is a violation, not an error
     return stopped(success=False, violation=True)
 
 

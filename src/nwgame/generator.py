@@ -4,6 +4,10 @@ Output bit i of the generator on input x is the hard bit of the unique
 permutation preimage of x restricted to design row i.  An instance also
 carries a target string b certified to lie outside the generator's range,
 and the per-game query budget c.
+
+Only 2^ell distinct row restrictions exist, so each instance inverts each
+one at most once: `Instance.answer` memoises the preimage and its hard
+bit, and both the generator and the game's teacher read from it.
 """
 
 from __future__ import annotations
@@ -11,9 +15,10 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bits import all_bitstrings, bits_to_hex, check_bits, hex_to_bits, int_to_bits
-from .crypto import HardBit, Permutation, preimage_bit
+from .crypto import HardBit, Permutation
 from .design import Design, require_valid, restrict
 from .errors import SearchExhausted, ValidationError
 from .seeds import derive_seed
@@ -53,6 +58,22 @@ class Instance:
     def ell(self) -> int:
         return self.design.ell
 
+    @cached_property
+    def _answers(self) -> dict[str, tuple[str, str]]:
+        # not a field: stays out of __eq__, repr and the JSON form, and
+        # dataclasses.replace starts the new instance with an empty memo
+        return {}
+
+    def answer(self, u: str) -> tuple[str, str]:
+        """The preimage h^-1(u) of an ell-bit row restriction u, with its
+        hard bit as '0' or '1'.  Each u is inverted once per instance, so
+        the memo holds at most 2^ell entries."""
+        hit = self._answers.get(u)
+        if hit is None:
+            preimage = self.h.invert(u)
+            hit = self._answers[u] = (preimage, str(self.hard_bit.value(preimage)))
+        return hit
+
     def to_json_dict(self) -> dict:
         return {
             "design": self.design.to_json_dict(),
@@ -80,9 +101,8 @@ class Instance:
 def evaluate(inst: Instance, x: str) -> str:
     """The m-bit generator output on an n-bit input."""
     check_bits(x, inst.n, "generator input")
-    return "".join(
-        str(preimage_bit(inst.h, inst.hard_bit, restrict(x, row))) for row in inst.design.sets
-    )
+    answer = inst.answer
+    return "".join([answer(restrict(x, row))[1] for row in inst.design.sets])
 
 
 def _range_bitset(inst: Instance) -> bytearray:
@@ -94,8 +114,8 @@ def _range_bitset(inst: Instance) -> bytearray:
     return hit
 
 
-def _range_sorted(inst: Instance) -> list[int]:
-    return sorted({int(evaluate(inst, x), 2) for x in all_bitstrings(inst.n)})
+def _range_set(inst: Instance) -> set[int]:
+    return {int(evaluate(inst, x), 2) for x in all_bitstrings(inst.n)}
 
 
 def find_off_range(inst: Instance, mode: str = "lex-min", seed: int = 0) -> str:
@@ -116,11 +136,7 @@ def find_off_range(inst: Instance, mode: str = "lex-min", seed: int = 0) -> str:
             return bool(hit[y >> 3] & (1 << (y & 7)))
 
     else:
-        members = _range_sorted(inst)
-        memberset = set(members)
-
-        def in_range(y: int) -> bool:
-            return y in memberset
+        in_range = _range_set(inst).__contains__
 
     space = 1 << inst.m
     if mode == "lex-min":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bits import bits_to_hex
-from .game import GameView, Output, StudentStrategy, scan
+from .game import GameView, Output, ProtocolViolation, StudentStrategy, scan
 from .generator import Instance
 from .analysis import failure_bound
 
@@ -73,9 +73,8 @@ def compose(family: StudentFamily, k: int) -> StudentStrategy:
                     cursor += consumed
                     break
                 if consumed >= stage.max_queries:
-                    # stage overruns its own budget: surface it as a
-                    # protocol violation of the composite
-                    return stage.max_queries + 1 + view.m
+                    # the stage overruns its own budget
+                    return ProtocolViolation()
                 if cursor + consumed < len(replies):
                     consumed += 1
                     continue

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nwgame import (
     best_margin_trace,
@@ -15,7 +16,7 @@ from nwgame import (
     run_reduction,
     trace_census,
 )
-from nwgame.analysis import _classify
+from nwgame.analysis import TraceCensus, _classify, _score_key
 from nwgame.bits import all_bitstrings
 from nwgame.crypto import preimage_bit
 from nwgame.design import embed
@@ -66,6 +67,19 @@ def test_margin_subtracts_extensions():
             if len(other) > len(trace) and other[: len(trace)] == trace
         )
         assert census.margin(trace) == census.counts[trace] - extensions
+
+
+@given(
+    st.dictionaries(
+        st.lists(st.integers(0, 2), max_size=4).map(tuple), st.integers(1, 9), max_size=30
+    )
+)
+def test_one_pass_margins_match_definition(counts):
+    census = TraceCensus(3, 4, sum(counts.values()), counts, None, 0)
+    reference = {trace: census.margin(trace) for trace in counts}
+    assert census.margins() == reference
+    picked = best_margin_trace(census)
+    assert picked == (min(reference.items(), key=_score_key(3)) if counts else None)
 
 
 def test_best_margin_trace_frozen(inst_a):

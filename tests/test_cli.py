@@ -210,8 +210,17 @@ def test_run_rejects_unknown_analysis(tmp_path):
         (["game", "failureset", "--strategy", "constant:0", "--sample", "-5"], None),
         (["run"], [CONFIG]),
         (["run"], dict(CONFIG, strategies="abc")),
+        (["run"], dict(CONFIG, design=5)),
+        (["run"], dict(CONFIG, seed=[1])),
+        (["run"], dict(CONFIG, permutation=7)),
+        (["run"], dict(CONFIG, b=3)),
+        (["run"], dict(CONFIG, hardcore=3, strategies=[])),
     ],
-    ids=["shorthand-missing-row", "negative-sample", "config-is-a-list", "strategies-is-a-string"],
+    ids=[
+        "shorthand-missing-row", "negative-sample", "config-is-a-list", "strategies-is-a-string",
+        "design-is-a-number", "seed-is-a-list", "permutation-is-a-number", "b-is-a-number",
+        "hardcore-is-a-number",
+    ],
 )
 def test_bad_input_exits_config(workspace, args, config):
     tmp, _, instance = workspace

@@ -1,4 +1,7 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nwgame import (
     Design,
@@ -8,11 +11,20 @@ from nwgame import (
     SearchExhausted,
     ValidationError,
     certify_off_range,
+    constant_strategy,
+    evaluate_partial,
     find_off_range,
+    omniscient_strategy,
+    play,
+    preimage_bit,
+    restrict,
+    round_robin_strategy,
+    seeded_random_strategy,
     strict_violations,
     with_explicit_b,
     with_off_range,
 )
+from nwgame import generator
 from nwgame.bits import all_bitstrings
 from nwgame.generator import evaluate
 
@@ -62,6 +74,29 @@ def test_seeded_random_off_range_is_deterministic_and_off():
     )
     with pytest.raises(ValueError):
         find_off_range(inst, mode="coin-flip")
+
+
+def test_set_path_picks_the_bitset_paths_b(monkeypatch):
+    instances = [
+        bare_reference(),
+        greedy_instance(6, 2, 1, seed=10, perm="table", perm_seed=7),
+        greedy_instance(8, 4, 3, seed=4, perm="feistel", perm_seed=2, hard="parity"),
+    ]
+    picks = [
+        (find_off_range(inst), find_off_range(inst, mode="seeded-random", seed=5))
+        for inst in instances
+    ]
+    # every m exceeds the lowered cap, so the search goes through the range set
+    monkeypatch.setattr(generator, "BITSET_MAX_M", 0)
+    monkeypatch.setattr(generator, "_range_bitset", None)
+    for inst, (lex_min, seeded) in zip(instances, picks):
+        assert find_off_range(inst) == lex_min
+        assert find_off_range(inst, mode="seeded-random", seed=5) == seeded
+    surjective = Instance(
+        Design(n=2, ell=2, d=1, sets=((0, 1),)), Permutation(ell=2, kind="identity"), HardBit(), c=1
+    )
+    with pytest.raises(SearchExhausted):
+        find_off_range(surjective)
 
 
 def test_surjective_generator_has_no_off_range():
@@ -123,3 +158,70 @@ def test_json_round_trip_preserves_everything():
 def test_evaluate_checks_width():
     with pytest.raises(ValueError):
         evaluate(bare_reference(), "001")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(6, 8),
+    ell=st.integers(2, 4),
+    seed=st.integers(0, 1000),
+    perm=st.sampled_from(["identity", "table", "feistel"]),
+    hard=st.sampled_from(["last-bit", "parity"]),
+)
+def test_answer_memo_matches_reference_path(n, ell, seed, perm, hard):
+    if perm == "feistel":
+        ell -= ell % 2
+    inst = greedy_instance(n, ell, ell - 1, seed=seed, perm=perm, perm_seed=seed, hard=hard, c=2)
+    h, hb, sets = inst.h, inst.hard_bit, inst.design.sets
+    inputs = list(all_bitstrings(n))
+
+    def reference(x: str, perm: Permutation = h) -> str:
+        return "".join(str(preimage_bit(perm, hb, restrict(x, row))) for row in sets)
+
+    # attaching b replaced the instance, so the search's memo stayed behind
+    assert inst._answers == {}
+    assert [evaluate(inst, x) for x in inputs] == [reference(x) for x in inputs]
+    assert 0 < len(inst._answers) <= 1 << ell
+    for u, (preimage, bit) in inst._answers.items():
+        assert preimage == h.invert(u) and bit == str(hb.value(preimage))
+
+    students = (
+        constant_strategy(seed % inst.m, queries=2),
+        round_robin_strategy(2, start=seed),
+        seeded_random_strategy(3, seed=seed),
+    )
+    for student in students:
+        for a in inputs:
+            for t in (play(inst, student, a), evaluate_partial(inst, student, a)):
+                bits = [hb.value(r) != int(inst.b[q]) for q, r in zip(t.queries, t.replies)]
+                assert list(t.replies) == [h.invert(restrict(a, sets[q])) for q in t.queries]
+                assert t.success == any(bits) and not any(bits[:-1])
+    assert len(inst._answers) <= 1 << ell
+
+    # the memo is not a field: equality and repr ignore it, and a replaced
+    # instance starts empty
+    assert dataclasses.replace(inst) == inst and "_answers" not in repr(inst)
+    other = dataclasses.replace(inst, h=Permutation(ell, "table", seed=seed + 1))
+    assert other._answers == {}
+    assert [evaluate(other, x) for x in inputs] == [reference(x, other.h) for x in inputs]
+
+    # the student's own inversions bypass the memo: the omniscient student
+    # inverts rows in order up to the first disagreeing one, every game
+    fresh = dataclasses.replace(inst)
+    omniscient = omniscient_strategy()
+    views = []
+
+    def spy_move(view, a, replies):
+        views.append(view)
+        return omniscient.move(view, a, replies)
+
+    spy = dataclasses.replace(omniscient, move=spy_move)
+    queried = set()
+    for a in inputs:
+        t = play(fresh, spy, a)
+        out = reference(a)
+        first = next(i for i in range(inst.m) if out[i] != inst.b[i])
+        assert t.success and t.queries == (first,)
+        assert views[-1].invert_calls == first + 1
+        queried.add(restrict(a, sets[first]))
+    assert set(fresh._answers) == queried

@@ -4,6 +4,7 @@ import pytest
 
 from nwgame import (
     StudentFamily,
+    StudentStrategy,
     compose,
     composed_budget,
     constant_strategy,
@@ -126,3 +127,18 @@ def test_definedness_jobs_invariant(inst_a):
     assert definedness_set(inst_a, composite, jobs=1) == definedness_set(
         inst_a, composite, jobs=5
     )
+
+
+def test_stage_overrun_is_a_violation(inst_a):
+    # on 0000 rows 0-3 all agree with b, so witness mode never aborts; the
+    # greedy stage declares one query but keeps asking for row 1
+    greedy = StudentStrategy("greedy", max_queries=1, move=lambda view, a, replies: 1)
+    composite = compose(StudentFamily((constant_strategy(0), greedy)), 2)
+    t = evaluate_partial(inst_a, composite, "0000")
+    # stage 2 overruns after 2 of the composite's 3 queries
+    assert t.queries == (0, 1)
+    assert t.violation and t.defined and t.output is None
+    # as stage 1 it overruns at the composite's budget of 1
+    t = evaluate_partial(inst_a, compose(StudentFamily((greedy,)), 1), "0000")
+    assert t.queries == (1,)
+    assert t.violation and t.defined and t.output is None
