@@ -6,7 +6,7 @@ of permutation preimages: count traces over all inputs, pick a trace whose
 count beats its extensions, fix the bits outside the final queried row,
 precompute teacher replies for every earlier query, and let the student's
 own moves decide the guess.  The predictor never inverts the permutation
-at run time; inversion happens only while the advice is being built.
+at run time; the advice is built from the instance's preimage memo.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bits import all_bitstrings
-from .crypto import preimage_bit
 from .design import embed, restrict
 from .game import GameView, StudentStrategy, failure_set, play, scan
 from .generator import Instance
@@ -205,7 +204,7 @@ def build_witness_tables(
         for w in all_bitstrings(len(shared)):
             w_at = dict(zip(shared, w))
             z = "".join(w_at[p] if p in w_at else fixed_at[p] for p in row)
-            entries[z] = inst.h.invert(z)
+            entries[z] = inst.answer(z)[0]
         tables[i] = entries
     return tables
 
@@ -263,16 +262,6 @@ class Predictor:
     def student_invert_calls(self) -> int:
         return self.view.invert_calls
 
-    def advice_json(self) -> dict:
-        return {
-            "trace": list(self.trace),
-            "outside": self.outside,
-            "default_bit": self.default_bit,
-            "tables": {
-                str(row): dict(sorted(entries.items())) for row, entries in sorted(self.tables.items())
-            },
-        }
-
 
 def build_predictor(
     inst: Instance,
@@ -294,7 +283,7 @@ def build_predictor(
         a = embed(u, outside, positions, inst.n)
         if _classify(play(inst, strategy, a).trace, trace) == "other":
             total += 1
-            ones += preimage_bit(inst.h, inst.hard_bit, u)
+            ones += int(inst.answer(u)[1])
     default_bit = 1 if 2 * ones > total else 0
     return Predictor(
         inst=inst,
@@ -303,7 +292,7 @@ def build_predictor(
         outside=outside,
         tables=tables,
         default_bit=default_bit,
-        view=GameView(inst, strategy.may_invert, strategy.advice),
+        view=GameView(inst, strategy.may_invert),
     )
 
 
@@ -312,7 +301,7 @@ def measure_advantage(inst: Instance, predictor: Predictor) -> Fraction:
     bit across all 2^ell points, minus one half."""
     agree = 0
     for u in all_bitstrings(inst.ell):
-        if predictor.run(u) == preimage_bit(inst.h, inst.hard_bit, u):
+        if predictor.run(u) == int(inst.answer(u)[1]):
             agree += 1
     return Fraction(agree, 1 << inst.ell) - Fraction(1, 2)
 

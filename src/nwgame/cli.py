@@ -17,7 +17,7 @@ from typing import Any
 
 from . import analysis, hardcore
 from .bits import check_bits, hex_to_bits
-from .crypto import HardBit, Permutation, check_bijection
+from .crypto import DEFAULT_ROUNDS, HardBit, Permutation, check_bijection
 from .design import Design, build_polynomial_design, extend_greedy, require_valid, verify_design
 from .errors import SearchExhausted, ValidationError
 from .game import StudentStrategy, evaluate_partial, failure_set, play, strategy_from_spec
@@ -54,23 +54,20 @@ def _load_json(path: str) -> dict:
         return json.load(handle)
 
 
-def _load_design(path: str) -> Design:
-    return require_valid(Design.from_json_dict(_load_json(path)))
-
-
 def _load_instance(path: str) -> Instance:
     return Instance.from_json_dict(_load_json(path))
 
 
-def _strategy_from_arg(text: str) -> StudentStrategy:
-    """Inline JSON ({...}), a path to a JSON file, or the library's
-    kind[:arg[:arg]] shorthand."""
+def _json_arg(text: str) -> Any:
+    """A --strategy or --family argument: inline JSON ({...} or [...]) or a
+    path to a .json file.  Other text, the strategy shorthand, comes back
+    unchanged."""
     text = text.strip()
-    if text.startswith("{"):
-        return strategy_from_spec(json.loads(text))
+    if text.startswith(("{", "[")):
+        return json.loads(text)
     if text.endswith(".json"):
-        return strategy_from_spec(_load_json(text))
-    return strategy_from_spec(text)
+        return _load_json(text)
+    return text
 
 
 def _parse_trace(text: str) -> tuple[int, ...]:
@@ -134,10 +131,8 @@ def _design_from_config(cfg: dict, seed: int) -> Design:
 def _permutation_from_config(cfg: dict, ell: int, seed: int) -> Permutation:
     kind = cfg.get("kind", "identity")
     perm_seed = _int(cfg["seed"], "seed") if "seed" in cfg else derive_seed("permutation", seed)
-    kwargs: dict[str, Any] = {}
-    if "rounds" in cfg:
-        kwargs["rounds"] = _int(cfg["rounds"], "rounds")
-    return Permutation(ell=ell, kind=kind, seed=perm_seed, **kwargs)
+    rounds = _int(cfg.get("rounds", DEFAULT_ROUNDS), "rounds")
+    return Permutation(ell=ell, kind=kind, seed=perm_seed, rounds=rounds)
 
 
 def _attach_b(inst: Instance, cfg: dict, seed: int) -> Instance:
@@ -145,6 +140,55 @@ def _attach_b(inst: Instance, cfg: dict, seed: int) -> Instance:
     if mode == "explicit":
         return with_explicit_b(inst, hex_to_bits(cfg["value_hex"], inst.m))
     return with_off_range(inst, mode=mode, seed=seed)
+
+
+def _assignment(inst: Instance, strategy: StudentStrategy, trace: analysis.Trace, jobs: int) -> dict:
+    best = analysis.best_partial_assignment(inst, strategy, trace, jobs=jobs)
+    return {"trace": list(trace), **best.to_json_dict()}
+
+
+def strategy_sections(
+    inst: Instance, strategy: StudentStrategy, analyses: list, jobs: int = 1
+) -> dict:
+    """One strategy's report sections, one per analysis: census, assignment
+    (None when no run succeeds), reduction and failures.  Census and
+    assignment share one census; reduce and failureset scan on their own."""
+    sections: dict[str, Any] = {}
+    census = None
+    for kind in analyses:
+        if kind in ("census", "assignment"):
+            census = census or analysis.trace_census(inst, strategy, jobs=jobs)
+        if kind == "census":
+            sections["census"] = census.to_json_dict()
+        elif kind == "assignment":
+            picked = analysis.best_margin_trace(census)
+            sections["assignment"] = (
+                None if picked is None else _assignment(inst, strategy, picked[0], jobs)
+            )
+        elif kind == "reduce":
+            sections["reduction"] = analysis.run_reduction(inst, strategy, jobs=jobs).to_json_dict()
+        elif kind == "failureset":
+            sections["failures"] = failure_set(inst, strategy, jobs=jobs).to_json_dict()
+        else:
+            raise ValueError(f"unknown analysis {kind!r}")
+    return sections
+
+
+def hardcore_section(
+    inst: Instance, stages: Any, k: int | None, k_max: int | None, jobs: int = 1
+) -> dict:
+    """The hardcore report section for a family of stage specs: the k-stage
+    extraction and the sweep over k = 1..k_max, each when asked for."""
+    if not isinstance(stages, list):
+        raise ValueError(f"family stages must be a list of strategy specs, got {stages!r}")
+    family = hardcore.StudentFamily(tuple(strategy_from_spec(s) for s in stages))
+    section: dict[str, Any] = {}
+    if k is not None:
+        section["extract"] = hardcore.extract_hardcore(inst, family, k, jobs=jobs).to_json_dict()
+    if k_max is not None:
+        reports = hardcore.sweep(inst, family, k_max, jobs=jobs)
+        section["sweep"] = [r.to_json_dict() for r in reports]
+    return section
 
 
 def run_experiment(config: dict, jobs: int = 1) -> dict:
@@ -175,44 +219,13 @@ def run_experiment(config: dict, jobs: int = 1) -> dict:
 
     for spec in resolved["strategies"]:
         strategy = strategy_from_spec(spec)
-        entry: dict[str, Any] = {"name": strategy.name, "spec": spec}
-        census = None
-        for kind in resolved["analyses"]:
-            if kind == "census":
-                census = census or analysis.trace_census(inst, strategy, jobs=jobs)
-                entry["census"] = census.to_json_dict()
-            elif kind == "assignment":
-                census = census or analysis.trace_census(inst, strategy, jobs=jobs)
-                picked = analysis.best_margin_trace(census)
-                if picked is None:
-                    entry["assignment"] = None
-                else:
-                    best = analysis.best_partial_assignment(inst, strategy, picked[0], jobs=jobs)
-                    entry["assignment"] = {"trace": list(picked[0]), **best.to_json_dict()}
-            elif kind == "reduce":
-                entry["reduction"] = analysis.run_reduction(inst, strategy, jobs=jobs).to_json_dict()
-            elif kind == "failureset":
-                entry["failures"] = failure_set(inst, strategy, jobs=jobs).to_json_dict()
-            else:
-                raise ValueError(f"unknown analysis {kind!r}")
-        report["strategies"].append(entry)
+        sections = strategy_sections(inst, strategy, resolved["analyses"], jobs=jobs)
+        report["strategies"].append({"name": strategy.name, "spec": spec, **sections})
 
     if "hardcore" in resolved:
         hc = resolved["hardcore"]
-        family = hardcore.StudentFamily(
-            tuple(strategy_from_spec(s) for s in _list_field(hc, "stages", None))
-        )
-        section: dict[str, Any] = {}
-        if "k" in hc:
-            section["extract"] = hardcore.extract_hardcore(
-                inst, family, _int(hc["k"], "k"), jobs=jobs
-            ).to_json_dict()
-        if "k_max" in hc:
-            section["sweep"] = [
-                r.to_json_dict()
-                for r in hardcore.sweep(inst, family, _int(hc["k_max"], "k_max"), jobs=jobs)
-            ]
-        report["hardcore"] = section
+        k, k_max = (_int(hc[key], key) if key in hc else None for key in ("k", "k_max"))
+        report["hardcore"] = hardcore_section(inst, hc.get("stages"), k, k_max, jobs=jobs)
 
     return report
 
@@ -237,7 +250,7 @@ def _cmd_design_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_instance_make(args: argparse.Namespace) -> int:
-    design = _load_design(args.design)
+    design = require_valid(Design.from_json_dict(_load_json(args.design)))
     h = Permutation(ell=design.ell, kind=args.perm, seed=args.perm_seed, rounds=args.rounds)
     inst = Instance(design, h, HardBit(args.hard_bit), args.c)
     if args.b is not None:
@@ -280,97 +293,51 @@ def _cmd_instance_check(args: argparse.Namespace) -> int:
 
 def _cmd_game_play(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    strategy = _strategy_from_arg(args.strategy)
+    strategy = strategy_from_spec(_json_arg(args.strategy))
     a = check_bits(args.input, inst.n, "--input")
     transcript = evaluate_partial(inst, strategy, a) if args.witness else play(inst, strategy, a)
     _dump(transcript.to_json_dict(), args.out)
     return EXIT_OK
 
 
-def _cmd_game_failureset(args: argparse.Namespace) -> int:
+def _cmd_strategy_section(args: argparse.Namespace) -> int:
+    """`analyze *` and `game failureset`: the strategy's section of the run
+    report for the one analysis the subcommand names."""
     inst = _load_instance(args.instance)
-    strategy = _strategy_from_arg(args.strategy)
-    sample = None
-    if args.sample is not None:
-        sample = (args.sample, args.sample_seed)
-    report = failure_set(inst, strategy, jobs=args.jobs, sample=sample)
-    _dump(report.to_json_dict(), args.out)
-    return EXIT_OK
-
-
-def _cmd_analyze_census(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)
-    strategy = _strategy_from_arg(args.strategy)
-    _dump(analysis.trace_census(inst, strategy, jobs=args.jobs).to_json_dict(), args.out)
-    return EXIT_OK
-
-
-def _cmd_analyze_assignment(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)
-    strategy = _strategy_from_arg(args.strategy)
-    if args.trace is not None:
-        trace = _parse_trace(args.trace)
+    strategy = strategy_from_spec(_json_arg(args.strategy))
+    name = args.subcommand
+    if name == "assignment" and args.trace is not None:
+        payload = _assignment(inst, strategy, _parse_trace(args.trace), args.jobs)
+    elif name == "failureset" and args.sample is not None:
+        payload = failure_set(inst, strategy, sample=(args.sample, args.sample_seed)).to_json_dict()
     else:
-        picked = analysis.best_margin_trace(analysis.trace_census(inst, strategy, jobs=args.jobs))
-        if picked is None:
-            _dump({"assignment": None, "reason": "no successful runs"}, args.out)
-            return EXIT_OK
-        trace = picked[0]
-    best = analysis.best_partial_assignment(inst, strategy, trace, jobs=args.jobs)
-    _dump({"trace": list(trace), **best.to_json_dict()}, args.out)
+        kind = "reduce" if name == "advantage" else name
+        (payload,) = strategy_sections(inst, strategy, [kind], jobs=args.jobs).values()
+    if name == "assignment" and payload is None:
+        payload = {"assignment": None, "reason": "no successful runs"}
+    elif name == "advantage":
+        payload = {key: payload[key] for key in ("advantage", "target", "met", "diagnostics")}
+    _dump(payload, args.out)
     return EXIT_OK
 
 
-def _cmd_analyze_reduce(args: argparse.Namespace) -> int:
+def _cmd_hardcore(args: argparse.Namespace) -> int:
+    """`hardcore extract|sweep`: the run report's hardcore section."""
     inst = _load_instance(args.instance)
-    strategy = _strategy_from_arg(args.strategy)
-    _dump(analysis.run_reduction(inst, strategy, jobs=args.jobs).to_json_dict(), args.out)
-    return EXIT_OK
-
-
-def _cmd_analyze_advantage(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)
-    strategy = _strategy_from_arg(args.strategy)
-    report = analysis.run_reduction(inst, strategy, jobs=args.jobs)
-    payload = report.to_json_dict()
-    _dump(
-        {
-            "advantage": payload["advantage"],
-            "target": payload["target"],
-            "met": payload["met"],
-            "diagnostics": payload["diagnostics"],
-        },
-        args.out,
-    )
-    return EXIT_OK
-
-
-def _family_from_arg(text: str) -> hardcore.StudentFamily:
-    data = _load_json(text) if text.endswith(".json") else json.loads(text)
-    stages = data["stages"] if isinstance(data, dict) else data
-    return hardcore.StudentFamily(tuple(strategy_from_spec(s) for s in stages))
-
-
-def _cmd_hardcore_extract(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)
-    family = _family_from_arg(args.family)
-    _dump(hardcore.extract_hardcore(inst, family, args.k, jobs=args.jobs).to_json_dict(), args.out)
-    return EXIT_OK
-
-
-def _cmd_hardcore_sweep(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)
-    family = _family_from_arg(args.family)
-    reports = hardcore.sweep(inst, family, args.k_max, jobs=args.jobs)
+    family = _json_arg(args.family)
+    stages = family.get("stages") if isinstance(family, dict) else family
+    section = hardcore_section(inst, stages, args.k, args.k_max, jobs=args.jobs)
+    if args.subcommand == "extract":
+        _dump(section["extract"], args.out)
+        return EXIT_OK
     if args.csv is not None:
         with open(args.csv, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["k", "size", "bound", "meets_bound"])
-            for r in reports:
-                writer.writerow(
-                    [r.k, r.size, f"{r.bound.numerator}/{r.bound.denominator}", r.meets_bound]
-                )
-    _dump({"sweep": [r.to_json_dict() for r in reports]}, args.out)
+            for r in section["sweep"]:
+                bound = f"{r['bound']['num']}/{r['bound']['den']}"
+                writer.writerow([r["k"], r["size"], bound, r["meets_bound"]])
+    _dump(section, args.out)
     return EXIT_OK
 
 
@@ -450,23 +417,18 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--sample", type=int, default=None, help="Monte-Carlo size for n > 14")
     g.add_argument("--sample-seed", type=int, default=0)
     common(g)
-    g.set_defaults(func=_cmd_game_failureset)
+    g.set_defaults(func=_cmd_strategy_section)
 
     p = sub.add_parser("analyze", help="census, assignments, reductions")
     asub = p.add_subparsers(dest="subcommand", required=True)
-    for name, handler in (
-        ("census", _cmd_analyze_census),
-        ("assignment", _cmd_analyze_assignment),
-        ("reduce", _cmd_analyze_reduce),
-        ("advantage", _cmd_analyze_advantage),
-    ):
+    for name in ("census", "assignment", "reduce", "advantage"):
         a = asub.add_parser(name)
         a.add_argument("--instance", required=True)
         a.add_argument("--strategy", required=True)
         if name == "assignment":
             a.add_argument("--trace", default=None, help="comma-separated rows; default: margin-best")
         common(a)
-        a.set_defaults(func=handler)
+        a.set_defaults(func=_cmd_strategy_section)
 
     p = sub.add_parser("hardcore", help="composed students and definedness sets")
     hsub = p.add_subparsers(dest="subcommand", required=True)
@@ -475,14 +437,14 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--family", required=True, help="JSON list of stage specs, inline or a path")
     h.add_argument("--k", type=int, required=True)
     common(h)
-    h.set_defaults(func=_cmd_hardcore_extract)
+    h.set_defaults(func=_cmd_hardcore, k_max=None)
     h = hsub.add_parser("sweep")
     h.add_argument("--instance", required=True)
     h.add_argument("--family", required=True)
     h.add_argument("--k-max", type=int, required=True)
     h.add_argument("--csv", default=None, help="also write k,size,bound rows here")
     common(h)
-    h.set_defaults(func=_cmd_hardcore_sweep)
+    h.set_defaults(func=_cmd_hardcore, k=None)
 
     p = sub.add_parser("run", help="execute an experiment config")
     p.add_argument("config")

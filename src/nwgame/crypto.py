@@ -105,12 +105,15 @@ class Permutation:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Permutation":
-        return Permutation(
-            ell=int(data["ell"]),
-            kind=data["kind"],
-            seed=int(data.get("seed", 0)),
-            rounds=int(data.get("rounds", DEFAULT_ROUNDS)),
-        )
+        try:
+            return Permutation(
+                ell=int(data["ell"]),
+                kind=data["kind"],
+                seed=int(data.get("seed", 0)),
+                rounds=int(data.get("rounds", DEFAULT_ROUNDS)),
+            )
+        except TypeError as exc:
+            raise ValueError(f"permutation JSON has a value of the wrong type: {exc}") from None
 
 
 def check_bijection(h: Permutation) -> bool:

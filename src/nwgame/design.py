@@ -38,14 +38,18 @@ class Design:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Design":
-        des = Design(
-            n=int(data["n"]),
-            ell=int(data["ell"]),
-            d=int(data["d"]),
-            sets=tuple(tuple(int(p) for p in s) for s in data["sets"]),
-        )
-        if "m" in data and int(data["m"]) != des.m:
-            raise ValueError(f"declared m={data['m']} but {des.m} sets given")
+        try:
+            des = Design(
+                n=int(data["n"]),
+                ell=int(data["ell"]),
+                d=int(data["d"]),
+                sets=tuple(tuple(int(p) for p in s) for s in data["sets"]),
+            )
+            declared_m = int(data.get("m", des.m))
+        except TypeError as exc:
+            raise ValueError(f"design JSON has a value of the wrong type: {exc}") from None
+        if declared_m != des.m:
+            raise ValueError(f"declared m={declared_m} but {des.m} sets given")
         return des
 
 

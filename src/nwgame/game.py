@@ -50,19 +50,18 @@ Move = Any
 class GameView:
     """What a strategy is allowed to see and do.
 
-    Public data: the design, the target string b, the budget c, the hard
-    bit, and the strategy's advice bytes.  The forward permutation is free;
-    invert is gated on the strategy's may_invert flag and every use is
-    counted so reports can attribute oracle calls.  It is the student's
-    own oracle, so it never reads or fills the teacher's memo.
+    Public data: the design, the target string b, the budget c and the hard
+    bit.  The forward permutation is free; invert is gated on the
+    strategy's may_invert flag and every use is counted so reports can
+    attribute oracle calls.  It is the student's own oracle, so it never
+    reads or fills the teacher's memo.
     """
 
-    def __init__(self, inst: Instance, may_invert: bool, advice: bytes = b"") -> None:
+    def __init__(self, inst: Instance, may_invert: bool) -> None:
         self.design = inst.design
         self.b = inst.b
         self.c = inst.c
         self.hard_bit = inst.hard_bit
-        self.advice = advice
         self.invert_calls = 0
         self._h = inst.h
         self._may_invert = may_invert
@@ -102,7 +101,6 @@ class StudentStrategy:
     max_queries: int
     move: Callable[[GameView, str, tuple[str, ...]], Move]
     may_invert: bool = False
-    advice: bytes = b""
 
 
 @dataclass(frozen=True)
@@ -186,7 +184,7 @@ def play(inst: Instance, strategy: StudentStrategy, a: str) -> Transcript:
     """One solve-mode run on input a."""
     _require_playable(inst)
     check_bits(a, inst.n, "game input")
-    view = GameView(inst, strategy.may_invert, strategy.advice)
+    view = GameView(inst, strategy.may_invert)
     return _run(inst, strategy, view, a, witness=False)
 
 
@@ -194,7 +192,7 @@ def evaluate_partial(inst: Instance, strategy: StudentStrategy, a: str) -> Trans
     """One witness-mode run on input a; aborts on any disagreeing reply."""
     _require_playable(inst)
     check_bits(a, inst.n, "game input")
-    view = GameView(inst, strategy.may_invert, strategy.advice)
+    view = GameView(inst, strategy.may_invert)
     return _run(inst, strategy, view, a, witness=True)
 
 
@@ -244,7 +242,7 @@ def scan(
         raise ValueError(f"n={inst.n} > {EXHAUSTIVE_MAX_N}: exhaustive scan refused")
 
     def worker(lo: int, hi: int) -> list:
-        view = GameView(inst, strategy.may_invert, strategy.advice)
+        view = GameView(inst, strategy.may_invert)
         kept = []
         for value in range(lo, hi):
             out = keep(_run(inst, strategy, view, int_to_bits(value, inst.n), witness))

@@ -24,7 +24,6 @@ from .errors import SearchExhausted, ValidationError
 from .seeds import derive_seed
 
 ENUMERATION_MAX_N = 20
-BITSET_MAX_M = 24
 
 
 @dataclass(frozen=True)
@@ -86,16 +85,19 @@ class Instance:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Instance":
-        design = Design.from_json_dict(data["design"])
-        b_hex = data.get("b_hex")
-        return Instance(
-            design=design,
-            h=Permutation.from_json_dict(data["permutation"]),
-            hard_bit=HardBit(data.get("hard_bit", "last-bit")),
-            c=int(data["c"]),
-            b=None if b_hex is None else hex_to_bits(b_hex, design.m),
-            b_certified=bool(data.get("b_certified", False)),
-        )
+        try:
+            design = Design.from_json_dict(data["design"])
+            b_hex = data.get("b_hex")
+            return Instance(
+                design=design,
+                h=Permutation.from_json_dict(data["permutation"]),
+                hard_bit=HardBit(data.get("hard_bit", "last-bit")),
+                c=int(data["c"]),
+                b=None if b_hex is None else hex_to_bits(b_hex, design.m),
+                b_certified=bool(data.get("b_certified", False)),
+            )
+        except TypeError as exc:
+            raise ValueError(f"instance JSON has a value of the wrong type: {exc}") from None
 
 
 def evaluate(inst: Instance, x: str) -> str:
@@ -105,22 +107,10 @@ def evaluate(inst: Instance, x: str) -> str:
     return "".join([answer(restrict(x, row))[1] for row in inst.design.sets])
 
 
-def _range_bitset(inst: Instance) -> bytearray:
-    # 2^m bits; m <= BITSET_MAX_M keeps this at 2 MiB or less
-    hit = bytearray(1 << max(inst.m - 3, 0))
-    for x in all_bitstrings(inst.n):
-        y = int(evaluate(inst, x), 2)
-        hit[y >> 3] |= 1 << (y & 7)
-    return hit
-
-
-def _range_set(inst: Instance) -> set[int]:
-    return {int(evaluate(inst, x), 2) for x in all_bitstrings(inst.n)}
-
-
 def find_off_range(inst: Instance, mode: str = "lex-min", seed: int = 0) -> str:
     """Search for an m-bit string outside the generator's range, certified
-    by full enumeration of all 2^n inputs (hence n <= 20).
+    by full enumeration of all 2^n inputs (hence n <= 20, so the range set
+    holds at most 2^20 members).
 
     mode 'lex-min' returns the numerically smallest such string; mode
     'seeded-random' draws candidates from a seeded stream until one misses.
@@ -129,32 +119,25 @@ def find_off_range(inst: Instance, mode: str = "lex-min", seed: int = 0) -> str:
         raise ValueError(f"off-range certification needs n <= {ENUMERATION_MAX_N}, got {inst.n}")
     if mode not in ("lex-min", "seeded-random"):
         raise ValueError(f"unknown off-range search mode {mode!r}")
-    if inst.m <= BITSET_MAX_M:
-        hit = _range_bitset(inst)
-
-        def in_range(y: int) -> bool:
-            return bool(hit[y >> 3] & (1 << (y & 7)))
-
-    else:
-        in_range = _range_set(inst).__contains__
+    in_range = {int(evaluate(inst, x), 2) for x in all_bitstrings(inst.n)}
 
     space = 1 << inst.m
     if mode == "lex-min":
         for y in range(space):
-            if not in_range(y):
+            if y not in in_range:
                 return int_to_bits(y, inst.m)
         raise SearchExhausted("generator is surjective; no off-range string exists")
     rng = random.Random(derive_seed("off-range", inst.m, seed))
     for _ in range(1000):
         y = rng.randrange(space)
-        if not in_range(y):
+        if y not in in_range:
             return int_to_bits(y, inst.m)
     raise SearchExhausted("no off-range string found in 1000 seeded draws")
 
 
 def certify_off_range(inst: Instance, b: str) -> bool:
     """Independent recheck: compare b against every generator output
-    directly, without the bitset used by the search."""
+    directly, without the range set used by the search."""
     check_bits(b, inst.m, "off-range string b")
     if inst.n > ENUMERATION_MAX_N:
         raise ValueError(f"certification needs n <= {ENUMERATION_MAX_N}, got {inst.n}")
@@ -166,17 +149,14 @@ def with_off_range(inst: Instance, mode: str = "lex-min", seed: int = 0) -> Inst
     return dataclasses.replace(inst, b=b, b_certified=True)
 
 
-def with_explicit_b(inst: Instance, b: str, allow_unverified: bool = False) -> Instance:
-    """Attach a caller-supplied b.  Certified when n permits enumeration;
-    otherwise refused unless the caller accepts an unverified instance."""
+def with_explicit_b(inst: Instance, b: str) -> Instance:
+    """Attach a caller-supplied b, certified by enumeration (n <= 20)."""
     check_bits(b, inst.m, "off-range string b")
-    if inst.n <= ENUMERATION_MAX_N:
-        if not certify_off_range(inst, b):
-            raise ValidationError(f"b={b} is in the generator's range")
-        return dataclasses.replace(inst, b=b, b_certified=True)
-    if not allow_unverified:
-        raise ValueError(f"n={inst.n} too large to certify b; pass allow_unverified=True")
-    return dataclasses.replace(inst, b=b, b_certified=False)
+    if inst.n > ENUMERATION_MAX_N:
+        raise ValueError(f"n={inst.n} too large to certify b; need n <= {ENUMERATION_MAX_N}")
+    if not certify_off_range(inst, b):
+        raise ValidationError(f"b={b} is in the generator's range")
+    return dataclasses.replace(inst, b=b, b_certified=True)
 
 
 def strict_violations(inst: Instance) -> list[str]:

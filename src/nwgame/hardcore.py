@@ -24,7 +24,6 @@ class StudentFamily:
     budgets must be nondecreasing."""
 
     stages: tuple[StudentStrategy, ...]
-    advice: bytes = b""
 
     def __post_init__(self) -> None:
         previous = 0
@@ -87,7 +86,6 @@ def compose(family: StudentFamily, k: int) -> StudentStrategy:
         max_queries=composed_budget(k),
         move=move,
         may_invert=any(stage.may_invert for stage in stages),
-        advice=family.advice,
     )
 
 

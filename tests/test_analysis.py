@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from nwgame import (
 )
 from nwgame.analysis import TraceCensus, _classify, _score_key
 from nwgame.bits import all_bitstrings
-from nwgame.crypto import preimage_bit
+from nwgame.crypto import Permutation, preimage_bit
 from nwgame.design import embed
 from nwgame.game import play
 
@@ -192,6 +193,23 @@ def test_reduction_jobs_invariant():
     one = run_reduction(inst, s, jobs=1).to_json_dict()
     four = run_reduction(inst, s, jobs=4).to_json_dict()
     assert one == four
+
+
+def test_reduction_inverts_each_restriction_once(monkeypatch):
+    # a student that never inverts: every inversion is the instance memo's,
+    # so the witness tables, the default bit and the truth bits read it too
+    inst = greedy_instance(6, 2, 1, seed=10, perm="table", perm_seed=7, c=2)
+    calls = Counter()
+    invert = Permutation.invert
+
+    def counting_invert(self, u):
+        calls[u] += 1
+        return invert(self, u)
+
+    monkeypatch.setattr(Permutation, "invert", counting_invert)
+    report = run_reduction(inst, round_robin_strategy(2))
+    assert report.trace is not None and report.diagnostics["witness_entries"] > 0
+    assert calls and max(calls.values()) == 1
 
 
 def test_failure_bound_frozen_and_validated():

@@ -203,6 +203,11 @@ def test_run_rejects_unknown_analysis(tmp_path):
     assert main(["run", str(config)]) == EXIT_CONFIG
 
 
+def _instance_with(**fields):
+    """A bad input file: the workspace's instance with some fields replaced."""
+    return lambda instance: dict(instance, **fields)
+
+
 @pytest.mark.parametrize(
     "args, config",
     [
@@ -215,11 +220,17 @@ def test_run_rejects_unknown_analysis(tmp_path):
         (["run"], dict(CONFIG, permutation=7)),
         (["run"], dict(CONFIG, b=3)),
         (["run"], dict(CONFIG, hardcore=3, strategies=[])),
+        (["instance", "check"], _instance_with(c=[1])),
+        (["instance", "check"], _instance_with(permutation=7)),
+        (["design", "verify"], {"n": 4, "ell": 2, "d": 1, "sets": 5}),
+        (["analyze", "census", "--strategy", "omniscient", "--instance"], _instance_with(c=[1])),
+        (["hardcore", "extract", "--family", '{"stages": 5}', "--k", "1"], None),
     ],
     ids=[
         "shorthand-missing-row", "negative-sample", "config-is-a-list", "strategies-is-a-string",
         "design-is-a-number", "seed-is-a-list", "permutation-is-a-number", "b-is-a-number",
-        "hardcore-is-a-number",
+        "hardcore-is-a-number", "instance-c-is-a-list", "instance-permutation-is-a-number",
+        "design-sets-is-a-number", "census-on-bad-instance", "family-stages-is-a-number",
     ],
 )
 def test_bad_input_exits_config(workspace, args, config):
@@ -227,10 +238,37 @@ def test_bad_input_exits_config(workspace, args, config):
     if config is None:
         argv = [*args, "--instance", str(instance)]
     else:
+        if callable(config):
+            config = config(json.loads(instance.read_text()))
         path = tmp / "config.json"
         path.write_text(json.dumps(config))
         argv = [*args, str(path)]
     assert main(argv) == EXIT_CONFIG
+
+
+def test_subcommand_sections_match_run_report(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    assert main(["run", str(config)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(report["instance"]))
+
+    def section(*args):
+        assert main([*args, "--instance", str(instance)]) == EXIT_OK
+        return json.loads(capsys.readouterr().out)
+
+    for entry in report["strategies"]:
+        strategy = json.dumps(entry["spec"])
+        assert section("analyze", "census", "--strategy", strategy) == entry["census"]
+        assignment = entry["assignment"] or {"assignment": None, "reason": "no successful runs"}
+        assert section("analyze", "assignment", "--strategy", strategy) == assignment
+        assert section("analyze", "reduce", "--strategy", strategy) == entry["reduction"]
+        assert section("game", "failureset", "--strategy", strategy) == entry["failures"]
+    family = json.dumps(CONFIG["hardcore"]["stages"])
+    hc = report["hardcore"]
+    assert section("hardcore", "extract", "--family", family, "--k", "2") == hc["extract"]
+    assert section("hardcore", "sweep", "--family", family, "--k-max", "2") == {"sweep": hc["sweep"]}
 
 
 def test_run_strict_flag(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,9 +25,9 @@ from nwgame import (
     with_explicit_b,
     with_off_range,
 )
-from nwgame import generator
-from nwgame.bits import all_bitstrings
+from nwgame.bits import all_bitstrings, int_to_bits
 from nwgame.generator import evaluate
+from nwgame.seeds import derive_seed
 
 from helpers import REFERENCE_SETS, greedy_instance, reference_instance
 
@@ -76,22 +77,21 @@ def test_seeded_random_off_range_is_deterministic_and_off():
         find_off_range(inst, mode="coin-flip")
 
 
-def test_set_path_picks_the_bitset_paths_b(monkeypatch):
+def test_off_range_search_matches_brute_force():
     instances = [
         bare_reference(),
         greedy_instance(6, 2, 1, seed=10, perm="table", perm_seed=7),
         greedy_instance(8, 4, 3, seed=4, perm="feistel", perm_seed=2, hard="parity"),
     ]
-    picks = [
-        (find_off_range(inst), find_off_range(inst, mode="seeded-random", seed=5))
-        for inst in instances
-    ]
-    # every m exceeds the lowered cap, so the search goes through the range set
-    monkeypatch.setattr(generator, "BITSET_MAX_M", 0)
-    monkeypatch.setattr(generator, "_range_bitset", None)
-    for inst, (lex_min, seeded) in zip(instances, picks):
+    for inst in instances:
+        outputs = {evaluate(inst, x) for x in all_bitstrings(inst.n)}
+        lex_min = next(y for y in all_bitstrings(inst.m) if y not in outputs)
         assert find_off_range(inst) == lex_min
-        assert find_off_range(inst, mode="seeded-random", seed=5) == seeded
+        for seed in (0, 5, 9):
+            rng = random.Random(derive_seed("off-range", inst.m, seed))
+            draws = (int_to_bits(rng.randrange(1 << inst.m), inst.m) for _ in range(1000))
+            seeded = next(y for y in draws if y not in outputs)
+            assert find_off_range(inst, mode="seeded-random", seed=seed) == seeded
     surjective = Instance(
         Design(n=2, ell=2, d=1, sets=((0, 1),)), Permutation(ell=2, kind="identity"), HardBit(), c=1
     )
