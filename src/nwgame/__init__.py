@@ -7,9 +7,6 @@ step is seeded.
 """
 
 from .analysis import (
-    PartialAssignment,
-    Predictor,
-    ReductionReport,
     TraceCensus,
     best_margin_trace,
     best_partial_assignment,
@@ -23,7 +20,6 @@ from .analysis import (
 from .crypto import HardBit, Permutation, check_bijection, preimage_bit
 from .design import (
     Design,
-    DesignReport,
     build_polynomial_design,
     embed,
     extend_greedy,
@@ -32,12 +28,10 @@ from .design import (
 )
 from .errors import CapabilityError, SearchExhausted, ValidationError
 from .game import (
-    FailureReport,
     GameView,
     Output,
     ProtocolViolation,
     StudentStrategy,
-    Transcript,
     constant_strategy,
     evaluate_partial,
     failure_set,
@@ -59,7 +53,6 @@ from .generator import (
     with_off_range,
 )
 from .hardcore import (
-    HardcoreReport,
     StudentFamily,
     compose,
     composed_budget,
@@ -73,23 +66,16 @@ __version__ = "0.1.0"
 __all__ = [
     "CapabilityError",
     "Design",
-    "DesignReport",
-    "FailureReport",
     "GameView",
     "HardBit",
-    "HardcoreReport",
     "Instance",
     "Output",
-    "PartialAssignment",
     "Permutation",
-    "Predictor",
     "ProtocolViolation",
-    "ReductionReport",
     "SearchExhausted",
     "StudentFamily",
     "StudentStrategy",
     "TraceCensus",
-    "Transcript",
     "ValidationError",
     "best_margin_trace",
     "best_partial_assignment",

@@ -157,8 +157,8 @@ def best_partial_assignment(
     The best margin is at least ceil(full_margin / 2^(n-ell)) by averaging:
     summing per-fixing margins over all fixings gives the full margin.
     """
-    if not trace:
-        raise ValueError("trace must be nonempty")
+    if not trace or not all(0 <= row < inst.m for row in trace):
+        raise ValueError(f"trace must be a nonempty list of rows in 0..{inst.m - 1}, got {list(trace)}")
     row = trace[-1]
     inside = set(inst.design.sets[row])
     outside_positions = tuple(p for p in range(inst.n) if p not in inside)
@@ -183,30 +183,21 @@ def build_witness_tables(
 ) -> dict[int, dict[str, str]]:
     """Precompute teacher replies for every row other than the trace's last.
 
-    With the outside bits fixed, a row's restriction is determined by the
-    bits it shares with the final row, so each table has 2^|shared| entries
-    (at most 2^d): the map from the row's restriction z to its preimage.
+    With the outside bits fixed, the inputs are the embeddings of every
+    ell-bit u on the final row, and a row's restriction depends only on the
+    bits it shares with that row, so each table has at most 2^d entries:
+    the map from the row's restriction z to its preimage.
     """
-    if not trace:
-        raise ValueError("trace must be nonempty")
+    if not trace or trace[-1] in trace[:-1]:
+        raise ValueError(f"trace must be nonempty, its final row not queried before: {trace}")
     row_k = trace[-1]
-    if row_k in trace[:-1]:
-        raise ValueError(f"final row {row_k} repeats earlier in the trace {trace}")
-    final_positions = set(inst.design.sets[row_k])
-    outside_positions = [p for p in range(inst.n) if p not in final_positions]
-    fixed_at = dict(zip(outside_positions, outside))
-    tables: dict[int, dict[str, str]] = {}
-    for i, row in enumerate(inst.design.sets):
-        if i == row_k:
-            continue
-        shared = [p for p in row if p in final_positions]
-        entries: dict[str, str] = {}
-        for w in all_bitstrings(len(shared)):
-            w_at = dict(zip(shared, w))
-            z = "".join(w_at[p] if p in w_at else fixed_at[p] for p in row)
-            entries[z] = inst.answer(z)[0]
-        tables[i] = entries
-    return tables
+    positions = inst.design.sets[row_k]
+    inputs = [embed(u, outside, positions, inst.n) for u in all_bitstrings(inst.ell)]
+    return {
+        i: {z: inst.answer(z)[0] for z in (restrict(a, row) for a in inputs)}
+        for i, row in enumerate(inst.design.sets)
+        if i != row_k
+    }
 
 
 @dataclass

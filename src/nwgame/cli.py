@@ -19,7 +19,7 @@ from . import analysis, hardcore
 from .bits import check_bits, hex_to_bits
 from .crypto import DEFAULT_ROUNDS, HardBit, Permutation, check_bijection
 from .design import Design, build_polynomial_design, extend_greedy, require_valid, verify_design
-from .errors import SearchExhausted, ValidationError
+from .errors import SearchExhausted, ValidationError, json_field, json_value
 from .game import StudentStrategy, evaluate_partial, failure_set, play, strategy_from_spec
 from .generator import (
     ENUMERATION_MAX_N,
@@ -78,68 +78,60 @@ def _parse_trace(text: str) -> tuple[int, ...]:
 # Experiment configs
 
 
-def _list_field(config: dict, key: str, default: list) -> list:
-    value = config.get(key, default)
-    if not isinstance(value, list):
-        raise ValueError(f"config {key!r} must be a list, got {value!r}")
-    return list(value)
-
-
-def _object_field(config: dict, key: str, default: dict) -> dict:
-    value = config.get(key, default)
-    if not isinstance(value, dict):
-        raise ValueError(f"config {key!r} must be an object, got {value!r}")
-    return dict(value)
-
-
-def _int(value: Any, key: str) -> int:
-    """int(value); a value of the wrong JSON type is a bad config
-    (ValueError, exit 2), not a TypeError."""
-    try:
-        return int(value)
-    except TypeError:
-        raise ValueError(f"config {key!r} must be an integer, got {value!r}") from None
-
-
 def _resolve_config(config: dict) -> dict:
+    """The config's top-level fields, each checked against its JSON type,
+    with defaults filled in; nested fields are checked where they are read."""
     resolved = {
-        "seed": _int(config.get("seed", 0), "seed"),
-        "c": _int(config.get("c", 1), "c"),
-        "strict": bool(config.get("strict", False)),
-        "design": _object_field(config, "design", {"q": 2, "degree": 1}),
-        "permutation": _object_field(config, "permutation", {"kind": "identity"}),
-        "hard_bit": config.get("hard_bit", "last-bit"),
-        "b": _object_field(config, "b", {"mode": "lex-min"}),
-        "strategies": _list_field(config, "strategies", []),
-        "analyses": _list_field(config, "analyses", ["census"]),
+        "seed": json_field(config, "seed", int, 0),
+        "c": json_field(config, "c", int, 1),
+        "strict": json_field(config, "strict", bool, False),
+        "design": json_field(config, "design", dict, {"q": 2, "degree": 1}),
+        "permutation": json_field(config, "permutation", dict, {"kind": "identity"}),
+        "hard_bit": json_field(config, "hard_bit", str, "last-bit"),
+        "b": json_field(config, "b", dict, {"mode": "lex-min"}),
+        "strategies": json_field(config, "strategies", list, []),
+        "analyses": json_field(config, "analyses", list, ["census"]),
     }
     if "hardcore" in config:
-        resolved["hardcore"] = _object_field(config, "hardcore", {})
+        resolved["hardcore"] = json_field(config, "hardcore", dict)
     return resolved
 
 
-def _design_from_config(cfg: dict, seed: int) -> Design:
+def _design_from_config(cfg: dict, extend_seed: int) -> Design:
+    """A design config: {"explicit": DESIGN} or the polynomial family
+    {"q", "degree"}, greedily extended to "extend_to" rows."""
     if "explicit" in cfg:
-        return require_valid(Design.from_json_dict(_object_field(cfg, "explicit", {})))
-    base = build_polynomial_design(_int(cfg["q"], "q"), _int(cfg["degree"], "degree"))
-    target = _int(cfg.get("extend_to", base.m), "extend_to")
-    if target != base.m:
-        base = extend_greedy(base, target, derive_seed("design-extend", seed))
-    return require_valid(base)
+        return require_valid(Design.from_json_dict(json_field(cfg, "explicit", dict, where="design")))
+    q, degree = (json_field(cfg, key, int, where="design") for key in ("q", "degree"))
+    base = build_polynomial_design(q, degree)
+    target = json_field(cfg, "extend_to", int, base.m, "design")
+    return require_valid(extend_greedy(base, target, extend_seed))
 
 
 def _permutation_from_config(cfg: dict, ell: int, seed: int) -> Permutation:
-    kind = cfg.get("kind", "identity")
-    perm_seed = _int(cfg["seed"], "seed") if "seed" in cfg else derive_seed("permutation", seed)
-    rounds = _int(cfg.get("rounds", DEFAULT_ROUNDS), "rounds")
-    return Permutation(ell=ell, kind=kind, seed=perm_seed, rounds=rounds)
+    perm_seed = json_field(cfg, "seed", int, None, "permutation")
+    return Permutation(
+        ell=ell,
+        kind=json_field(cfg, "kind", str, "identity", "permutation"),
+        seed=derive_seed("permutation", seed) if perm_seed is None else perm_seed,
+        rounds=json_field(cfg, "rounds", int, DEFAULT_ROUNDS, "permutation"),
+    )
 
 
-def _attach_b(inst: Instance, cfg: dict, seed: int) -> Instance:
-    mode = cfg.get("mode", "lex-min")
-    if mode == "explicit":
-        return with_explicit_b(inst, hex_to_bits(cfg["value_hex"], inst.m))
-    return with_off_range(inst, mode=mode, seed=seed)
+def _build_instance(
+    design: Design, h: Permutation, hard_bit: str, c: int, seed: int, b: str | None, b_mode: str, strict: bool
+) -> tuple[Instance, list[str]]:
+    """The instance `instance make` and `nwgame run` emit, with its strict
+    warnings: h is checked to be a bijection (ell <= 12), b is searched for
+    or, when given, certified off range, and strict mode refuses warnings."""
+    if design.ell <= BIJECTION_CHECK_MAX_ELL and not check_bijection(h):
+        raise ValidationError(f"permutation {h.kind} on ell={h.ell} is not a bijection")
+    inst = Instance(design, h, HardBit(hard_bit), c)
+    inst = with_off_range(inst, mode=b_mode, seed=seed) if b is None else with_explicit_b(inst, b)
+    warnings = strict_violations(inst)
+    if strict and warnings:
+        raise ValidationError("strict regime violated: " + "; ".join(warnings))
+    return inst, warnings
 
 
 def _assignment(inst: Instance, strategy: StudentStrategy, trace: analysis.Trace, jobs: int) -> dict:
@@ -179,9 +171,7 @@ def hardcore_section(
 ) -> dict:
     """The hardcore report section for a family of stage specs: the k-stage
     extraction and the sweep over k = 1..k_max, each when asked for."""
-    if not isinstance(stages, list):
-        raise ValueError(f"family stages must be a list of strategy specs, got {stages!r}")
-    family = hardcore.StudentFamily(tuple(strategy_from_spec(s) for s in stages))
+    family = hardcore.StudentFamily(tuple(map(strategy_from_spec, json_value(stages, list, "family stages"))))
     section: dict[str, Any] = {}
     if k is not None:
         section["extract"] = hardcore.extract_hardcore(inst, family, k, jobs=jobs).to_json_dict()
@@ -196,17 +186,14 @@ def run_experiment(config: dict, jobs: int = 1) -> dict:
     config: worker count and wall clock never reach the output."""
     resolved = _resolve_config(config)
     seed = resolved["seed"]
-
-    design = _design_from_config(resolved["design"], seed)
+    design = _design_from_config(resolved["design"], derive_seed("design-extend", seed))
     h = _permutation_from_config(resolved["permutation"], design.ell, seed)
-    if design.ell <= BIJECTION_CHECK_MAX_ELL and not check_bijection(h):
-        raise ValidationError(f"permutation {h.kind} on ell={h.ell} is not a bijection")
-    inst = Instance(design, h, HardBit(resolved["hard_bit"]), resolved["c"])
-    inst = _attach_b(inst, resolved["b"], seed)
-
-    warnings = strict_violations(inst)
-    if resolved["strict"] and warnings:
-        raise ValidationError("strict regime violated: " + "; ".join(warnings))
+    b_cfg = resolved["b"]
+    b_mode = json_field(b_cfg, "mode", str, "lex-min", "b")
+    b = hex_to_bits(json_field(b_cfg, "value_hex", str, where="b"), design.m) if b_mode == "explicit" else None
+    inst, warnings = _build_instance(
+        design, h, resolved["hard_bit"], resolved["c"], seed, b, b_mode, resolved["strict"]
+    )
 
     report: dict[str, Any] = {
         "schema": SCHEMA,
@@ -224,7 +211,7 @@ def run_experiment(config: dict, jobs: int = 1) -> dict:
 
     if "hardcore" in resolved:
         hc = resolved["hardcore"]
-        k, k_max = (_int(hc[key], key) if key in hc else None for key in ("k", "k_max"))
+        k, k_max = (json_field(hc, key, int, None, "hardcore") for key in ("k", "k_max"))
         report["hardcore"] = hardcore_section(inst, hc.get("stages"), k, k_max, jobs=jobs)
 
     return report
@@ -235,11 +222,10 @@ def run_experiment(config: dict, jobs: int = 1) -> dict:
 
 
 def _cmd_design_build(args: argparse.Namespace) -> int:
-    design = build_polynomial_design(args.q, args.degree)
+    cfg = {"q": args.q, "degree": args.degree}
     if args.extend_to is not None:
-        design = extend_greedy(design, args.extend_to, args.seed)
-    require_valid(design)
-    _dump(design.to_json_dict(), args.out)
+        cfg["extend_to"] = args.extend_to
+    _dump(_design_from_config(cfg, args.seed).to_json_dict(), args.out)
     return EXIT_OK
 
 
@@ -252,17 +238,10 @@ def _cmd_design_verify(args: argparse.Namespace) -> int:
 def _cmd_instance_make(args: argparse.Namespace) -> int:
     design = require_valid(Design.from_json_dict(_load_json(args.design)))
     h = Permutation(ell=design.ell, kind=args.perm, seed=args.perm_seed, rounds=args.rounds)
-    inst = Instance(design, h, HardBit(args.hard_bit), args.c)
-    if args.b is not None:
-        inst = with_explicit_b(inst, check_bits(args.b, design.m, "--b"))
-    else:
-        inst = with_off_range(inst, mode=args.b_mode, seed=args.seed)
-    warnings = strict_violations(inst)
-    if args.strict and warnings:
-        raise ValidationError("strict regime violated: " + "; ".join(warnings))
-    payload = inst.to_json_dict()
-    payload["strict_warnings"] = warnings
-    _dump(payload, args.out)
+    inst, warnings = _build_instance(
+        design, h, args.hard_bit, args.c, args.seed, args.b, args.b_mode, args.strict
+    )
+    _dump({**inst.to_json_dict(), "strict_warnings": warnings}, args.out)
     return EXIT_OK
 
 
@@ -342,9 +321,7 @@ def _cmd_hardcore(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load_json(args.config)
-    if not isinstance(config, dict):
-        raise ValueError(f"config must be a JSON object, got {type(config).__name__}")
+    config = json_value(_load_json(args.config), dict, "config")
     if args.seed is not None:
         config["seed"] = args.seed
     if args.strict:
@@ -460,15 +437,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SearchExhausted as exc:
+    except (ValueError, KeyError, OSError, SearchExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEARCH
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if isinstance(exc, SearchExhausted):
+            return EXIT_SEARCH
+        return EXIT_VALIDATION if isinstance(exc, ValidationError) else EXIT_CONFIG
 
 
 def entrypoint() -> None:

@@ -20,7 +20,7 @@ from typing import Any, Callable
 
 from .bits import check_bits, int_to_bits
 from .design import restrict
-from .errors import CapabilityError
+from .errors import CapabilityError, json_field, json_value
 from .generator import Instance
 from .seeds import derive_seed
 from .sharding import run_sharded
@@ -322,7 +322,7 @@ def seeded_random_strategy(max_queries: int, seed: int = 0, output: Any = None, 
     return StudentStrategy(name or f"seeded-random-{max_queries}s{seed}", max_queries=max_queries, move=move)
 
 
-def omniscient_strategy(name: str = "omniscient") -> StudentStrategy:
+def omniscient_strategy(name: str | None = None) -> StudentStrategy:
     """Inverts the permutation directly to find a disagreeing row and
     queries it first.  Needs the may_invert capability."""
 
@@ -333,10 +333,10 @@ def omniscient_strategy(name: str = "omniscient") -> StudentStrategy:
                 return i
         return Output(None)
 
-    return StudentStrategy(name, max_queries=1, move=move, may_invert=True)
+    return StudentStrategy(name or "omniscient", max_queries=1, move=move, may_invert=True)
 
 
-def table_strategy(moves: dict[str, tuple], max_queries: int, name: str = "table", output: Any = None) -> StudentStrategy:
+def table_strategy(moves: dict[str, tuple], max_queries: int, name: str | None = None, output: Any = None) -> StudentStrategy:
     """Scripted per-input play: moves[a] lists the rows to query for input
     a, after which the student stops with `output`.  Inputs missing from
     the table stop immediately."""
@@ -349,28 +349,29 @@ def table_strategy(moves: dict[str, tuple], max_queries: int, name: str = "table
             return seq[len(replies)]
         return Output(output)
 
-    return StudentStrategy(name, max_queries=max_queries, move=move)
+    return StudentStrategy(name or "table", max_queries=max_queries, move=move)
 
 
-# shorthand kind[:arg[:arg]]: the spec fields its arguments fill, in order;
-# the first field is required
-_SHORTHAND_FIELDS = {
-    "constant": ("row", "queries"),
-    "round-robin": ("max_queries", "start"),
-    "seeded-random": ("max_queries", "seed"),
-    "omniscient": (),
+def _table_from_spec(moves: dict, max_queries: int | None = None, **rest: Any) -> StudentStrategy:
+    """table_strategy from a spec: each move list holds integer rows, and
+    max_queries defaults to the longest list."""
+    rows = {a: json_value(seq, list, f"table moves for {a!r}") for a, seq in moves.items()}
+    rows = {a: tuple(json_value(r, int, f"table row for {a!r}") for r in seq) for a, seq in rows.items()}
+    if max_queries is None:
+        max_queries = max(map(len, rows.values()), default=1)
+    return table_strategy(rows, max_queries, **rest)
+
+
+# Each kind's builder and the JSON types of its spec fields, the first one
+# required.  The shorthand kind[:arg[:arg]] fills the fields other than
+# "output" in this order, each with an integer.  Every kind takes a "name".
+_KINDS: dict[str, tuple[Callable[..., StudentStrategy], dict[str, type]]] = {
+    "constant": (constant_strategy, {"row": int, "queries": int, "output": object}),
+    "round-robin": (round_robin_strategy, {"max_queries": int, "start": int, "output": object}),
+    "seeded-random": (seeded_random_strategy, {"max_queries": int, "seed": int, "output": object}),
+    "omniscient": (omniscient_strategy, {}),
+    "table": (_table_from_spec, {"moves": dict, "max_queries": int, "output": object}),
 }
-
-
-def _parse_shorthand(text: str) -> dict:
-    kind, *args = text.strip().split(":")
-    fields = _SHORTHAND_FIELDS.get(kind)
-    if fields is None:
-        raise ValueError(f"cannot parse strategy {text!r}")
-    if not min(1, len(fields)) <= len(args) <= len(fields):
-        usage = ":".join([kind, *fields[:1]]) + "".join(f"[:{field}]" for field in fields[1:])
-        raise ValueError(f"strategy {text!r} does not match {usage}")
-    return {"kind": kind, **{field: int(arg) for field, arg in zip(fields, args)}}
 
 
 def strategy_from_spec(spec: dict | str) -> StudentStrategy:
@@ -379,34 +380,26 @@ def strategy_from_spec(spec: dict | str) -> StudentStrategy:
     seeded-random:MAX[:SEED] or omniscient.
 
     Kinds: constant {row, queries?, output?}, round-robin {max_queries,
-    start?}, seeded-random {max_queries, seed?}, omniscient {}, table
-    {moves, max_queries?}.  Each accepts an optional name.
+    start?, output?}, seeded-random {max_queries, seed?, output?},
+    omniscient {}, table {moves, max_queries?, output?}.  Each accepts an
+    optional name.  A missing required field or a field of the wrong JSON
+    type is a ValueError.
     """
     if isinstance(spec, str):
-        spec = _parse_shorthand(spec)
-    if not isinstance(spec, dict):
-        raise ValueError(f"strategy spec must be an object or a shorthand string, got {spec!r}")
-    kind = spec.get("kind")
-    name = spec.get("name")
-    if kind == "constant":
-        return constant_strategy(
-            int(spec["row"]), queries=int(spec.get("queries", 1)),
-            output=spec.get("output"), name=name,
-        )
-    if kind == "round-robin":
-        return round_robin_strategy(
-            int(spec["max_queries"]), start=int(spec.get("start", 0)),
-            output=spec.get("output"), name=name,
-        )
-    if kind == "seeded-random":
-        return seeded_random_strategy(
-            int(spec["max_queries"]), seed=int(spec.get("seed", 0)),
-            output=spec.get("output"), name=name,
-        )
-    if kind == "omniscient":
-        return omniscient_strategy(name=name or "omniscient")
-    if kind == "table":
-        moves = {a: tuple(int(r) for r in seq) for a, seq in spec["moves"].items()}
-        max_queries = int(spec.get("max_queries", max((len(s) for s in moves.values()), default=1)))
-        return table_strategy(moves, max_queries=max_queries, name=name or "table", output=spec.get("output"))
-    raise ValueError(f"unknown strategy kind {kind!r}")
+        kind, *args = spec.strip().split(":")
+        if kind not in _KINDS:
+            raise ValueError(f"cannot parse strategy {spec!r}")
+        fields = [field for field in _KINDS[kind][1] if field != "output"]
+        if not min(1, len(fields)) <= len(args) <= len(fields):
+            usage = ":".join([kind, *fields[:1]]) + "".join(f"[:{field}]" for field in fields[1:])
+            raise ValueError(f"strategy {spec!r} does not match {usage}")
+        spec = {"kind": kind, **{field: int(arg) for field, arg in zip(fields, args)}}
+    kind = json_field(json_value(spec, dict, "strategy spec"), "kind", str, where="strategy")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown strategy kind {kind!r}")
+    builder, fields = _KINDS[kind]
+    required = list(fields)[:1]
+    return builder(**{
+        key: json_field(spec, key, field_type, where=f"{kind} strategy")
+        for key, field_type in {**fields, "name": str}.items() if key in spec or key in required
+    })

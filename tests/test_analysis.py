@@ -2,7 +2,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nwgame import (
     best_margin_trace,
@@ -10,6 +10,7 @@ from nwgame import (
     build_predictor,
     build_witness_tables,
     constant_strategy,
+    extend_greedy,
     failure_bound,
     measure_advantage,
     omniscient_strategy,
@@ -19,9 +20,10 @@ from nwgame import (
 )
 from nwgame.analysis import TraceCensus, _classify, _score_key
 from nwgame.bits import all_bitstrings
-from nwgame.crypto import Permutation, preimage_bit
-from nwgame.design import embed
+from nwgame.crypto import HardBit, Permutation, preimage_bit
+from nwgame.design import Design, embed
 from nwgame.game import play
+from nwgame.generator import Instance
 
 from helpers import greedy_instance, near_omniscient, reference_instance
 
@@ -119,6 +121,12 @@ def test_assignment_averaging_identity(inst_a):
     assert best.margin * (1 << (inst_a.n - inst_a.ell)) >= full_margin
 
 
+def test_assignment_rejects_rows_outside_the_design(inst_a):
+    for trace in ((99,), (-1,), (0, inst_a.m), ()):
+        with pytest.raises(ValueError):
+            best_partial_assignment(inst_a, omniscient_strategy(), trace)
+
+
 def test_witness_tables_frozen(inst_a):
     tables = build_witness_tables(inst_a, (0,), "00")
     assert sorted(tables) == [1, 2, 3, 4]
@@ -133,6 +141,31 @@ def test_witness_tables_frozen(inst_a):
 def test_witness_tables_reject_repeated_final_row(inst_a):
     with pytest.raises(ValueError):
         build_witness_tables(inst_a, (0, 1, 0), "00")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(5, 8), st.integers(0, 50), st.data())
+def test_witness_tables_match_the_shared_bit_projection(n, seed, data):
+    # the reference builds each row's table from the bits it shares with
+    # the final row, filling the others from the fixed outside bits
+    design = extend_greedy(Design(n=n, ell=3, d=2, sets=()), 5, seed)
+    inst = Instance(design, Permutation(ell=3, kind="table", seed=seed), HardBit("last-bit"), c=1)
+    row_k = data.draw(st.integers(0, inst.m - 1))
+    outside = data.draw(st.text("01", min_size=n - 3, max_size=n - 3))
+    final = inst.design.sets[row_k]
+    fixed_at = dict(zip((p for p in range(n) if p not in final), outside))
+    tables = build_witness_tables(inst, (row_k,), outside)
+    assert sorted(tables) == [i for i in range(inst.m) if i != row_k]
+    for i, row in enumerate(inst.design.sets):
+        if i == row_k:
+            continue
+        shared = [p for p in row if p in final]
+        reference = {}
+        for w in all_bitstrings(len(shared)):
+            at = {**fixed_at, **dict(zip(shared, w))}
+            z = "".join(at[p] for p in row)
+            reference[z] = inst.h.invert(z)
+        assert tables[i] == reference
 
 
 def test_predictor_equals_truth_on_reference(inst_a):

@@ -1,7 +1,10 @@
 import json
+import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nwgame import cli
 from nwgame.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -203,6 +206,9 @@ def test_run_rejects_unknown_analysis(tmp_path):
     assert main(["run", str(config)]) == EXIT_CONFIG
 
 
+ROW_IS_A_LIST = {"kind": "constant", "row": [1]}
+
+
 def _instance_with(**fields):
     """A bad input file: the workspace's instance with some fields replaced."""
     return lambda instance: dict(instance, **fields)
@@ -225,12 +231,24 @@ def _instance_with(**fields):
         (["design", "verify"], {"n": 4, "ell": 2, "d": 1, "sets": 5}),
         (["analyze", "census", "--strategy", "omniscient", "--instance"], _instance_with(c=[1])),
         (["hardcore", "extract", "--family", '{"stages": 5}', "--k", "1"], None),
+        (["analyze", "census", "--strategy", json.dumps(ROW_IS_A_LIST)], None),
+        (["run"], dict(CONFIG, strategies=[ROW_IS_A_LIST])),
+        (["hardcore", "extract", "--family", json.dumps([ROW_IS_A_LIST]), "--k", "1"], None),
+        (["analyze", "census", "--strategy", '{"kind":"table","moves":5}'], None),
+        (["run"], dict(CONFIG, b={"mode": "explicit", "value_hex": 5})),
+        (["run"], dict(CONFIG, strict="no")),
+        (["run"], dict(CONFIG, seed="7")),
+        (["analyze", "assignment", "--strategy", "round-robin:2", "--trace", "99"], None),
+        (["analyze", "assignment", "--strategy", "round-robin:2", "--trace", "-1"], None),
     ],
     ids=[
         "shorthand-missing-row", "negative-sample", "config-is-a-list", "strategies-is-a-string",
         "design-is-a-number", "seed-is-a-list", "permutation-is-a-number", "b-is-a-number",
         "hardcore-is-a-number", "instance-c-is-a-list", "instance-permutation-is-a-number",
         "design-sets-is-a-number", "census-on-bad-instance", "family-stages-is-a-number",
+        "strategy-row-is-a-list", "config-strategy-row-is-a-list", "family-stage-row-is-a-list",
+        "table-moves-is-a-number", "value-hex-is-a-number", "strict-is-a-string", "seed-is-a-string",
+        "trace-row-past-m", "trace-row-negative",
     ],
 )
 def test_bad_input_exits_config(workspace, args, config):
@@ -276,3 +294,53 @@ def test_run_strict_flag(tmp_path):
     config.write_text(json.dumps(CONFIG))
     # the reference-style design violates the strict d requirement
     assert main(["run", str(config), "--strict", "--out", str(tmp_path / "x.json")]) == EXIT_VALIDATION
+
+
+def test_instance_make_and_run_share_the_instance_checks(workspace, monkeypatch):
+    tmp, design, _ = workspace
+    config = tmp / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    monkeypatch.setattr(cli, "check_bijection", lambda h: False)
+    assert main(["instance", "make", "--design", str(design)]) == EXIT_VALIDATION
+    assert main(["run", str(config)]) == EXIT_VALIDATION
+
+
+def _json_paths(value, path=()):
+    """The path to value and to everything nested in it."""
+    yield path
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, (*path, key))
+
+
+# every field of CONFIG, nested ones and list entries included, plus
+# optional fields CONFIG leaves out
+FUZZ_PATHS = sorted(
+    {*_json_paths(CONFIG)} - {()}
+    | {("strict",), ("permutation", "seed"), ("permutation", "rounds"), ("b", "value_hex"),
+       ("strategies", 0, "name"), ("strategies", 1, "queries"), ("strategies", 1, "output"),
+       ("hardcore", "stages", 1, "start")},
+    key=repr,
+)
+JSON_VALUES = st.one_of(
+    st.integers(-2, 3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 3), max_size=2),
+    st.none(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(path=st.sampled_from(FUZZ_PATHS), value=JSON_VALUES)
+def test_run_never_raises_on_a_wrong_typed_field(tmp_path_factory, path, value):
+    config = json.loads(json.dumps(CONFIG))
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    config_path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", str(config_path), "--out", os.devnull]) in (EXIT_OK, EXIT_CONFIG, EXIT_VALIDATION, EXIT_SEARCH)

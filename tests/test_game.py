@@ -178,6 +178,26 @@ def test_strategy_from_spec_round_trip(inst_a):
     for bad in ({"kind": "psychic"}, "psychic", "constant", "constant:x", "round-robin:1:2:3", "omniscient:1", 7):
         with pytest.raises(ValueError):
             strategy_from_spec(bad)
+    # every field has one JSON type: no numeric strings, floats or bools for
+    # integers, and no TypeError or AttributeError on the way
+    for bad in (
+        {"kind": 5},
+        {"kind": "constant"},
+        {"kind": "constant", "row": [1]},
+        {"kind": "constant", "row": "1"},
+        {"kind": "round-robin", "max_queries": 2.0},
+        {"kind": "seeded-random", "max_queries": True},
+        {"kind": "omniscient", "name": 5},
+        {"kind": "table", "moves": 5},
+        {"kind": "table", "moves": {"0010": 5}},
+        {"kind": "table", "moves": {"0010": ["0"]}},
+        {"kind": "table", "moves": {"0010": [0]}, "max_queries": None},
+        "table:1",
+    ):
+        with pytest.raises(ValueError):
+            strategy_from_spec(bad)
+    assert strategy_from_spec({"kind": "omniscient", "name": ""}).name == "omniscient"
+    assert strategy_from_spec({"kind": "table", "moves": {"0010": [0, 1]}}).max_queries == 2
 
 
 def test_transcript_json_shape(inst_a):
