@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .bits import all_bitstrings, bits_to_int, check_bits, int_to_bits, parity
+from .errors import json_field, json_value
 from .seeds import derive_seed
 
 PERMUTATION_KINDS = ("identity", "table", "feistel")
@@ -93,27 +94,23 @@ class Permutation:
             format(bits_to_int(self.apply(v)), f"0{nibbles}x") for v in all_bitstrings(self.ell)
         )
 
-    def to_json_dict(self, include_table: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         data: dict = {"ell": self.ell, "kind": self.kind}
         if self.kind != "identity":
             data["seed"] = self.seed
         if self.kind == "feistel":
             data["rounds"] = self.rounds
-        if include_table and self.kind == "table":
-            data["table_hex"] = self.truth_table_hex()
         return data
 
     @staticmethod
     def from_json_dict(data: dict) -> "Permutation":
-        try:
-            return Permutation(
-                ell=int(data["ell"]),
-                kind=data["kind"],
-                seed=int(data.get("seed", 0)),
-                rounds=int(data.get("rounds", DEFAULT_ROUNDS)),
-            )
-        except TypeError as exc:
-            raise ValueError(f"permutation JSON has a value of the wrong type: {exc}") from None
+        data = json_value(data, dict, "permutation")
+        return Permutation(
+            ell=json_field(data, "ell", int, where="permutation"),
+            kind=json_field(data, "kind", str, where="permutation"),
+            seed=json_field(data, "seed", int, 0, "permutation"),
+            rounds=json_field(data, "rounds", int, DEFAULT_ROUNDS, "permutation"),
+        )
 
 
 def check_bijection(h: Permutation) -> bool:

@@ -20,7 +20,7 @@ from functools import cached_property
 from .bits import all_bitstrings, bits_to_hex, check_bits, hex_to_bits, int_to_bits
 from .crypto import HardBit, Permutation
 from .design import Design, require_valid, restrict
-from .errors import SearchExhausted, ValidationError
+from .errors import SearchExhausted, ValidationError, json_field, json_value
 from .seeds import derive_seed
 
 ENUMERATION_MAX_N = 20
@@ -36,6 +36,7 @@ class Instance:
     b_certified: bool = False
 
     def __post_init__(self) -> None:
+        require_valid(self.design)
         if self.design.ell != self.h.ell:
             raise ValueError(
                 f"design ell={self.design.ell} does not match permutation ell={self.h.ell}"
@@ -85,19 +86,17 @@ class Instance:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Instance":
-        try:
-            design = Design.from_json_dict(data["design"])
-            b_hex = data.get("b_hex")
-            return Instance(
-                design=design,
-                h=Permutation.from_json_dict(data["permutation"]),
-                hard_bit=HardBit(data.get("hard_bit", "last-bit")),
-                c=int(data["c"]),
-                b=None if b_hex is None else hex_to_bits(b_hex, design.m),
-                b_certified=bool(data.get("b_certified", False)),
-            )
-        except TypeError as exc:
-            raise ValueError(f"instance JSON has a value of the wrong type: {exc}") from None
+        data = json_value(data, dict, "instance")
+        design = Design.from_json_dict(json_field(data, "design", object, where="instance"))
+        b_hex = data.get("b_hex")
+        return Instance(
+            design=design,
+            h=Permutation.from_json_dict(json_field(data, "permutation", object, where="instance")),
+            hard_bit=HardBit(json_field(data, "hard_bit", str, "last-bit", "instance")),
+            c=json_field(data, "c", int, where="instance"),
+            b=None if b_hex is None else hex_to_bits(json_value(b_hex, str, "instance 'b_hex'"), design.m),
+            b_certified=json_field(data, "b_certified", bool, False, "instance"),
+        )
 
 
 def evaluate(inst: Instance, x: str) -> str:
@@ -151,9 +150,6 @@ def with_off_range(inst: Instance, mode: str = "lex-min", seed: int = 0) -> Inst
 
 def with_explicit_b(inst: Instance, b: str) -> Instance:
     """Attach a caller-supplied b, certified by enumeration (n <= 20)."""
-    check_bits(b, inst.m, "off-range string b")
-    if inst.n > ENUMERATION_MAX_N:
-        raise ValueError(f"n={inst.n} too large to certify b; need n <= {ENUMERATION_MAX_N}")
     if not certify_off_range(inst, b):
         raise ValidationError(f"b={b} is in the generator's range")
     return dataclasses.replace(inst, b=b, b_certified=True)
@@ -182,6 +178,6 @@ def make_instance(
     b_mode: str = "lex-min",
     seed: int = 0,
 ) -> Instance:
-    """Validated construction: checks the design, then finds and certifies b."""
-    require_valid(design)
+    """Validated construction: the instance checks the design, then b is
+    found and certified."""
     return with_off_range(Instance(design, h, hard_bit, c), mode=b_mode, seed=seed)

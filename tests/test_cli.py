@@ -2,9 +2,9 @@ import json
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from nwgame import cli
+from nwgame import HardBit, Permutation, build_polynomial_design, cli, extend_greedy, make_instance
 from nwgame.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -136,6 +136,10 @@ def test_exit_code_config_error(tmp_path):
     assert main(["instance", "make", "--design", str(missing)]) == EXIT_CONFIG
 
 
+def test_design_build_refuses_oversized_designs():
+    assert main(["design", "build", "--q", "16", "--degree", "15"]) == EXIT_CONFIG
+
+
 def test_exit_code_search_exhausted(tmp_path):
     # m=1 over a 2-bit input covers both 1-bit outputs: search must fail
     design = tmp_path / "tiny.json"
@@ -214,6 +218,14 @@ def _instance_with(**fields):
     return lambda instance: dict(instance, **fields)
 
 
+def _permutation_with(**fields):
+    """The workspace's instance with some fields of its permutation replaced."""
+    return lambda instance: dict(instance, permutation=dict(instance["permutation"], **fields))
+
+
+ELL_IS_A_STRING = {"n": 6, "ell": "3", "d": 1, "sets": [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5]]}
+
+
 @pytest.mark.parametrize(
     "args, config",
     [
@@ -240,6 +252,12 @@ def _instance_with(**fields):
         (["run"], dict(CONFIG, seed="7")),
         (["analyze", "assignment", "--strategy", "round-robin:2", "--trace", "99"], None),
         (["analyze", "assignment", "--strategy", "round-robin:2", "--trace", "-1"], None),
+        (["instance", "check"], _instance_with(b_certified="no")),
+        (["instance", "check"], _instance_with(c="2")),
+        (["instance", "check"], _instance_with(c=2.5)),
+        (["instance", "check"], _permutation_with(seed="1")),
+        (["design", "verify"], {"n": float("inf"), "ell": 2, "d": 1, "sets": [[0, 1]]}),
+        (["run"], dict(CONFIG, design={"explicit": ELL_IS_A_STRING})),
     ],
     ids=[
         "shorthand-missing-row", "negative-sample", "config-is-a-list", "strategies-is-a-string",
@@ -248,7 +266,9 @@ def _instance_with(**fields):
         "design-sets-is-a-number", "census-on-bad-instance", "family-stages-is-a-number",
         "strategy-row-is-a-list", "config-strategy-row-is-a-list", "family-stage-row-is-a-list",
         "table-moves-is-a-number", "value-hex-is-a-number", "strict-is-a-string", "seed-is-a-string",
-        "trace-row-past-m", "trace-row-negative",
+        "trace-row-past-m", "trace-row-negative", "b-certified-is-a-string", "instance-c-is-a-string",
+        "instance-c-is-a-float", "permutation-seed-is-a-string", "design-n-is-infinity",
+        "explicit-design-ell-is-a-string",
     ],
 )
 def test_bad_input_exits_config(workspace, args, config):
@@ -262,6 +282,31 @@ def test_bad_input_exits_config(workspace, args, config):
         path.write_text(json.dumps(config))
         argv = [*args, str(path)]
     assert main(argv) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("position", [4, -1], ids=["position-past-n", "position-negative"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["instance", "check"],
+        ["analyze", "census", "--strategy", "omniscient", "--instance"],
+        ["game", "play", "--strategy", "omniscient", "--input", "0110", "--instance"],
+        ["hardcore", "extract", "--family", '[{"kind":"constant","row":0}]', "--k", "1", "--instance"],
+    ],
+    ids=["instance-check", "analyze-census", "game-play", "hardcore-extract"],
+)
+def test_invalid_design_exits_validation(workspace, capsys, args, position):
+    tmp, _, instance = workspace
+    data = json.loads(instance.read_text())
+    row = data["design"]["sets"][0]
+    row[-1 if position > 0 else 0] = position
+    path = tmp / "invalid.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main([*args, str(path)]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "range at row 0" in err
 
 
 def test_subcommand_sections_match_run_report(tmp_path, capsys):
@@ -344,3 +389,63 @@ def test_run_never_raises_on_a_wrong_typed_field(tmp_path_factory, path, value):
     config_path = tmp_path_factory.mktemp("fuzz") / "config.json"
     config_path.write_text(json.dumps(config))
     assert main(["run", str(config_path), "--out", os.devnull]) in (EXIT_OK, EXIT_CONFIG, EXIT_VALIDATION, EXIT_SEARCH)
+
+
+# A valid design file, instance file and explicit-design run config; the
+# feistel permutation gives the instance every permutation field.
+ARTIFACT_DESIGN = extend_greedy(build_polynomial_design(2, 1), 5, 0)
+ARTIFACT_FAMILY = '[{"kind":"constant","row":0},{"kind":"round-robin","max_queries":2}]'
+ARTIFACTS = {
+    "design": (ARTIFACT_DESIGN.to_json_dict(), [["design", "verify"], ["instance", "make", "--design"]]),
+    "instance": (
+        make_instance(ARTIFACT_DESIGN, Permutation(ell=2, kind="feistel", seed=1), HardBit(), 1).to_json_dict(),
+        [
+            ["instance", "check"],
+            ["analyze", "census", "--strategy", "round-robin:2", "--instance"],
+            ["hardcore", "extract", "--family", ARTIFACT_FAMILY, "--k", "1", "--instance"],
+        ],
+    ),
+    "run": (
+        {"design": {"explicit": ARTIFACT_DESIGN.to_json_dict()}, "strategies": ["round-robin:2"]},
+        [["run"]],
+    ),
+}
+# every nested field of each artifact; in the run config, those of its design
+ARTIFACT_PATHS = sorted(
+    (
+        (name, path)
+        for name, (data, _) in ARTIFACTS.items()
+        for path in _json_paths(data)
+        if path and (name != "run" or path[:1] == ("design",))
+    ),
+    key=repr,
+)
+ARTIFACT_VALUES = st.one_of(
+    st.integers(-2, 5),
+    st.floats(),
+    st.booleans(),
+    st.integers(-2, 5).map(str),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 3), max_size=2),
+    st.none(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(ARTIFACT_PATHS), value=ARTIFACT_VALUES)
+@example(case=("design", ("n",)), value=float("inf"))
+@example(case=("instance", ("design", "n")), value=float("-inf"))
+@example(case=("run", ("design", "explicit", "n")), value=float("inf"))
+def test_artifact_files_never_raise_on_a_wrong_typed_field(tmp_path_factory, case, value):
+    name, path = case
+    data = json.loads(json.dumps(ARTIFACTS[name][0]))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    file = tmp_path_factory.mktemp("fuzz") / f"{name}.json"
+    file.write_text(json.dumps(data))
+    for args in ARTIFACTS[name][1]:
+        code = main([*args, str(file), "--out", os.devnull])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_VALIDATION, EXIT_SEARCH), (args, code)

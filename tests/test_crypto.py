@@ -73,8 +73,6 @@ def test_json_round_trip():
     ):
         again = Permutation.from_json_dict(h.to_json_dict())
         assert all(again.apply(v) == h.apply(v) for v in all_bitstrings(h.ell))
-    data = Permutation(ell=2, kind="table", seed=1).to_json_dict(include_table=True)
-    assert "table_hex" in data
 
 
 def test_hard_bits():

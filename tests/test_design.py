@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nwgame import Design, SearchExhausted, build_polynomial_design, extend_greedy, verify_design
-from nwgame.design import embed, require_valid, restrict
+from nwgame.design import POLYNOMIAL_MAX_ROWS, embed, require_valid, restrict
 from nwgame.errors import ValidationError
 
 from helpers import REFERENCE_SETS
@@ -106,6 +106,14 @@ def test_json_round_trip():
     assert again == des
     with pytest.raises(ValueError):
         Design.from_json_dict({"n": 4, "m": 3, "ell": 2, "d": 1, "sets": [[0, 1]]})
+
+
+def test_polynomial_design_refuses_too_many_rows():
+    with pytest.raises(ValueError):
+        build_polynomial_design(16, 15)  # 16^16 rows, refused before the loop
+    with pytest.raises(ValueError):
+        build_polynomial_design(13, 2)  # 2197 rows
+    assert build_polynomial_design(11, 2).m == 1331 <= POLYNOMIAL_MAX_ROWS
 
 
 def test_restrict_and_embed_small():

@@ -124,6 +124,9 @@ def test_instance_validation():
         Instance(design, Permutation(ell=2, kind="identity"), HardBit(), c=0)
     with pytest.raises(ValueError):
         Instance(design, Permutation(ell=2, kind="identity"), HardBit(), c=1, b="0000")
+    shared_too_much = Design(n=4, ell=2, d=0, sets=((0, 2), (0, 3)))
+    with pytest.raises(ValidationError):
+        Instance(shared_too_much, Permutation(ell=2, kind="identity"), HardBit(), c=1)
 
 
 def test_strict_violations_reference():
