@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bits import all_bitstrings
+from .bits import all_bitstrings, bits_to_int
 from .design import embed, restrict
 from .game import GameView, StudentStrategy, failure_set, play, scan
 from .generator import Instance
@@ -194,7 +194,7 @@ def build_witness_tables(
     positions = inst.design.sets[row_k]
     inputs = [embed(u, outside, positions, inst.n) for u in all_bitstrings(inst.ell)]
     return {
-        i: {z: inst.answer(z)[0] for z in (restrict(a, row) for a in inputs)}
+        i: {z: inst.answer(bits_to_int(z))[0] for z in (restrict(a, row) for a in inputs)}
         for i, row in enumerate(inst.design.sets)
         if i != row_k
     }
@@ -270,11 +270,11 @@ def build_predictor(
     positions = inst.design.sets[trace[-1]]
     ones = 0
     total = 0
-    for u in all_bitstrings(inst.ell):
+    for value, u in enumerate(all_bitstrings(inst.ell)):
         a = embed(u, outside, positions, inst.n)
         if _classify(play(inst, strategy, a).trace, trace) == "other":
             total += 1
-            ones += int(inst.answer(u)[1])
+            ones += int(inst.answer(value)[1])
     default_bit = 1 if 2 * ones > total else 0
     return Predictor(
         inst=inst,
@@ -291,8 +291,8 @@ def measure_advantage(inst: Instance, predictor: Predictor) -> Fraction:
     """Exact advantage over a coin flip: agreement rate with the true hard
     bit across all 2^ell points, minus one half."""
     agree = 0
-    for u in all_bitstrings(inst.ell):
-        if predictor.run(u) == int(inst.answer(u)[1]):
+    for value, u in enumerate(all_bitstrings(inst.ell)):
+        if predictor.run(u) == int(inst.answer(value)[1]):
             agree += 1
     return Fraction(agree, 1 << inst.ell) - Fraction(1, 2)
 

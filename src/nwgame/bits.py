@@ -41,6 +41,10 @@ def bits_to_hex(bits: str) -> str:
 
 
 def hex_to_bits(hx: str, width: int) -> str:
+    """Inverse of bits_to_hex: at most ceil(width/4) plain hex digits."""
+    nibbles = (width + 3) // 4
+    if hx.strip("0123456789abcdefABCDEF") or len(hx) > nibbles:
+        raise ValueError(f"a {width}-bit string takes at most {nibbles} hex digits, got {hx!r}")
     return int_to_bits(int(hx, 16) if hx else 0, width)
 
 

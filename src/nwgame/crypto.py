@@ -19,6 +19,8 @@ HARD_BIT_KINDS = ("last-bit", "parity")
 
 TABLE_MAX_ELL = 20
 DEFAULT_ROUNDS = 4
+# Cap on a feistel's rounds * 2^(ell/2) round-table entries (4 rounds: ell <= 28)
+FEISTEL_MAX_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -27,7 +29,7 @@ class Permutation:
 
     Kinds: 'identity'; 'table', a seeded shuffle of all 2^ell points
     (ell <= 20); 'feistel', a balanced network with seeded round tables
-    (even ell, default 4 rounds).
+    (even ell, default 4 rounds, rounds * 2^(ell/2) <= FEISTEL_MAX_ENTRIES).
     """
 
     ell: int
@@ -56,6 +58,8 @@ class Permutation:
             if self.rounds < 1:
                 raise ValueError(f"rounds must be positive, got {self.rounds}")
             half = self.ell // 2
+            if self.rounds > FEISTEL_MAX_ENTRIES >> half:
+                raise ValueError(f"{self.rounds} rounds * 2^{half} round-table entries exceed {FEISTEL_MAX_ENTRIES}")
             tables = []
             for r in range(self.rounds):
                 rng = random.Random(derive_seed("feistel-round", self.ell, self.seed, r))

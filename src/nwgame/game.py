@@ -2,10 +2,10 @@
 
 Solve mode: on a shared n-bit input, the student names rows of the design
 and the teacher answers each row i with the unique permutation preimage of
-the input's restriction to that row, read from the instance's memo
-(`Instance.answer`).  The run succeeds the moment a reply's
-hard bit disagrees with the published off-range string at the queried row;
-the sequence of rows of a successful run is its trace.
+the input's restriction to that row (packed once per game, then read from
+the instance's memo).  The run succeeds the moment a reply's hard bit
+disagrees with the published off-range string at the queried row; the
+sequence of rows of a successful run is its trace.
 
 Witness mode runs the same interaction but aborts on any disagreeing
 reply, so the student's final output becomes a partial function of the
@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .bits import check_bits, int_to_bits
+from .bits import bits_to_int, check_bits, int_to_bits
 from .design import restrict
 from .errors import CapabilityError, json_field, json_value
 from .generator import Instance
@@ -136,7 +136,8 @@ class Transcript:
         }
 
 
-def _run(inst: Instance, strategy: StudentStrategy, view: GameView, a: str, witness: bool) -> Transcript:
+def _run(inst: Instance, strategy: StudentStrategy, view: GameView, a: str, value: int, witness: bool) -> Transcript:
+    packed, ell, mask = inst.restrictions(value), inst.ell, (1 << inst.ell) - 1
     budget = strategy.max_queries if witness else min(strategy.max_queries, inst.c)
     queries: list[int] = []
     replies: list[str] = []
@@ -158,7 +159,7 @@ def _run(inst: Instance, strategy: StudentStrategy, view: GameView, a: str, witn
         if isinstance(move, ProtocolViolation) or not isinstance(move, int) or not 0 <= move < inst.m:
             return stopped(success=False, violation=True)
         queries.append(move)
-        reply, bit = inst.answer(restrict(a, inst.design.sets[move]))
+        reply, bit = inst.answer(packed >> ell * move & mask)
         replies.append(reply)
         if bit != inst.b[move]:
             return stopped(success=True)
@@ -185,7 +186,7 @@ def play(inst: Instance, strategy: StudentStrategy, a: str) -> Transcript:
     _require_playable(inst)
     check_bits(a, inst.n, "game input")
     view = GameView(inst, strategy.may_invert)
-    return _run(inst, strategy, view, a, witness=False)
+    return _run(inst, strategy, view, a, bits_to_int(a), witness=False)
 
 
 def evaluate_partial(inst: Instance, strategy: StudentStrategy, a: str) -> Transcript:
@@ -193,7 +194,7 @@ def evaluate_partial(inst: Instance, strategy: StudentStrategy, a: str) -> Trans
     _require_playable(inst)
     check_bits(a, inst.n, "game input")
     view = GameView(inst, strategy.may_invert)
-    return _run(inst, strategy, view, a, witness=True)
+    return _run(inst, strategy, view, a, bits_to_int(a), witness=True)
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,7 @@ def scan(
         view = GameView(inst, strategy.may_invert)
         kept = []
         for value in range(lo, hi):
-            out = keep(_run(inst, strategy, view, int_to_bits(value, inst.n), witness))
+            out = keep(_run(inst, strategy, view, int_to_bits(value, inst.n), value, witness))
             if out is not None:
                 kept.append(out)
         return kept

@@ -5,9 +5,9 @@ permutation preimage of x restricted to design row i.  An instance also
 carries a target string b certified to lie outside the generator's range,
 and the per-game query budget c.
 
-Only 2^ell distinct row restrictions exist, so each instance inverts each
-one at most once: `Instance.answer` memoises the preimage and its hard
-bit, and both the generator and the game's teacher read from it.
+Both the generator and the game's teacher read an input's m row
+restrictions packed into one int (`Instance.restrictions`), and each
+restriction's preimage and hard bit from a lazy memo (`Instance.answer`).
 """
 
 from __future__ import annotations
@@ -17,13 +17,26 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bits import all_bitstrings, bits_to_hex, check_bits, hex_to_bits, int_to_bits
+from .bits import all_bitstrings, bits_to_hex, bits_to_int, check_bits, hex_to_bits, int_to_bits
 from .crypto import HardBit, Permutation
 from .design import Design, require_valid, restrict
 from .errors import SearchExhausted, ValidationError, json_field, json_value
 from .seeds import derive_seed
 
 ENUMERATION_MAX_N = 20
+
+
+class _Preimages(dict):
+    """`Instance.answer`'s memo: u -> (h^-1(u), hard bit), filled on lookup."""
+
+    def __init__(self, h: Permutation, hard_bit: HardBit) -> None:
+        super().__init__()
+        self.h, self.hard_bit = h, hard_bit
+
+    def __missing__(self, u: int) -> tuple[str, str]:
+        preimage = self.h.invert(int_to_bits(u, self.h.ell))
+        hit = self[u] = (preimage, str(self.hard_bit.value(preimage)))
+        return hit
 
 
 @dataclass(frozen=True)
@@ -59,20 +72,36 @@ class Instance:
         return self.design.ell
 
     @cached_property
-    def _answers(self) -> dict[str, tuple[str, str]]:
+    def _answers(self) -> _Preimages:
         # not a field: stays out of __eq__, repr and the JSON form, and
         # dataclasses.replace starts the new instance with an empty memo
-        return {}
+        return _Preimages(self.h, self.hard_bit)
 
-    def answer(self, u: str) -> tuple[str, str]:
-        """The preimage h^-1(u) of an ell-bit row restriction u, with its
-        hard bit as '0' or '1'.  Each u is inverted once per instance, so
-        the memo holds at most 2^ell entries."""
-        hit = self._answers.get(u)
-        if hit is None:
-            preimage = self.h.invert(u)
-            hit = self._answers[u] = (preimage, str(self.hard_bit.value(preimage)))
-        return hit
+    def answer(self, u: int) -> tuple[str, str]:
+        """h^-1(u) for the ell-bit row restriction of value u, with its hard bit
+        as '0'/'1'; the memo holds one entry per restriction met."""
+        return self._answers[u]
+
+    @cached_property
+    def _chunk_tables(self) -> list[list[int]]:
+        # not a field either.  Projection is linear over bits: table k maps each
+        # value of input bits 8k..8k+7 (from the least significant) to the OR of
+        # its unit vectors' restrictions, joined from row m-1 down to row 0
+        n, rows = self.n, self.design.sets[::-1]
+        tables = [[0] for _ in range(0, n, 8)]
+        for j in range(n):
+            unit = int_to_bits(1 << j, n)
+            packed = bits_to_int("".join([restrict(unit, row) for row in rows]))
+            tables[j // 8] += [t | packed for t in tables[j // 8]]
+        return tables
+
+    def restrictions(self, x: int) -> int:
+        """The m row restrictions of the input of value x, row i at bits ell*i."""
+        packed = 0
+        for table in self._chunk_tables:
+            packed |= table[x & 255]
+            x >>= 8
+        return packed
 
     def to_json_dict(self) -> dict:
         return {
@@ -102,8 +131,8 @@ class Instance:
 def evaluate(inst: Instance, x: str) -> str:
     """The m-bit generator output on an n-bit input."""
     check_bits(x, inst.n, "generator input")
-    answer = inst.answer
-    return "".join([answer(restrict(x, row))[1] for row in inst.design.sets])
+    packed, ell, mask, answers = inst.restrictions(bits_to_int(x)), inst.ell, (1 << inst.ell) - 1, inst._answers
+    return "".join([answers[packed >> shift & mask][1] for shift in range(0, ell * inst.m, ell)])
 
 
 def find_off_range(inst: Instance, mode: str = "lex-min", seed: int = 0) -> str:

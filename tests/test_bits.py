@@ -39,6 +39,18 @@ def test_round_trip_property(width, data):
     assert hex_to_bits(bits_to_hex(bits), width) == bits
 
 
+@pytest.mark.parametrize("hx", ["0x1f", "1_f", " 1f\n", "+1f", "-1f", "1f ", "٣", "00001f"])
+def test_hex_to_bits_takes_plain_digits_only(hx):
+    with pytest.raises(ValueError):
+        hex_to_bits(hx, 16)
+
+
+def test_hex_to_bits_takes_either_case_and_short_forms():
+    assert hex_to_bits("1F", 8) == hex_to_bits("1f", 8) == "00011111"
+    assert hex_to_bits("f", 8) == "00001111"
+    assert hex_to_bits("", 0) == ""
+
+
 def test_hex_is_fixed_width():
     assert bits_to_hex("00001") == "01"
     assert bits_to_hex("0000") == "0"

@@ -225,6 +225,9 @@ def _permutation_with(**fields):
 
 ELL_IS_A_STRING = {"n": 6, "ell": "3", "d": 1, "sets": [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5]]}
 
+# hex that int(_, 16) reads as 31, a 5-bit value: m = 5 takes 2 plain digits
+BAD_HEX = {"0x1f": "prefix", "1_f": "separator", " 1f\n": "whitespace", "+1f": "sign", "001f": "too-many-digits"}
+
 
 @pytest.mark.parametrize(
     "args, config",
@@ -258,6 +261,11 @@ ELL_IS_A_STRING = {"n": 6, "ell": "3", "d": 1, "sets": [[0, 1, 2], [0, 3, 4], [1
         (["instance", "check"], _permutation_with(seed="1")),
         (["design", "verify"], {"n": float("inf"), "ell": 2, "d": 1, "sets": [[0, 1]]}),
         (["run"], dict(CONFIG, design={"explicit": ELL_IS_A_STRING})),
+        *[(["instance", "check"], _instance_with(b_hex=hx)) for hx in BAD_HEX],
+        *[(["run"], dict(CONFIG, b={"mode": "explicit", "value_hex": hx})) for hx in BAD_HEX],
+        (["instance", "check"], _permutation_with(kind="feistel", rounds=300000)),
+        (["run"], dict(CONFIG, permutation={"kind": "feistel", "rounds": 300000})),
+        (["instance", "check"], _permutation_with(kind="feistel", ell=64)),
     ],
     ids=[
         "shorthand-missing-row", "negative-sample", "config-is-a-list", "strategies-is-a-string",
@@ -269,6 +277,9 @@ ELL_IS_A_STRING = {"n": 6, "ell": "3", "d": 1, "sets": [[0, 1, 2], [0, 3, 4], [1
         "trace-row-past-m", "trace-row-negative", "b-certified-is-a-string", "instance-c-is-a-string",
         "instance-c-is-a-float", "permutation-seed-is-a-string", "design-n-is-infinity",
         "explicit-design-ell-is-a-string",
+        *[f"b-hex-{name}" for name in BAD_HEX.values()],
+        *[f"value-hex-{name}" for name in BAD_HEX.values()],
+        "instance-feistel-rounds-300000", "config-feistel-rounds-300000", "instance-feistel-ell-64",
     ],
 )
 def test_bad_input_exits_config(workspace, args, config):

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from nwgame import HardBit, Permutation, check_bijection, preimage_bit
 from nwgame.bits import all_bitstrings
+from nwgame.crypto import FEISTEL_MAX_ENTRIES
 
 
 @pytest.mark.parametrize(
@@ -47,6 +48,14 @@ def test_kind_validation():
         Permutation(ell=4, kind="rot13")
     with pytest.raises(ValueError):
         Permutation(ell=4, kind="feistel", rounds=0)
+
+
+def test_feistel_round_tables_are_capped():
+    # the default 4 rounds reach the cap at ell = 28 and pass it at 30
+    assert Permutation(ell=28, kind="feistel").rounds * 2**14 == FEISTEL_MAX_ENTRIES
+    for ell, rounds in ((30, 4), (2, FEISTEL_MAX_ENTRIES // 2 + 1), (64, 1), (10**9, 1)):
+        with pytest.raises(ValueError, match="round-table entries exceed"):
+            Permutation(ell=ell, kind="feistel", rounds=rounds)
 
 
 def test_apply_checks_width():

@@ -25,7 +25,8 @@ from nwgame import (
     with_explicit_b,
     with_off_range,
 )
-from nwgame.bits import all_bitstrings, int_to_bits
+from nwgame.bits import all_bitstrings, bits_to_int, int_to_bits
+from nwgame.crypto import HARD_BIT_KINDS, PERMUTATION_KINDS
 from nwgame.generator import evaluate
 from nwgame.seeds import derive_seed
 
@@ -177,16 +178,12 @@ def test_answer_memo_matches_reference_path(n, ell, seed, perm, hard):
     inst = greedy_instance(n, ell, ell - 1, seed=seed, perm=perm, perm_seed=seed, hard=hard, c=2)
     h, hb, sets = inst.h, inst.hard_bit, inst.design.sets
     inputs = list(all_bitstrings(n))
-
-    def reference(x: str, perm: Permutation = h) -> str:
-        return "".join(str(preimage_bit(perm, hb, restrict(x, row))) for row in sets)
-
     # attaching b replaced the instance, so the search's memo stayed behind
     assert inst._answers == {}
-    assert [evaluate(inst, x) for x in inputs] == [reference(x) for x in inputs]
+    assert [evaluate(inst, x) for x in inputs] == [string_reference(inst, x) for x in inputs]
     assert 0 < len(inst._answers) <= 1 << ell
     for u, (preimage, bit) in inst._answers.items():
-        assert preimage == h.invert(u) and bit == str(hb.value(preimage))
+        assert preimage == h.invert(int_to_bits(u, ell)) and bit == str(hb.value(preimage))
 
     students = (
         constant_strategy(seed % inst.m, queries=2),
@@ -206,7 +203,7 @@ def test_answer_memo_matches_reference_path(n, ell, seed, perm, hard):
     assert dataclasses.replace(inst) == inst and "_answers" not in repr(inst)
     other = dataclasses.replace(inst, h=Permutation(ell, "table", seed=seed + 1))
     assert other._answers == {}
-    assert [evaluate(other, x) for x in inputs] == [reference(x, other.h) for x in inputs]
+    assert [evaluate(other, x) for x in inputs] == [string_reference(other, x) for x in inputs]
 
     # the student's own inversions bypass the memo: the omniscient student
     # inverts rows in order up to the first disagreeing one, every game
@@ -222,9 +219,58 @@ def test_answer_memo_matches_reference_path(n, ell, seed, perm, hard):
     queried = set()
     for a in inputs:
         t = play(fresh, spy, a)
-        out = reference(a)
+        out = string_reference(inst, a)
         first = next(i for i in range(inst.m) if out[i] != inst.b[i])
         assert t.success and t.queries == (first,)
         assert views[-1].invert_calls == first + 1
-        queried.add(restrict(a, sets[first]))
+        queried.add(bits_to_int(restrict(a, sets[first])))
     assert set(fresh._answers) == queried
+
+
+def string_reference(inst: Instance, x: str) -> str:
+    """The generator by its definition, one joined string per row."""
+    return "".join(str(preimage_bit(inst.h, inst.hard_bit, restrict(x, row))) for row in inst.design.sets)
+
+
+def assert_replies_match_reference(inst: Instance, students, inputs) -> None:
+    sets = inst.design.sets
+    for student in students:
+        for a in inputs:
+            for t in (play(inst, student, a), evaluate_partial(inst, student, a)):
+                assert list(t.replies) == [inst.h.invert(restrict(a, sets[q])) for q in t.queries]
+
+
+# every n up to 24, so inputs of one, two and three 8-bit chunks (and the
+# boundaries 7-9 and 15-17) are all met
+@pytest.mark.parametrize("n", range(1, 25))
+@settings(max_examples=5, deadline=None)
+@given(data=st.data(), hard=st.sampled_from(HARD_BIT_KINDS), seed=st.integers(0, 1 << 16))
+def test_packed_restrictions_match_string_reference(n, data, hard, seed):
+    perm = data.draw(st.sampled_from(PERMUTATION_KINDS if n >= 2 else ("identity", "table")))
+    ell = data.draw(st.integers(1, min(n, 8)))
+    if perm == "feistel":
+        ell = max(2, ell - ell % 2)
+    m = data.draw(st.integers(1, 12))
+    rng = random.Random(seed)
+    sets = tuple(tuple(sorted(rng.sample(range(n), ell))) for _ in range(m))
+    # b is not certified here: only the teacher's replies are compared
+    inst = Instance(
+        Design(n, ell, ell, sets), Permutation(ell, perm, seed=seed), HardBit(hard),
+        c=m, b=int_to_bits(rng.randrange(1 << m), m),
+    )
+    inputs = [int_to_bits(v, n) for v in rng.sample(range(1 << n), min(256, 1 << n))]
+    assert [evaluate(inst, x) for x in inputs] == [string_reference(inst, x) for x in inputs]
+    assert_replies_match_reference(inst, (round_robin_strategy(m), seeded_random_strategy(3, seed=seed)), inputs)
+
+
+def test_packed_memo_stays_lazy_for_wide_identity_rows():
+    # an identity permutation bounds ell only by n: a memo filled to 2^26
+    # entries would not fit, so evaluate must meet one entry per row
+    n, ell = 30, 26
+    sets = (tuple(range(0, 26)), tuple(range(2, 28)), tuple(range(4, 30)))
+    inst = Instance(Design(n, ell, 24, sets), Permutation(ell, "identity"), HardBit("parity"), c=3, b="010")
+    rng = random.Random(5)
+    x = int_to_bits(rng.getrandbits(n), n)
+    assert evaluate(inst, x) == string_reference(inst, x)
+    assert len(inst._answers) <= inst.m
+    assert_replies_match_reference(inst, (round_robin_strategy(3),), [x, "1" * n])
