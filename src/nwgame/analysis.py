@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bits import all_bitstrings, bits_to_int
+from .bits import all_bitstrings, bits_to_int, int_to_bits
 from .design import embed, restrict
 from .game import GameView, StudentStrategy, failure_set, play, scan
 from .generator import Instance
@@ -160,19 +160,23 @@ def best_partial_assignment(
     if not trace or not all(0 <= row < inst.m for row in trace):
         raise ValueError(f"trace must be a nonempty list of rows in 0..{inst.m - 1}, got {list(trace)}")
     row = trace[-1]
-    inside = set(inst.design.sets[row])
+    inside = inst.design.sets[row]
     outside_positions = tuple(p for p in range(inst.n) if p not in inside)
+    # clearing the row's bits keeps the order of the rest, so these keys
+    # sort as the outside strings do
+    row_bits = sum(1 << (inst.n - 1 - p) for p in inside)
 
-    def keep(t) -> tuple[str, str]:
-        return restrict(t.a, outside_positions), _classify(t.trace, trace)
+    def keep(t) -> tuple[int, str]:
+        return bits_to_int(t.a) & ~row_bits, _classify(t.trace, trace)
 
     tally = Counter(scan(inst, strategy, keep, jobs=jobs))
     best: PartialAssignment | None = None
     # input order meets each fixing first at its lexicographic rank, so the
     # strict inequality keeps the lex-min fixing on ties
-    for outside in dict.fromkeys(outside for outside, _ in tally):
-        exact, proper = tally[outside, "exact"], tally[outside, "proper"]
+    for fixing in dict.fromkeys(fixing for fixing, _ in tally):
+        exact, proper = tally[fixing, "exact"], tally[fixing, "proper"]
         if best is None or exact - proper > best.margin:
+            outside = restrict(int_to_bits(fixing, inst.n), outside_positions)
             best = PartialAssignment(row, outside, exact - proper, exact, proper)
     assert best is not None
     return best

@@ -119,10 +119,8 @@ class Transcript:
 
     @property
     def trace(self) -> tuple[int, ...] | None:
-        """The query sequence, for successful non-violating runs only."""
-        if self.success and not self.violation:
-            return self.queries
-        return None
+        """The query sequence of a successful run; a violation never succeeds."""
+        return self.queries if self.success else None
 
     def to_json_dict(self) -> dict:
         return {
@@ -137,43 +135,39 @@ class Transcript:
 
 
 def _run(inst: Instance, strategy: StudentStrategy, view: GameView, a: str, value: int, witness: bool) -> Transcript:
+    """One game on input a (of integer value `value`), ended by the first of:
+    1. the student stops (None or an Output): the run fails;
+    2. the move is not a legal query (a ProtocolViolation, a non-row, or in
+       witness mode a query after max_queries replies): a violation;
+    3. a reply's hard bit differs from b at the queried row: success;
+    4. solve mode has answered min(max_queries, c) queries: the run fails
+       and the student is not asked again."""
     packed, ell, mask = inst.restrictions(value), inst.ell, (1 << inst.ell) - 1
-    budget = strategy.max_queries if witness else min(strategy.max_queries, inst.c)
+    budget = min(strategy.max_queries, inst.c)
     queries: list[int] = []
     replies: list[str] = []
 
     def stopped(success: bool, violation: bool = False, output: Any = None) -> Transcript:
-        defined = (not success) if witness else None
         return Transcript(
-            a, tuple(queries), tuple(replies), success,
-            violation=violation, defined=defined,
-            output=output if (witness and not success and not violation) else None,
+            a, tuple(queries), tuple(replies), success, violation,
+            defined=(not success) if witness else None, output=output if witness else None,
         )
 
-    while len(queries) < budget:
+    while witness or len(queries) < budget:
         move = strategy.move(view, a, tuple(replies))
-        if move is None:
-            return stopped(success=False)
-        if isinstance(move, Output):
-            return stopped(success=False, output=move.value)
-        if isinstance(move, ProtocolViolation) or not isinstance(move, int) or not 0 <= move < inst.m:
-            return stopped(success=False, violation=True)
+        if move is None or isinstance(move, Output):
+            return stopped(False, output=getattr(move, "value", None))
+        if (
+            isinstance(move, ProtocolViolation) or not isinstance(move, int) or not 0 <= move < inst.m
+            or len(queries) >= strategy.max_queries
+        ):
+            return stopped(False, violation=True)
         queries.append(move)
         reply, bit = inst.answer(packed >> ell * move & mask)
         replies.append(reply)
         if bit != inst.b[move]:
-            return stopped(success=True)
-    if not witness:
-        # the game ends at the budget; solve mode has nothing left to collect
-        return stopped(success=False)
-    # witness mode still needs the student's output
-    move = strategy.move(view, a, tuple(replies))
-    if isinstance(move, Output):
-        return stopped(success=False, output=move.value)
-    if move is None:
-        return stopped(success=False)
-    # a ProtocolViolation, or a query past the budget, is a violation, not an error
-    return stopped(success=False, violation=True)
+            return stopped(True)
+    return stopped(False)
 
 
 def _require_playable(inst: Instance) -> None:
@@ -181,20 +175,20 @@ def _require_playable(inst: Instance) -> None:
         raise ValueError("instance has no off-range string b; attach one first")
 
 
-def play(inst: Instance, strategy: StudentStrategy, a: str) -> Transcript:
-    """One solve-mode run on input a."""
+def _play(inst: Instance, strategy: StudentStrategy, a: str, witness: bool) -> Transcript:
     _require_playable(inst)
     check_bits(a, inst.n, "game input")
-    view = GameView(inst, strategy.may_invert)
-    return _run(inst, strategy, view, a, bits_to_int(a), witness=False)
+    return _run(inst, strategy, GameView(inst, strategy.may_invert), a, bits_to_int(a), witness)
+
+
+def play(inst: Instance, strategy: StudentStrategy, a: str) -> Transcript:
+    """One solve-mode run on input a."""
+    return _play(inst, strategy, a, witness=False)
 
 
 def evaluate_partial(inst: Instance, strategy: StudentStrategy, a: str) -> Transcript:
     """One witness-mode run on input a; aborts on any disagreeing reply."""
-    _require_playable(inst)
-    check_bits(a, inst.n, "game input")
-    view = GameView(inst, strategy.may_invert)
-    return _run(inst, strategy, view, a, bits_to_int(a), witness=True)
+    return _play(inst, strategy, a, witness=True)
 
 
 @dataclass(frozen=True)

@@ -86,12 +86,12 @@ class Instance:
     def _chunk_tables(self) -> list[list[int]]:
         # not a field either.  Projection is linear over bits: table k maps each
         # value of input bits 8k..8k+7 (from the least significant) to the OR of
-        # its unit vectors' restrictions, joined from row m-1 down to row 0
-        n, rows = self.n, self.design.sets[::-1]
+        # its unit vectors' restrictions, read over every row from m-1 down to 0
+        n = self.n
+        positions = tuple(p for row in self.design.sets[::-1] for p in row)
         tables = [[0] for _ in range(0, n, 8)]
         for j in range(n):
-            unit = int_to_bits(1 << j, n)
-            packed = bits_to_int("".join([restrict(unit, row) for row in rows]))
+            packed = bits_to_int(restrict(int_to_bits(1 << j, n), positions))
             tables[j // 8] += [t | packed for t in tables[j // 8]]
         return tables
 

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import nwgame
 from nwgame import HardBit, Permutation, build_polynomial_design, cli, extend_greedy, make_instance
 from nwgame.cli import (
     EXIT_CONFIG,
@@ -460,3 +464,93 @@ def test_artifact_files_never_raise_on_a_wrong_typed_field(tmp_path_factory, cas
     for args in ARTIFACTS[name][1]:
         code = main([*args, str(file), "--out", os.devnull])
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_VALIDATION, EXIT_SEARCH), (args, code)
+
+
+# One valid argv for every subcommand, over the files ARGV_FILES writes into
+# the working directory; every token after the command names that is not a
+# flag is a value the fuzz may replace.
+ARGV_INSTANCE = make_instance(ARTIFACT_DESIGN, Permutation(ell=2, kind="table", seed=1), HardBit(), 2)
+ARGV_FILES = {
+    "design.json": ARTIFACT_DESIGN.to_json_dict(),
+    "instance.json": ARGV_INSTANCE.to_json_dict(),
+    "family.json": json.loads(ARTIFACT_FAMILY),
+    "config.json": {"design": {"explicit": ARTIFACT_DESIGN.to_json_dict()}, "strategies": ["round-robin:2"]},
+}
+SUBCOMMAND_ARGVS = [
+    ["design", "build", "--q", "2", "--degree", "1", "--extend-to", "5", "--seed", "0"],
+    ["design", "verify", "design.json"],
+    [
+        "instance", "make", "--design", "design.json", "--perm", "table", "--perm-seed", "1", "--rounds", "4",
+        "--hard-bit", "parity", "--c", "2", "--b", ARGV_INSTANCE.b, "--b-mode", "seeded-random", "--seed", "1",
+    ],
+    ["instance", "check", "instance.json"],
+    ["game", "play", "--instance", "instance.json", "--strategy", "round-robin:2", "--input", "0101"],
+    ["game", "failureset", "--instance", "instance.json", "--strategy", "constant:0", "--sample", "8",
+     "--sample-seed", "1", "--jobs", "2"],
+    ["analyze", "census", "--instance", "instance.json", "--strategy", "seeded-random:2:1", "--jobs", "2"],
+    ["analyze", "assignment", "--instance", "instance.json", "--strategy", "round-robin:2", "--trace", "0,1"],
+    ["analyze", "reduce", "--instance", "instance.json", "--strategy", '{"kind": "constant", "row": 1}'],
+    ["analyze", "advantage", "--instance", "instance.json", "--strategy", "round-robin:2"],
+    ["hardcore", "extract", "--instance", "instance.json", "--family", "family.json", "--k", "2"],
+    ["hardcore", "sweep", "--instance", "instance.json", "--family", ARTIFACT_FAMILY, "--k-max", "2",
+     "--csv", "sweep.csv"],
+    ["run", "config.json", "--seed", "1", "--jobs", "2"],
+]
+SUBCOMMAND_ARGVS = [[*argv, "--out", "out.json"] for argv in SUBCOMMAND_ARGVS]
+ARGV_VALUES = [
+    (argv, i)
+    for argv in SUBCOMMAND_ARGVS
+    for i in range(1 if argv[0] == "run" else 2, len(argv))
+    if not argv[i].startswith("--")
+]
+ARGV_TOKENS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.text(max_size=5),
+    st.sampled_from(
+        ["", "-", "1e3", "0x1f", "nan", "{", "[]", "{}", "[1]", '{"kind": 1}', "0,0", ",", ".", "missing.json",
+         *ARGV_FILES, "constant:9", "omniscient", "table:1"]
+    ),
+)
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a malformed flag with 2
+        return exc.code
+
+
+def test_every_subcommand_argv_is_valid(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, data in ARGV_FILES.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    for argv in SUBCOMMAND_ARGVS:
+        assert _exit_code(argv) == EXIT_OK, argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(ARGV_VALUES), token=ARGV_TOKENS)
+def test_subcommands_never_raise_on_a_bad_argument(tmp_path_factory, case, token):
+    argv, i = case
+    workdir = tmp_path_factory.mktemp("argv")
+    for name, data in ARGV_FILES.items():
+        (workdir / name).write_text(json.dumps(data))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(workdir)
+        code = _exit_code([*argv[:i], token, *argv[i + 1 :]])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_VALIDATION, EXIT_SEARCH), (argv[:2], argv[i - 1], token, code)
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(nwgame.__file__).parents[1])}
+
+    def nwgame_cli(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "nwgame", *args], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+        )
+
+    good = nwgame_cli("design", "build", "--q", "2", "--degree", "1")
+    assert good.returncode == EXIT_OK and json.loads(good.stdout)["m"] == 4
+    bad = nwgame_cli("design", "build", "--q", "two", "--degree", "1")
+    assert bad.returncode == EXIT_CONFIG
+    assert "Traceback" not in bad.stderr

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from nwgame import (
     CapabilityError,
     Output,
+    ProtocolViolation,
     StudentFamily,
     StudentStrategy,
     best_margin_trace,
@@ -23,7 +24,8 @@ from nwgame import (
     trace_census,
 )
 from nwgame.bits import all_bitstrings
-from nwgame.game import scan
+from nwgame.design import restrict
+from nwgame.game import Transcript, scan
 from nwgame.generator import evaluate
 
 from helpers import bad_index_strategy, greedy_instance, near_omniscient, reference_instance
@@ -224,6 +226,74 @@ def test_budget_property(a_value, max_queries, seed):
     assert len(solve.queries) <= min(max_queries, inst.c)
     witness = evaluate_partial(inst, s, a)
     assert len(witness.queries) <= max_queries
+
+
+# n = 4, m = 5: the hand-checked instance at three budgets, and a table
+# permutation on a greedy design
+STOP_RULE_INSTANCES = [reference_instance(c) for c in (1, 2, 3)] + [greedy_instance(4, 2, 1, seed=5, c=2)]
+SCRIPTED_MOVES = st.one_of(
+    st.integers(0, 4),
+    st.sampled_from([-1, 5, 9, "0", 1.0]),
+    st.just(ProtocolViolation()),
+    st.builds(Output, st.integers(0, 3)),
+    st.none(),
+)
+
+
+def _stop_rule_reference(inst, script, max_queries, a, witness):
+    """The transcript and the number of moves asked, from the game's four
+    stop rules; the teacher's reply is the preimage of a's restriction."""
+    queries, replies = [], []
+
+    def end(asked, success, violation=False, output=None):
+        transcript = Transcript(
+            a, tuple(queries), tuple(replies), success, violation,
+            defined=(not success) if witness else None, output=output if witness else None,
+        )
+        return transcript, asked
+
+    for step, move in enumerate(script):
+        if not witness and step == min(max_queries, inst.c):
+            return end(step, False)  # 4: solve mode's budget is spent
+        if move is None or isinstance(move, Output):
+            return end(step + 1, False, output=move and move.value)  # 1: the student stops
+        if not (isinstance(move, int) and 0 <= move < inst.m and step < max_queries):
+            return end(step + 1, False, violation=True)  # 2: not a legal query
+        queries.append(move)
+        replies.append(inst.h.invert(restrict(a, inst.design.sets[move])))
+        if inst.hard_bit.value(replies[-1]) != int(inst.b[move]):
+            return end(step + 1, True)  # 3: the reply disagrees with b
+    raise AssertionError("script shorter than max_queries + 1 moves")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    which=st.integers(0, len(STOP_RULE_INSTANCES) - 1),
+    max_queries=st.integers(0, 4),
+    scripts=st.lists(st.lists(SCRIPTED_MOVES, min_size=5, max_size=5), min_size=16, max_size=16),
+    witness=st.booleans(),
+)
+def test_stop_rules_match_reference(which, max_queries, scripts, witness):
+    inst = STOP_RULE_INSTANCES[which]
+    inputs = list(all_bitstrings(inst.n))
+    script = dict(zip(inputs, scripts))
+    asked = []
+
+    def move(view, a, replies):
+        asked.append(a)
+        return script[a][len(replies)]
+
+    student = StudentStrategy("scripted", max_queries=max_queries, move=move)
+    expected = [_stop_rule_reference(inst, script[a], max_queries, a, witness) for a in inputs]
+    run = evaluate_partial if witness else play
+    for a, (transcript, calls) in zip(inputs, expected):
+        asked.clear()
+        got = run(inst, student, a)
+        assert (got, len(asked)) == (transcript, calls)
+        assert got.trace == (got.queries if got.success else None)
+    asked.clear()
+    assert scan(inst, student, lambda t: t, witness=witness) == [t for t, _ in expected]
+    assert len(asked) == sum(calls for _, calls in expected)
 
 
 @settings(max_examples=40, deadline=None)
