@@ -49,8 +49,6 @@ from .generator import (
     find_off_range,
     make_instance,
     strict_violations,
-    with_explicit_b,
-    with_off_range,
 )
 from .hardcore import (
     StudentFamily,
@@ -111,6 +109,4 @@ __all__ = [
     "table_strategy",
     "trace_census",
     "verify_design",
-    "with_explicit_b",
-    "with_off_range",
 ]

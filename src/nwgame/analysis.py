@@ -11,6 +11,7 @@ at run time; the advice is built from the instance's preimage memo.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,7 +42,6 @@ class TraceCensus:
     count-score rule.  `no_trace` flags an empty success set."""
 
     m: int
-    c: int
     w_size: int
     counts: dict[Trace, int]
     best_trace: Trace | None
@@ -100,9 +100,9 @@ def trace_census(inst: Instance, strategy: StudentStrategy, jobs: int = 1) -> Tr
     counts: dict[Trace, int] = dict(Counter(scan(inst, strategy, lambda t: t.trace, jobs=jobs)))
     w_size = sum(counts.values())
     if not counts:
-        return TraceCensus(inst.m, inst.c, 0, counts, None, 0)
+        return TraceCensus(inst.m, 0, counts, None, 0)
     best, best_count = min(counts.items(), key=_score_key(inst.m))
-    return TraceCensus(inst.m, inst.c, w_size, counts, best, best_count)
+    return TraceCensus(inst.m, w_size, counts, best, best_count)
 
 
 def best_margin_trace(census: TraceCensus) -> tuple[Trace, int] | None:
@@ -253,10 +253,6 @@ class Predictor:
             replies.append(witness)
         raise AssertionError("unreachable: loop returns at the final step")
 
-    @property
-    def student_invert_calls(self) -> int:
-        return self.view.invert_calls
-
 
 def build_predictor(
     inst: Instance,
@@ -301,10 +297,18 @@ def measure_advantage(inst: Instance, predictor: Predictor) -> Fraction:
     return Fraction(agree, 1 << inst.ell) - Fraction(1, 2)
 
 
+# Python's default cap on the digits of an int converted to text
+MAX_BOUND_DIGITS = 4300
+
+
 def failure_bound(ell: int, m: int, c: int) -> Fraction:
-    """Ceiling on tolerable solve-mode failures: 2^ell / (2 * (3m)^c)."""
+    """Ceiling on tolerable solve-mode failures: 2^ell / (2 * (3m)^c).  A
+    budget whose denominator would have more than MAX_BOUND_DIGITS digits
+    cannot be reported, so it is refused before the power is formed."""
     if ell < 0 or m < 1 or c < 1:
         raise ValueError(f"need ell >= 0, m >= 1, c >= 1; got {(ell, m, c)}")
+    if math.log10(2) + c * math.log10(3 * m) >= MAX_BOUND_DIGITS:
+        raise ValueError(f"budget c={c} at m={m}: 2*(3m)^c has more than {MAX_BOUND_DIGITS} digits")
     return Fraction(2**ell, 2 * (3 * m) ** c)
 
 
@@ -347,10 +351,10 @@ def _fraction_json(value: Fraction) -> dict:
 def run_reduction(inst: Instance, strategy: StudentStrategy, jobs: int = 1) -> ReductionReport:
     """Full pipeline: census, margin-best trace, assignment search, witness
     tables, predictor build, exact advantage measurement."""
+    target = failure_bound(0, inst.m, inst.c)
+    bound = failure_bound(inst.ell, inst.m, inst.c)
     census = trace_census(inst, strategy, jobs=jobs)
     failures = failure_set(inst, strategy, jobs=jobs)
-    target = Fraction(1, 2 * (3 * inst.m) ** inst.c)
-    bound = failure_bound(inst.ell, inst.m, inst.c)
     if census.no_trace:
         return ReductionReport(
             census=census, trace=None, margin=None, assignment=None,
@@ -366,7 +370,7 @@ def run_reduction(inst: Instance, strategy: StudentStrategy, jobs: int = 1) -> R
     diagnostics = {
         "missing_witness": predictor.missing_witness,
         "forward_check_failures": predictor.forward_check_failures,
-        "student_invert_calls": predictor.student_invert_calls,
+        "student_invert_calls": predictor.view.invert_calls,
         "witness_entries": sum(len(t) for t in predictor.tables.values()),
     }
     return ReductionReport(

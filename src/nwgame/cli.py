@@ -17,17 +17,17 @@ from typing import Any
 
 from . import analysis, hardcore
 from .bits import check_bits, hex_to_bits
-from .crypto import HardBit, Permutation, check_bijection
+from .crypto import HARD_BIT_KINDS, PERMUTATION_KINDS, HardBit, Permutation, check_bijection
 from .design import Design, build_polynomial_design, extend_greedy, require_valid, verify_design
 from .errors import SearchExhausted, ValidationError, json_field, json_value
 from .game import StudentStrategy, evaluate_partial, failure_set, play, strategy_from_spec
 from .generator import (
     ENUMERATION_MAX_N,
+    OFF_RANGE_MODES,
     Instance,
     certify_off_range,
+    make_instance,
     strict_violations,
-    with_explicit_b,
-    with_off_range,
 )
 from .seeds import derive_seed
 
@@ -123,8 +123,7 @@ def _build_instance(
     or, when given, certified off range, and strict mode refuses warnings."""
     if design.ell <= BIJECTION_CHECK_MAX_ELL and not check_bijection(h):
         raise ValidationError(f"permutation {h.kind} on ell={h.ell} is not a bijection")
-    inst = Instance(design, h, HardBit(hard_bit), c)
-    inst = with_off_range(inst, mode=b_mode, seed=seed) if b is None else with_explicit_b(inst, b)
+    inst = make_instance(design, h, HardBit(hard_bit), c, b=b, b_mode=b_mode, seed=seed)
     warnings = strict_violations(inst)
     if strict and warnings:
         raise ValidationError("strict regime violated: " + "; ".join(warnings))
@@ -357,13 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     isub = p.add_subparsers(dest="subcommand", required=True)
     i = isub.add_parser("make")
     i.add_argument("--design", required=True)
-    i.add_argument("--perm", default="identity", choices=("identity", "table", "feistel"))
+    i.add_argument("--perm", default="identity", choices=PERMUTATION_KINDS)
     i.add_argument("--perm-seed", type=int, default=0)
     i.add_argument("--rounds", type=int, default=4)
-    i.add_argument("--hard-bit", default="last-bit", choices=("last-bit", "parity"))
+    i.add_argument("--hard-bit", default="last-bit", choices=HARD_BIT_KINDS)
     i.add_argument("--c", type=int, default=1)
     i.add_argument("--b", default=None, help="explicit off-range bits (certified when n allows)")
-    i.add_argument("--b-mode", default="lex-min", choices=("lex-min", "seeded-random"))
+    i.add_argument("--b-mode", default="lex-min", choices=OFF_RANGE_MODES)
     i.add_argument("--seed", type=int, default=0)
     i.add_argument("--strict", action="store_true")
     common(i, jobs=False)

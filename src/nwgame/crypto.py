@@ -90,14 +90,6 @@ class Permutation:
             left, right = right ^ table[left], left
         return int_to_bits(left, half) + int_to_bits(right, half)
 
-    def truth_table_hex(self) -> str:
-        """Audit form: the image of every point in numeric order, each entry
-        a fixed-width hex block."""
-        nibbles = (self.ell + 3) // 4
-        return "".join(
-            format(bits_to_int(self.apply(v)), f"0{nibbles}x") for v in all_bitstrings(self.ell)
-        )
-
     def to_json_dict(self) -> dict:
         data: dict = {"ell": self.ell, "kind": self.kind}
         if self.kind != "identity":

@@ -24,6 +24,7 @@ from .errors import SearchExhausted, ValidationError, json_field, json_value
 from .seeds import derive_seed
 
 ENUMERATION_MAX_N = 20
+OFF_RANGE_MODES = ("lex-min", "seeded-random")
 
 
 class _Preimages(dict):
@@ -145,7 +146,7 @@ def find_off_range(inst: Instance, mode: str = "lex-min", seed: int = 0) -> str:
     """
     if inst.n > ENUMERATION_MAX_N:
         raise ValueError(f"off-range certification needs n <= {ENUMERATION_MAX_N}, got {inst.n}")
-    if mode not in ("lex-min", "seeded-random"):
+    if mode not in OFF_RANGE_MODES:
         raise ValueError(f"unknown off-range search mode {mode!r}")
     in_range = {int(evaluate(inst, x), 2) for x in all_bitstrings(inst.n)}
 
@@ -172,18 +173,6 @@ def certify_off_range(inst: Instance, b: str) -> bool:
     return all(evaluate(inst, x) != b for x in all_bitstrings(inst.n))
 
 
-def with_off_range(inst: Instance, mode: str = "lex-min", seed: int = 0) -> Instance:
-    b = find_off_range(inst, mode=mode, seed=seed)
-    return dataclasses.replace(inst, b=b, b_certified=True)
-
-
-def with_explicit_b(inst: Instance, b: str) -> Instance:
-    """Attach a caller-supplied b, certified by enumeration (n <= 20)."""
-    if not certify_off_range(inst, b):
-        raise ValidationError(f"b={b} is in the generator's range")
-    return dataclasses.replace(inst, b=b, b_certified=True)
-
-
 def strict_violations(inst: Instance) -> list[str]:
     """Deviations from the strict parameter regime: m = n+1, ell the rounded
     cube root of n, d = ceil(log2 m).  Informational unless strict mode."""
@@ -200,13 +189,14 @@ def strict_violations(inst: Instance) -> list[str]:
 
 
 def make_instance(
-    design: Design,
-    h: Permutation,
-    hard_bit: HardBit,
-    c: int,
-    b_mode: str = "lex-min",
-    seed: int = 0,
+    design: Design, h: Permutation, hard_bit: HardBit, c: int, b: str | None = None, b_mode: str = "lex-min", seed: int = 0
 ) -> Instance:
-    """Validated construction: the instance checks the design, then b is
-    found and certified."""
-    return with_off_range(Instance(design, h, hard_bit, c), mode=b_mode, seed=seed)
+    """The certified instance: the bare instance checks its parts, then b is
+    searched for (`find_off_range` by b_mode and seed) or, when given,
+    certified off range by enumeration (n <= 20)."""
+    inst = Instance(design, h, hard_bit, c)
+    if b is None:
+        b = find_off_range(inst, mode=b_mode, seed=seed)
+    elif not certify_off_range(inst, b):
+        raise ValidationError(f"b={b} is in the generator's range")
+    return dataclasses.replace(inst, b=b, b_certified=True)

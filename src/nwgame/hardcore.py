@@ -15,7 +15,7 @@ from fractions import Fraction
 from .bits import bits_to_hex
 from .game import GameView, Output, ProtocolViolation, StudentStrategy, scan
 from .generator import Instance
-from .analysis import failure_bound
+from .analysis import _fraction_json, failure_bound
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,6 @@ class StudentFamily:
                     f"{stage.max_queries} after {previous}"
                 )
             previous = stage.max_queries
-
-    def __len__(self) -> int:
-        return len(self.stages)
 
 
 def composed_budget(k: int) -> int:
@@ -111,7 +108,7 @@ class HardcoreReport:
             "k": self.k,
             "n": self.n,
             "size": self.size,
-            "bound": {"num": self.bound.numerator, "den": self.bound.denominator},
+            "bound": _fraction_json(self.bound),
             "meets_bound": self.meets_bound,
         }
         if self.size <= self.MEMBER_EMIT_CAP:
@@ -128,8 +125,8 @@ def extract_hardcore(inst: Instance, family: StudentFamily, k: int, jobs: int = 
     """Definedness set of the k-stage composite, sized against the ceiling
     at budget k^2."""
     composite = compose(family, k)
-    members = definedness_set(inst, composite, jobs=jobs)
     bound = failure_bound(inst.ell, inst.m, k * k)
+    members = definedness_set(inst, composite, jobs=jobs)
     return HardcoreReport(
         k=k, n=inst.n, size=len(members), bound=bound, members=tuple(sorted(members))
     )
@@ -138,4 +135,5 @@ def extract_hardcore(inst: Instance, family: StudentFamily, k: int, jobs: int = 
 def sweep(inst: Instance, family: StudentFamily, k_max: int, jobs: int = 1) -> list[HardcoreReport]:
     if not 1 <= k_max <= len(family.stages):
         raise ValueError(f"k_max must be in 1..{len(family.stages)}, got {k_max}")
+    failure_bound(inst.ell, inst.m, k_max * k_max)  # the largest budget, refused before any scan
     return [extract_hardcore(inst, family, k, jobs=jobs) for k in range(1, k_max + 1)]

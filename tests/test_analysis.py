@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from nwgame import (
     run_reduction,
     trace_census,
 )
-from nwgame.analysis import TraceCensus, _classify, _score_key
+from nwgame.analysis import MAX_BOUND_DIGITS, TraceCensus, _classify, _score_key
 from nwgame.bits import all_bitstrings
 from nwgame.crypto import HardBit, Permutation, preimage_bit
 from nwgame.design import Design, embed
@@ -78,7 +79,7 @@ def test_margin_subtracts_extensions():
     )
 )
 def test_one_pass_margins_match_definition(counts):
-    census = TraceCensus(3, 4, sum(counts.values()), counts, None, 0)
+    census = TraceCensus(3, sum(counts.values()), counts, None, 0)
     reference = {trace: census.margin(trace) for trace in counts}
     assert census.margins() == reference
     picked = best_margin_trace(census)
@@ -252,6 +253,20 @@ def test_failure_bound_frozen_and_validated():
         failure_bound(2, 0, 1)
     with pytest.raises(ValueError):
         failure_bound(2, 5, 0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 12, 1000])
+def test_failure_bound_refuses_exactly_the_unprintable_budgets(m):
+    # 2*(3m)^c has more than MAX_BOUND_DIGITS digits exactly when it is at
+    # least 10^MAX_BOUND_DIGITS; check the budgets around that edge
+    limit = 10**MAX_BOUND_DIGITS
+    edge = int((MAX_BOUND_DIGITS - math.log10(2)) / math.log10(3 * m))
+    for c in range(max(1, edge - 2), edge + 3):
+        if 2 * (3 * m) ** c < limit:
+            assert len(str(failure_bound(0, m, c).denominator)) <= MAX_BOUND_DIGITS
+        else:
+            with pytest.raises(ValueError, match=f"c={c} at m={m}"):
+                failure_bound(0, m, c)
 
 
 def test_early_stop_falls_back_to_default_bit():

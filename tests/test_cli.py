@@ -151,6 +151,26 @@ def test_exit_code_search_exhausted(tmp_path):
     assert main(["instance", "make", "--design", str(design), "--c", "1"]) == EXIT_SEARCH
 
 
+def test_oversized_budgets_exit_config_before_any_game(workspace, capsys, monkeypatch):
+    # a failure ceiling too long to print is refused before the first game
+    tmp, _, instance = workspace
+    config = tmp / "big-c.json"
+    config.write_text(json.dumps({"c": 5000, "strategies": ["round-robin:2"], "analyses": ["reduce"]}))
+    family = json.dumps(["constant:0"] * 70)
+
+    def no_game(*args):
+        raise AssertionError("a game was played")
+
+    monkeypatch.setattr(nwgame.game, "_run", no_game)
+    for argv, budget in (
+        (["run", str(config)], "c=5000"),
+        (["hardcore", "extract", "--instance", str(instance), "--family", family, "--k", "70"], "c=4900"),
+        (["hardcore", "sweep", "--instance", str(instance), "--family", family, "--k-max", "70"], "c=4900"),
+    ):
+        assert main(argv) == EXIT_CONFIG
+        assert budget in capsys.readouterr().err
+
+
 def test_strategy_shorthand_rejects_garbage(workspace):
     tmp, _, instance = workspace
     code = main(

@@ -66,14 +66,6 @@ def test_apply_checks_width():
         h.invert("01102")
 
 
-def test_truth_table_hex_audits_the_map():
-    h = Permutation(ell=2, kind="table", seed=3)
-    hexes = h.truth_table_hex()
-    assert len(hexes) == 4
-    images = {h.apply(v) for v in all_bitstrings(2)}
-    assert {format(int(ch, 16), "02b") for ch in hexes} == images
-
-
 def test_json_round_trip():
     for h in (
         Permutation(ell=3, kind="identity"),

@@ -15,6 +15,7 @@ from nwgame import (
     constant_strategy,
     evaluate_partial,
     find_off_range,
+    make_instance,
     omniscient_strategy,
     play,
     preimage_bit,
@@ -22,12 +23,10 @@ from nwgame import (
     round_robin_strategy,
     seeded_random_strategy,
     strict_violations,
-    with_explicit_b,
-    with_off_range,
 )
 from nwgame.bits import all_bitstrings, bits_to_int, int_to_bits
 from nwgame.crypto import HARD_BIT_KINDS, PERMUTATION_KINDS
-from nwgame.generator import evaluate
+from nwgame.generator import OFF_RANGE_MODES, evaluate
 from nwgame.seeds import derive_seed
 
 from helpers import REFERENCE_SETS, greedy_instance, reference_instance
@@ -61,7 +60,8 @@ def test_range_and_off_range_frozen():
 
 
 def test_with_off_range_certifies():
-    inst = with_off_range(bare_reference())
+    bare = bare_reference()
+    inst = make_instance(bare.design, bare.h, bare.hard_bit, bare.c)
     assert inst.b == "00001"
     assert inst.b_certified
 
@@ -110,11 +110,50 @@ def test_surjective_generator_has_no_off_range():
 
 
 def test_explicit_b_validation():
-    inst = bare_reference()
-    ok = with_explicit_b(inst, "11110")
-    assert ok.b_certified
+    bare = bare_reference()
+    ok = make_instance(bare.design, bare.h, bare.hard_bit, bare.c, b="11110")
+    assert ok.b == "11110" and ok.b_certified
     with pytest.raises(ValidationError):
-        with_explicit_b(inst, "01101")  # in range
+        make_instance(bare.design, bare.h, bare.hard_bit, bare.c, b="01101")  # in range
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(2, 8),
+    perm=st.sampled_from(PERMUTATION_KINDS),
+    hard=st.sampled_from(HARD_BIT_KINDS),
+    seed=st.integers(0, 1 << 16),
+)
+def test_make_instance_searches_or_certifies_b(data, n, perm, hard, seed):
+    ell = data.draw(st.integers(2 if perm == "feistel" else 1, min(n, 4)))
+    if perm == "feistel":
+        ell -= ell % 2
+    m = data.draw(st.integers(1, 6))
+    rng = random.Random(seed)
+    sets = tuple(tuple(sorted(rng.sample(range(n), ell))) for _ in range(m))
+    parts = (Design(n, ell, ell, sets), Permutation(ell, perm, seed=seed), HardBit(hard), 2)
+    bare = Instance(*parts)
+
+    for mode in OFF_RANGE_MODES:
+        try:
+            b = find_off_range(bare, mode, seed)
+        except SearchExhausted:
+            with pytest.raises(SearchExhausted):
+                make_instance(*parts, b_mode=mode, seed=seed)
+        else:
+            assert make_instance(*parts, b_mode=mode, seed=seed) == Instance(*parts, b=b, b_certified=True)
+
+    b = int_to_bits(data.draw(st.integers(0, (1 << m) - 1)), m)
+    if all(evaluate(bare, x) != b for x in all_bitstrings(n)):
+        assert make_instance(*parts, b=b) == Instance(*parts, b=b, b_certified=True)
+    else:
+        with pytest.raises(ValidationError):
+            make_instance(*parts, b=b)
+    for wrong in (b + "0", b[1:]):
+        with pytest.raises(ValueError) as caught:
+            make_instance(*parts, b=wrong)
+        assert not isinstance(caught.value, ValidationError)
 
 
 def test_instance_validation():
