@@ -329,6 +329,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 # Parser
 
 
+def _jobs(text: str) -> int:
+    """--jobs: an int of at least 1; other text fails as type=int would."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nwgame", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -336,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, jobs: bool = True) -> None:
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
         if jobs:
-            p.add_argument("--jobs", type=int, default=1, help="worker shards; never changes results")
+            p.add_argument("--jobs", type=_jobs, default=1, help="worker shards, at least 1; never changes results")
 
     p = sub.add_parser("design", help="build or verify designs")
     dsub = p.add_subparsers(dest="subcommand", required=True)

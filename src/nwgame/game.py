@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .bits import bits_to_int, check_bits, int_to_bits
 from .design import restrict
 from .errors import CapabilityError, json_field, json_value
 from .generator import Instance
-from .seeds import derive_seed
+from .seeds import derive_seed, seed_stream
 from .sharding import run_sharded
 
 EXHAUSTIVE_MAX_N = 14
@@ -59,24 +59,11 @@ class GameView:
 
     def __init__(self, inst: Instance, may_invert: bool) -> None:
         self.design = inst.design
-        self.b = inst.b
-        self.c = inst.c
+        self.n, self.m, self.ell, self.b, self.c = inst.n, inst.m, inst.ell, inst.b, inst.c
         self.hard_bit = inst.hard_bit
         self.invert_calls = 0
         self._h = inst.h
         self._may_invert = may_invert
-
-    @property
-    def n(self) -> int:
-        return self.design.n
-
-    @property
-    def m(self) -> int:
-        return self.design.m
-
-    @property
-    def ell(self) -> int:
-        return self.design.ell
 
     def apply(self, v: str) -> str:
         return self._h.apply(v)
@@ -103,8 +90,7 @@ class StudentStrategy:
     may_invert: bool = False
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(NamedTuple):
     """One full run.  `defined` is None in solve mode; in witness mode it
     records whether the run survived to produce an output.  Protocol
     violations never raise; they fail the run and set the flag."""
@@ -123,51 +109,49 @@ class Transcript:
         return self.queries if self.success else None
 
     def to_json_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "queries": list(self.queries),
-            "replies": list(self.replies),
-            "success": self.success,
-            "violation": self.violation,
-            "defined": self.defined,
-            "output": self.output,
-        }
+        return {**self._asdict(), "queries": list(self.queries), "replies": list(self.replies)}
 
 
-def _run(inst: Instance, strategy: StudentStrategy, view: GameView, a: str, value: int, witness: bool) -> Transcript:
-    """One game on input a (of integer value `value`), ended by the first of:
+def _games(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callable[[str, int], Transcript]:
+    """The strategy's games on one view: run(a, value) plays input a (of
+    integer value `value`) until the first of:
     1. the student stops (None or an Output): the run fails;
     2. the move is not a legal query (a ProtocolViolation, a non-row, or in
        witness mode a query after max_queries replies): a violation;
     3. a reply's hard bit differs from b at the queried row: success;
     4. solve mode has answered min(max_queries, c) queries: the run fails
        and the student is not asked again."""
-    packed, ell, mask = inst.restrictions(value), inst.ell, (1 << inst.ell) - 1
-    budget = min(strategy.max_queries, inst.c)
-    queries: list[int] = []
-    replies: list[str] = []
+    view = GameView(inst, strategy.may_invert)
+    move, limit = strategy.move, strategy.max_queries
+    budget = min(limit, inst.c)
+    restrictions, answer = inst.restrictions, inst.answer
+    ell, mask, m, b = inst.ell, (1 << inst.ell) - 1, inst.m, inst.b
 
-    def stopped(success: bool, violation: bool = False, output: Any = None) -> Transcript:
-        return Transcript(
-            a, tuple(queries), tuple(replies), success, violation,
-            defined=(not success) if witness else None, output=output if witness else None,
-        )
+    def run(a: str, value: int) -> Transcript:
+        packed = restrictions(value)
+        queries: tuple[int, ...] = ()
+        replies: tuple[str, ...] = ()
+        success = violation = False
+        output = None
+        while witness or len(queries) < budget:
+            row = move(view, a, replies)
+            if not (isinstance(row, int) and 0 <= row < m and len(queries) < limit):
+                if row is None or isinstance(row, Output):
+                    output = getattr(row, "value", None)
+                else:
+                    violation = True
+                break
+            queries += (row,)
+            reply, bit = answer(packed >> ell * row & mask)
+            replies += (reply,)
+            if bit != b[row]:
+                success = True
+                break
+        if witness:
+            return Transcript(a, queries, replies, success, violation, not success, output)
+        return Transcript(a, queries, replies, success, violation)
 
-    while witness or len(queries) < budget:
-        move = strategy.move(view, a, tuple(replies))
-        if move is None or isinstance(move, Output):
-            return stopped(False, output=getattr(move, "value", None))
-        if (
-            isinstance(move, ProtocolViolation) or not isinstance(move, int) or not 0 <= move < inst.m
-            or len(queries) >= strategy.max_queries
-        ):
-            return stopped(False, violation=True)
-        queries.append(move)
-        reply, bit = inst.answer(packed >> ell * move & mask)
-        replies.append(reply)
-        if bit != inst.b[move]:
-            return stopped(True)
-    return stopped(False)
+    return run
 
 
 def _require_playable(inst: Instance) -> None:
@@ -178,7 +162,7 @@ def _require_playable(inst: Instance) -> None:
 def _play(inst: Instance, strategy: StudentStrategy, a: str, witness: bool) -> Transcript:
     _require_playable(inst)
     check_bits(a, inst.n, "game input")
-    return _run(inst, strategy, GameView(inst, strategy.may_invert), a, bits_to_int(a), witness)
+    return _games(inst, strategy, witness)(a, bits_to_int(a))
 
 
 def play(inst: Instance, strategy: StudentStrategy, a: str) -> Transcript:
@@ -237,13 +221,9 @@ def scan(
         raise ValueError(f"n={inst.n} > {EXHAUSTIVE_MAX_N}: exhaustive scan refused")
 
     def worker(lo: int, hi: int) -> list:
-        view = GameView(inst, strategy.may_invert)
-        kept = []
-        for value in range(lo, hi):
-            out = keep(_run(inst, strategy, view, int_to_bits(value, inst.n), value, witness))
-            if out is not None:
-                kept.append(out)
-        return kept
+        run, n = _games(inst, strategy, witness), inst.n
+        kept = (keep(run(int_to_bits(value, n), value)) for value in range(lo, hi))
+        return [out for out in kept if out is not None]
 
     return [out for shard in run_sharded(1 << inst.n, jobs, worker) for out in shard]
 
@@ -261,18 +241,9 @@ def failure_set(
         if size < 1:
             raise ValueError(f"sample size must be at least 1, got {size}")
         rng = random.Random(derive_seed("failure-sample", seed))
-        failures = []
-        successes = 0
-        for _ in range(size):
-            a = int_to_bits(rng.randrange(1 << inst.n), inst.n)
-            if play(inst, strategy, a).success:
-                successes += 1
-            else:
-                failures.append(a)
-        return FailureReport(
-            inst.n, exhaustive=False, failures=tuple(failures),
-            success_count=successes, sample_size=size, seed=seed,
-        )
+        drawn = [int_to_bits(rng.randrange(1 << inst.n), inst.n) for _ in range(size)]
+        failures = tuple(a for a in drawn if not play(inst, strategy, a).success)
+        return FailureReport(inst.n, False, failures, size - len(failures), sample_size=size, seed=seed)
 
     failed = tuple(scan(inst, strategy, lambda t: None if t.success else t.a, jobs=jobs))
     return FailureReport(inst.n, exhaustive=True, failures=failed, success_count=(1 << inst.n) - len(failed))
@@ -306,12 +277,15 @@ def round_robin_strategy(max_queries: int, start: int = 0, output: Any = None, n
 
 
 def seeded_random_strategy(max_queries: int, seed: int = 0, output: Any = None, name: str | None = None) -> StudentStrategy:
-    """Rows drawn from a per-(input, step) derived stream: deterministic as
-    a strategy, uncorrelated with the design's structure."""
+    """Rows drawn from a per-(input, step) derived stream: row
+    derive_seed("srand", seed, a, step) mod m, deterministic as a strategy
+    and uncorrelated with the design's structure."""
+
+    row_seed = seed_stream("srand", seed)
 
     def move(view: GameView, a: str, replies: tuple[str, ...]) -> Move:
         if len(replies) < max_queries:
-            return derive_seed("srand", seed, a, len(replies)) % view.m
+            return row_seed(a, len(replies)) % view.m
         return Output(output)
 
     return StudentStrategy(name or f"seeded-random-{max_queries}s{seed}", max_queries=max_queries, move=move)

@@ -161,7 +161,7 @@ def test_oversized_budgets_exit_config_before_any_game(workspace, capsys, monkey
     def no_game(*args):
         raise AssertionError("a game was played")
 
-    monkeypatch.setattr(nwgame.game, "_run", no_game)
+    monkeypatch.setattr(nwgame.game, "_games", no_game)
     for argv, budget in (
         (["run", str(config)], "c=5000"),
         (["hardcore", "extract", "--instance", str(instance), "--family", family, "--k", "70"], "c=4900"),
@@ -546,6 +546,20 @@ def test_every_subcommand_argv_is_valid(tmp_path, monkeypatch):
         (tmp_path / name).write_text(json.dumps(data))
     for argv in SUBCOMMAND_ARGVS:
         assert _exit_code(argv) == EXIT_OK, argv
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_config(tmp_path, monkeypatch, capsys, jobs):
+    # every subcommand that takes --jobs refuses a count below 1 and names the flag
+    monkeypatch.chdir(tmp_path)
+    for name, data in ARGV_FILES.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    argvs = [argv for argv in SUBCOMMAND_ARGVS if argv[0] in ("analyze", "hardcore", "run") or argv[1] == "failureset"]
+    assert len(argvs) == 8
+    for argv in argvs:
+        assert _exit_code([*argv, "--jobs", jobs]) == EXIT_CONFIG, argv
+        assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +28,7 @@ from nwgame import (
 )
 from nwgame.bits import all_bitstrings
 from nwgame.design import restrict
-from nwgame.game import Transcript, scan
+from nwgame.game import GameView, Transcript, scan
 from nwgame.generator import evaluate
 
 from helpers import bad_index_strategy, greedy_instance, near_omniscient, reference_instance
@@ -240,9 +243,10 @@ SCRIPTED_MOVES = st.one_of(
 )
 
 
-def _stop_rule_reference(inst, script, max_queries, a, witness):
+def _stop_rule_reference(inst, strategy, a, witness):
     """The transcript and the number of moves asked, from the game's four
     stop rules; the teacher's reply is the preimage of a's restriction."""
+    view = GameView(inst, strategy.may_invert)
     queries, replies = [], []
 
     def end(asked, success, violation=False, output=None):
@@ -252,18 +256,34 @@ def _stop_rule_reference(inst, script, max_queries, a, witness):
         )
         return transcript, asked
 
-    for step, move in enumerate(script):
-        if not witness and step == min(max_queries, inst.c):
+    for step in itertools.count():
+        if not witness and step == min(strategy.max_queries, inst.c):
             return end(step, False)  # 4: solve mode's budget is spent
+        move = strategy.move(view, a, tuple(replies))
         if move is None or isinstance(move, Output):
             return end(step + 1, False, output=move and move.value)  # 1: the student stops
-        if not (isinstance(move, int) and 0 <= move < inst.m and step < max_queries):
+        if not (isinstance(move, int) and 0 <= move < inst.m and step < strategy.max_queries):
             return end(step + 1, False, violation=True)  # 2: not a legal query
         queries.append(move)
         replies.append(inst.h.invert(restrict(a, inst.design.sets[move])))
         if inst.hard_bit.value(replies[-1]) != int(inst.b[move]):
             return end(step + 1, True)  # 3: the reply disagrees with b
-    raise AssertionError("script shorter than max_queries + 1 moves")
+
+
+def _scan_matches_reference(inst, student, witness):
+    """scan's transcripts and its count of move calls equal the reference's;
+    returns the reference's (transcript, moves asked) per input."""
+    expected = [_stop_rule_reference(inst, student, a, witness) for a in all_bitstrings(inst.n)]
+    asked = []
+
+    def counted(view, a, replies):
+        asked.append(a)
+        return student.move(view, a, replies)
+
+    counting = dataclasses.replace(student, move=counted)
+    assert scan(inst, counting, lambda t: t, witness=witness) == [t for t, _ in expected]
+    assert len(asked) == sum(calls for _, calls in expected)
+    return expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -275,8 +295,7 @@ def _stop_rule_reference(inst, script, max_queries, a, witness):
 )
 def test_stop_rules_match_reference(which, max_queries, scripts, witness):
     inst = STOP_RULE_INSTANCES[which]
-    inputs = list(all_bitstrings(inst.n))
-    script = dict(zip(inputs, scripts))
+    script = dict(zip(all_bitstrings(inst.n), scripts))
     asked = []
 
     def move(view, a, replies):
@@ -284,16 +303,53 @@ def test_stop_rules_match_reference(which, max_queries, scripts, witness):
         return script[a][len(replies)]
 
     student = StudentStrategy("scripted", max_queries=max_queries, move=move)
-    expected = [_stop_rule_reference(inst, script[a], max_queries, a, witness) for a in inputs]
+    expected = _scan_matches_reference(inst, student, witness)
     run = evaluate_partial if witness else play
-    for a, (transcript, calls) in zip(inputs, expected):
+    for a, (transcript, calls) in zip(all_bitstrings(inst.n), expected):
         asked.clear()
         got = run(inst, student, a)
         assert (got, len(asked)) == (transcript, calls)
         assert got.trace == (got.queries if got.success else None)
-    asked.clear()
-    assert scan(inst, student, lambda t: t, witness=witness) == [t for t, _ in expected]
-    assert len(asked) == sum(calls for _, calls in expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    which=st.integers(0, len(STOP_RULE_INSTANCES) - 1),
+    kind=st.sampled_from(["constant", "round-robin", "seeded-random", "omniscient", "composed"]),
+    row=st.integers(0, 9),
+    queries=st.integers(0, 4),
+    seed=st.integers(0, 50),
+    output=st.one_of(st.none(), st.integers(0, 3)),
+    witness=st.booleans(),
+)
+def test_library_strategies_match_reference(which, kind, row, queries, seed, output, witness):
+    inst = STOP_RULE_INSTANCES[which]
+    student = {
+        "constant": lambda: constant_strategy(row % inst.m, queries=queries, output=output),
+        "round-robin": lambda: round_robin_strategy(queries, start=row, output=output),
+        "seeded-random": lambda: seeded_random_strategy(queries, seed=seed, output=output),
+        "omniscient": omniscient_strategy,
+        "composed": lambda: compose(
+            StudentFamily((constant_strategy(row % inst.m, output=output), seeded_random_strategy(2, seed=seed))), 2
+        ),
+    }[kind]()
+    _scan_matches_reference(inst, student, witness)
+
+
+def test_transcript_is_an_immutable_value(inst_a):
+    t = evaluate_partial(inst_a, round_robin_strategy(2, output=("x", 1)), "0000")
+    assert t == Transcript("0000", (0, 1), ("00", "00"), False, False, True, ("x", 1))
+    for field in ("a", "queries", "success", "output"):
+        with pytest.raises(AttributeError):
+            setattr(t, field, None)
+    assert hash(t) == hash(Transcript("0000", (0, 1), ("00", "00"), False, False, True, ("x", 1)))
+    assert len({t, t._replace(queries=(0, 1))}) == 1
+    assert Transcript("01", (), (), False) == Transcript("01", (), (), False, False, None, None)
+    assert t.to_json_dict() == {
+        "a": "0000", "queries": [0, 1], "replies": ["00", "00"], "success": False,
+        "violation": False, "defined": True, "output": ("x", 1),
+    }
+    assert list(t.to_json_dict()) == ["a", "queries", "replies", "success", "violation", "defined", "output"]
 
 
 @settings(max_examples=40, deadline=None)
