@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .bits import all_bitstrings, bits_to_int, int_to_bits
@@ -98,20 +98,14 @@ class TraceCensus:
 def trace_census(inst: Instance, strategy: StudentStrategy, jobs: int = 1) -> TraceCensus:
     """Play every input and tally traces of successful runs (n <= 14)."""
     counts: dict[Trace, int] = dict(Counter(scan(inst, strategy, lambda t: t.trace, jobs=jobs)))
-    w_size = sum(counts.values())
-    if not counts:
-        return TraceCensus(inst.m, 0, counts, None, 0)
-    best, best_count = min(counts.items(), key=_score_key(inst.m))
-    return TraceCensus(inst.m, w_size, counts, best, best_count)
+    best, best_count = min(counts.items(), key=_score_key(inst.m), default=(None, 0))
+    return TraceCensus(inst.m, sum(counts.values()), counts, best, best_count)
 
 
 def best_margin_trace(census: TraceCensus) -> tuple[Trace, int] | None:
     """The trace maximizing margin * (3m)^(-len); this is the selection the
     reduction uses, since exact-count wins can be cancelled by extensions."""
-    if not census.counts:
-        return None
-    trace, margin = min(census.margins().items(), key=_score_key(census.m))
-    return trace, margin
+    return min(census.margins().items(), key=_score_key(census.m), default=None)
 
 
 @dataclass(frozen=True)
@@ -130,13 +124,7 @@ class PartialAssignment:
     proper_count: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "row": self.row,
-            "outside": self.outside,
-            "margin": self.margin,
-            "exact_count": self.exact_count,
-            "proper_count": self.proper_count,
-        }
+        return asdict(self)
 
 
 def _classify(trace: Trace | None, target: Trace) -> str:
@@ -170,16 +158,12 @@ def best_partial_assignment(
         return bits_to_int(t.a) & ~row_bits, _classify(t.trace, trace)
 
     tally = Counter(scan(inst, strategy, keep, jobs=jobs))
-    best: PartialAssignment | None = None
-    # input order meets each fixing first at its lexicographic rank, so the
-    # strict inequality keeps the lex-min fixing on ties
-    for fixing in dict.fromkeys(fixing for fixing, _ in tally):
-        exact, proper = tally[fixing, "exact"], tally[fixing, "proper"]
-        if best is None or exact - proper > best.margin:
-            outside = restrict(int_to_bits(fixing, inst.n), outside_positions)
-            best = PartialAssignment(row, outside, exact - proper, exact, proper)
-    assert best is not None
-    return best
+    # input order meets each fixing first at its lexicographic rank, and max
+    # keeps the first of equal margins, so ties go to the lex-min fixing
+    margins = {fixing: tally[fixing, "exact"] - tally[fixing, "proper"] for fixing, _ in tally}
+    fixing = max(margins, key=margins.__getitem__)
+    outside = restrict(int_to_bits(fixing, inst.n), outside_positions)
+    return PartialAssignment(row, outside, margins[fixing], tally[fixing, "exact"], tally[fixing, "proper"])
 
 
 def build_witness_tables(
@@ -314,18 +298,19 @@ def failure_bound(ell: int, m: int, c: int) -> Fraction:
 
 @dataclass(frozen=True)
 class ReductionReport:
-    """Everything the trace-to-predictor pipeline produced, exactly."""
+    """Everything the trace-to-predictor pipeline produced, exactly.  The
+    fields from trace to met are None when no run succeeds."""
 
     census: TraceCensus
-    trace: Trace | None
-    margin: int | None
-    assignment: PartialAssignment | None
-    default_bit: int | None
-    advantage: Fraction | None
     target: Fraction
-    met: bool | None
     failure_count: int
     bound: Fraction
+    trace: Trace | None = None
+    margin: int | None = None
+    assignment: PartialAssignment | None = None
+    default_bit: int | None = None
+    advantage: Fraction | None = None
+    met: bool | None = None
     diagnostics: dict[str, int] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -355,14 +340,9 @@ def run_reduction(inst: Instance, strategy: StudentStrategy, jobs: int = 1) -> R
     bound = failure_bound(inst.ell, inst.m, inst.c)
     census = trace_census(inst, strategy, jobs=jobs)
     failures = failure_set(inst, strategy, jobs=jobs)
-    if census.no_trace:
-        return ReductionReport(
-            census=census, trace=None, margin=None, assignment=None,
-            default_bit=None, advantage=None, target=target, met=None,
-            failure_count=failures.failure_count, bound=bound,
-        )
     picked = best_margin_trace(census)
-    assert picked is not None
+    if picked is None:
+        return ReductionReport(census, target, failures.failure_count, bound)
     trace, margin = picked
     assignment = best_partial_assignment(inst, strategy, trace, jobs=jobs)
     predictor = build_predictor(inst, strategy, trace, assignment.outside)

@@ -49,9 +49,18 @@ def _dump(payload: dict, out: str | None) -> None:
             handle.write(text)
 
 
-def _load_json(path: str) -> dict:
+def _parse_json(text: str, what: str) -> Any:
+    """json.loads, with nesting past the interpreter's recursion limit
+    refused as bad input."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply to read") from None
+
+
+def _load_json(path: str) -> Any:
     with open(path) as handle:
-        return json.load(handle)
+        return _parse_json(handle.read(), path)
 
 
 def _load_instance(path: str) -> Instance:
@@ -64,7 +73,7 @@ def _json_arg(text: str) -> Any:
     unchanged."""
     text = text.strip()
     if text.startswith(("{", "[")):
-        return json.loads(text)
+        return _parse_json(text, "inline JSON")
     if text.endswith(".json"):
         return _load_json(text)
     return text
@@ -94,6 +103,9 @@ def _resolve_config(config: dict) -> dict:
     }
     if "hardcore" in config:
         resolved["hardcore"] = json_field(config, "hardcore", dict)
+    unknown = sorted(set(config) - set(resolved))
+    if unknown:
+        raise ValueError(f"unknown config fields {unknown}")
     return resolved
 
 

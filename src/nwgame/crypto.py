@@ -67,28 +67,23 @@ class Permutation:
             object.__setattr__(self, "_round_tables", tuple(tables))
 
     def apply(self, v: str) -> str:
-        check_bits(v, self.ell, "permutation input")
-        if self.kind == "identity":
-            return v
-        if self.kind == "table":
-            return int_to_bits(self._forward[bits_to_int(v)], self.ell)
-        half = self.ell // 2
-        left, right = bits_to_int(v[:half]), bits_to_int(v[half:])
-        for table in self._round_tables:
-            left, right = right, left ^ table[right]
-        return int_to_bits(left, half) + int_to_bits(right, half)
+        return self._map(check_bits(v, self.ell, "permutation input"), 1)
 
     def invert(self, u: str) -> str:
-        check_bits(u, self.ell, "permutation output")
+        return self._map(check_bits(u, self.ell, "permutation output"), -1)
+
+    def _map(self, x: str, step: int) -> str:
+        """apply (step 1) or invert (step -1).  A feistel network inverts
+        itself: the same rounds in reverse order on swapped halves."""
         if self.kind == "identity":
-            return u
+            return x
         if self.kind == "table":
-            return int_to_bits(self._inverse[bits_to_int(u)], self.ell)
+            return int_to_bits((self._forward if step == 1 else self._inverse)[bits_to_int(x)], self.ell)
         half = self.ell // 2
-        left, right = bits_to_int(u[:half]), bits_to_int(u[half:])
-        for table in reversed(self._round_tables):
-            left, right = right ^ table[left], left
-        return int_to_bits(left, half) + int_to_bits(right, half)
+        left, right = (bits_to_int(x[:half]), bits_to_int(x[half:]))[::step]
+        for table in self._round_tables[::step]:
+            left, right = right, left ^ table[right]
+        return "".join(int_to_bits(part, half) for part in (left, right)[::step])
 
     def to_json_dict(self) -> dict:
         data: dict = {"ell": self.ell, "kind": self.kind}

@@ -10,7 +10,7 @@ algebraic family cannot hit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import SearchExhausted, ValidationError, json_field, json_value
 from .gf import Field
@@ -75,13 +75,7 @@ class DesignReport:
     violations: tuple[Violation, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [
-                {"kind": v.kind, "i": v.i, "j": v.j, "detail": v.detail}
-                for v in self.violations
-            ],
-        }
+        return {"ok": self.ok, "violations": [asdict(v) for v in self.violations]}
 
 
 def verify_design(des: Design) -> DesignReport:
@@ -153,22 +147,16 @@ def extend_greedy(
         return base
     rng = random.Random(seed)
     rows = list(base.sets)
-    attempts = 0
-    while len(rows) < target_m:
-        added = False
-        while attempts < attempt_budget:
-            attempts += 1
-            cand = tuple(sorted(rng.sample(range(base.n), base.ell)))
-            if all(_overlap(cand, row) <= base.d for row in rows):
-                rows.append(cand)
-                added = True
-                break
-        if not added:
-            raise SearchExhausted(
-                f"no admissible {base.ell}-subset of [{base.n}] after "
-                f"{attempt_budget} attempts (have {len(rows)} rows, want {target_m})"
-            )
-    return Design(base.n, base.ell, base.d, tuple(rows))
+    for _ in range(attempt_budget):
+        cand = tuple(sorted(rng.sample(range(base.n), base.ell)))
+        if all(_overlap(cand, row) <= base.d for row in rows):
+            rows.append(cand)
+            if len(rows) == target_m:
+                return Design(base.n, base.ell, base.d, tuple(rows))
+    raise SearchExhausted(
+        f"no admissible {base.ell}-subset of [{base.n}] after "
+        f"{attempt_budget} attempts (have {len(rows)} rows, want {target_m})"
+    )
 
 
 def restrict(x: str, positions: tuple[int, ...]) -> str:

@@ -89,6 +89,10 @@ class StudentStrategy:
     move: Callable[[GameView, str, tuple[str, ...]], Move]
     may_invert: bool = False
 
+    def __post_init__(self) -> None:
+        if self.max_queries < 0:
+            raise ValueError(f"strategy {self.name!r} has a negative query budget {self.max_queries}")
+
 
 class Transcript(NamedTuple):
     """One full run.  `defined` is None in solve mode; in witness mode it
@@ -121,6 +125,8 @@ def _games(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callable
     3. a reply's hard bit differs from b at the queried row: success;
     4. solve mode has answered min(max_queries, c) queries: the run fails
        and the student is not asked again."""
+    if inst.b is None:
+        raise ValueError("instance has no off-range string b; attach one first")
     view = GameView(inst, strategy.may_invert)
     move, limit = strategy.move, strategy.max_queries
     budget = min(limit, inst.c)
@@ -154,13 +160,7 @@ def _games(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callable
     return run
 
 
-def _require_playable(inst: Instance) -> None:
-    if inst.b is None:
-        raise ValueError("instance has no off-range string b; attach one first")
-
-
 def _play(inst: Instance, strategy: StudentStrategy, a: str, witness: bool) -> Transcript:
-    _require_playable(inst)
     check_bits(a, inst.n, "game input")
     return _games(inst, strategy, witness)(a, bits_to_int(a))
 
@@ -192,15 +192,8 @@ class FailureReport:
         return len(self.failures)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "exhaustive": self.exhaustive,
-            "failure_count": self.failure_count,
-            "success_count": self.success_count,
-            "failures": list(self.failures),
-            "sample_size": self.sample_size,
-            "seed": self.seed,
-        }
+        # vars, not dataclasses.asdict, which deep-copies every failure string
+        return {**vars(self), "failures": list(self.failures), "failure_count": self.failure_count}
 
 
 def scan(
@@ -216,7 +209,6 @@ def scan(
     Every exhaustive question about a strategy is a fold over this list;
     shards merge in input order, so `jobs` never changes the result.
     """
-    _require_playable(inst)
     if inst.n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"n={inst.n} > {EXHAUSTIVE_MAX_N}: exhaustive scan refused")
 

@@ -14,15 +14,10 @@ from typing import Callable, TypeVar
 T = TypeVar("T")
 
 
-def shard_bounds(total: int, jobs: int) -> list[tuple[int, int]]:
-    """Split range(total) into at most `jobs` contiguous half-open chunks."""
-    if total <= 0:
-        return [(0, 0)]
+def run_sharded(total: int, jobs: int, worker: Callable[[int, int], T]) -> list[T]:
+    """Split range(total), total >= 1, into at most `jobs` contiguous
+    half-open chunks and run worker(lo, hi) on each; results come back in
+    shard order."""
     jobs = max(1, min(jobs, total))
     step = (total + jobs - 1) // jobs
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def run_sharded(total: int, jobs: int, worker: Callable[[int, int], T]) -> list[T]:
-    """Run worker(lo, hi) over each shard; results come back in shard order."""
-    return [worker(lo, hi) for lo, hi in shard_bounds(total, jobs)]
+    return [worker(lo, min(lo + step, total)) for lo in range(0, total, step)]

@@ -22,7 +22,7 @@ from nwgame import (
 from nwgame.analysis import MAX_BOUND_DIGITS, TraceCensus, _classify, _score_key
 from nwgame.bits import all_bitstrings
 from nwgame.crypto import HardBit, Permutation, preimage_bit
-from nwgame.design import Design, embed
+from nwgame.design import Design, embed, restrict
 from nwgame.game import play
 from nwgame.generator import Instance
 
@@ -178,6 +178,42 @@ def test_predictor_equals_truth_on_reference(inst_a):
     assert measure_advantage(inst_a, predictor) == Fraction(1, 2)
     assert predictor.missing_witness == 0
     assert predictor.forward_check_failures == 0
+
+
+def _drop(table: dict, z: str) -> None:
+    del table[z]
+
+
+def _swap_in_wrong_preimage(table: dict, z: str) -> None:
+    table[z] = table[z][:-1] + str(1 - int(table[z][-1]))
+
+
+@pytest.mark.parametrize(
+    "tamper, counter",
+    [(_drop, "missing_witness"), (_swap_in_wrong_preimage, "forward_check_failures")],
+    ids=["dropped-entry", "wrong-preimage"],
+)
+def test_predictor_falls_back_on_a_tampered_witness_table(tamper, counter):
+    # round robin asks row 0 first on every input, so each run reads the
+    # row-0 table: the runs that need the tampered entry get the default
+    # bit, and each of them is counted once
+    inst = greedy_instance(6, 2, 1, seed=10, perm="table", perm_seed=7, c=2)
+    s = round_robin_strategy(2)
+    trace = (0, 1)
+    outside = best_partial_assignment(inst, s, trace).outside
+    tables = build_witness_tables(inst, trace, outside)
+    z = min(tables[0])
+    tamper(tables[0], z)
+    predictor = build_predictor(inst, s, trace, outside, tables)
+    positions = inst.design.sets[trace[-1]]
+    hit = [
+        u for u in all_bitstrings(inst.ell)
+        if restrict(embed(u, outside, positions, inst.n), inst.design.sets[0]) == z
+    ]
+    guesses = {u: predictor.run(u) for u in all_bitstrings(inst.ell)}
+    assert hit and all(guesses[u] == predictor.default_bit for u in hit)
+    counts = {key: getattr(predictor, key) for key in ("missing_witness", "forward_check_failures")}
+    assert counts == {key: len(hit) if key == counter else 0 for key in counts}
 
 
 def test_predictor_constant_student_is_coin(inst_a):

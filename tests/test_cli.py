@@ -8,7 +8,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import nwgame
-from nwgame import HardBit, Permutation, build_polynomial_design, cli, extend_greedy, make_instance
+from nwgame import (
+    Design,
+    HardBit,
+    Instance,
+    Permutation,
+    build_polynomial_design,
+    cli,
+    extend_greedy,
+    make_instance,
+)
 from nwgame.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -57,6 +66,42 @@ def test_instance_make_and_check(workspace):
     assert main(["instance", "check", str(instance), "--strict"]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize(
+    "design, b, expected",
+    [
+        # ell past the bijection check's cap, and no b to certify
+        (Design(n=14, ell=13, d=0, sets=(tuple(range(13)),)), None, {"bijection_ok": None, "b_off_range": None}),
+        # n past the enumeration cap: b is left uncertified
+        (Design(n=21, ell=2, d=0, sets=((0, 1),)), "1", {"bijection_ok": True, "b_off_range": None}),
+    ],
+    ids=["ell-13-without-b", "n-21"],
+)
+def test_instance_check_skips_checks_past_their_caps(tmp_path, capsys, design, b, expected):
+    path = tmp_path / "instance.json"
+    inst = Instance(design, Permutation(ell=design.ell, kind="identity"), HardBit(), c=1, b=b)
+    path.write_text(json.dumps(inst.to_json_dict()))
+    assert main(["instance", "check", str(path)]) == EXIT_OK
+    checks = json.loads(capsys.readouterr().out)
+    assert {key: checks[key] for key in expected} == expected and checks["ok"] is True
+
+
+def test_instance_check_exits_validation_on_a_broken_permutation(workspace, capsys, monkeypatch):
+    tmp, design, _ = workspace
+    instance = tmp / "table.json"
+    assert main(["instance", "make", "--design", str(design), "--perm", "table", "--out", str(instance)]) == EXIT_OK
+    post_init = Permutation.__post_init__
+
+    def reversed_inverse(self):
+        # a reversed inverse table undoes no point of a permutation of 4 points
+        post_init(self)
+        object.__setattr__(self, "_inverse", self._inverse[::-1])
+
+    monkeypatch.setattr(Permutation, "__post_init__", reversed_inverse)
+    assert main(["instance", "check", str(instance)]) == EXIT_VALIDATION
+    checks = json.loads(capsys.readouterr().out)
+    assert checks["bijection_ok"] is False and checks["ok"] is False
+
+
 def test_instance_make_rejects_in_range_b(workspace):
     tmp, design, _ = workspace
     code = main(
@@ -99,6 +144,12 @@ def test_analyze_chain(workspace, capsys):
             ["analyze", sub, "--instance", str(instance), "--strategy", "omniscient"]
         ) == EXIT_OK
         json.loads(capsys.readouterr().out)
+
+
+def test_analyze_assignment_without_a_successful_run(workspace, capsys):
+    tmp, _, instance = workspace
+    assert main(["analyze", "assignment", "--instance", str(instance), "--strategy", "constant:0:0"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"assignment": None, "reason": "no successful runs"}
 
 
 def test_analyze_assignment_with_explicit_trace(workspace, capsys):
@@ -234,6 +285,13 @@ def test_run_rejects_unknown_analysis(tmp_path):
     assert main(["run", str(config)]) == EXIT_CONFIG
 
 
+def test_run_names_unknown_config_fields(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(CONFIG, analysis=["failureset"], sed=3)))
+    assert main(["run", str(config)]) == EXIT_CONFIG
+    assert "unknown config fields ['analysis', 'sed']" in capsys.readouterr().err
+
+
 ROW_IS_A_LIST = {"kind": "constant", "row": [1]}
 
 
@@ -248,6 +306,9 @@ def _permutation_with(**fields):
 
 
 ELL_IS_A_STRING = {"n": 6, "ell": "3", "d": 1, "sets": [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5]]}
+
+# past the interpreter's recursion limit: json.loads raises RecursionError
+DEEP = "[" * 50_000 + "]" * 50_000
 
 # hex that int(_, 16) reads as 31, a 5-bit value: m = 5 takes 2 plain digits
 BAD_HEX = {"0x1f": "prefix", "1_f": "separator", " 1f\n": "whitespace", "+1f": "sign", "001f": "too-many-digits"}
@@ -290,6 +351,16 @@ BAD_HEX = {"0x1f": "prefix", "1_f": "separator", " 1f\n": "whitespace", "+1f": "
         (["instance", "check"], _permutation_with(kind="feistel", rounds=300000)),
         (["run"], dict(CONFIG, permutation={"kind": "feistel", "rounds": 300000})),
         (["instance", "check"], _permutation_with(kind="feistel", ell=64)),
+        (["run"], DEEP),
+        (["instance", "check"], DEEP),
+        (["design", "verify"], DEEP),
+        (["game", "play", "--input", "0000", "--strategy", DEEP], None),
+        (["hardcore", "extract", "--k", "1", "--family", DEEP], None),
+        (["analyze", "census", "--strategy", "round-robin:-2"], None),
+        (["analyze", "census", "--strategy", "constant:0:-1"], None),
+        (["analyze", "census", "--strategy", "seeded-random:-1"], None),
+        (["analyze", "census", "--strategy", '{"kind":"table","moves":{},"max_queries":-1}'], None),
+        (["run"], dict(CONFIG, strategies=[{"kind": "round-robin", "max_queries": -1}])),
     ],
     ids=[
         "shorthand-missing-row", "negative-sample", "config-is-a-list", "strategies-is-a-string",
@@ -304,6 +375,10 @@ BAD_HEX = {"0x1f": "prefix", "1_f": "separator", " 1f\n": "whitespace", "+1f": "
         *[f"b-hex-{name}" for name in BAD_HEX.values()],
         *[f"value-hex-{name}" for name in BAD_HEX.values()],
         "instance-feistel-rounds-300000", "config-feistel-rounds-300000", "instance-feistel-ell-64",
+        "config-nested-too-deep", "instance-nested-too-deep", "design-nested-too-deep",
+        "inline-strategy-nested-too-deep", "inline-family-nested-too-deep",
+        "round-robin-negative-budget", "constant-negative-budget", "seeded-random-negative-budget",
+        "table-negative-budget", "config-strategy-negative-budget",
     ],
 )
 def test_bad_input_exits_config(workspace, args, config):
@@ -314,7 +389,7 @@ def test_bad_input_exits_config(workspace, args, config):
         if callable(config):
             config = config(json.loads(instance.read_text()))
         path = tmp / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
         argv = [*args, str(path)]
     assert main(argv) == EXIT_CONFIG
 

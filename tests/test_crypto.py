@@ -21,6 +21,14 @@ def test_bijectivity_exhaustive(kind, ell, kwargs):
     assert check_bijection(Permutation(ell=ell, kind=kind, **kwargs))
 
 
+def test_check_bijection_catches_a_wrong_inverse():
+    h = Permutation(ell=3, kind="table", seed=5)
+    inverse = list(h._inverse)
+    inverse[0], inverse[1] = inverse[1], inverse[0]
+    object.__setattr__(h, "_inverse", inverse)
+    assert not check_bijection(h)
+
+
 def test_invert_is_left_and_right_inverse():
     h = Permutation(ell=4, kind="feistel", seed=7)
     for v in all_bitstrings(4):

@@ -6,7 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from nwgame import (
     CapabilityError,
+    Design,
+    HardBit,
+    Instance,
     Output,
+    Permutation,
     ProtocolViolation,
     StudentFamily,
     StudentStrategy,
@@ -105,6 +109,25 @@ def test_invert_capability_is_gated(inst_a):
     snoop = StudentStrategy("snoop", max_queries=1, move=lambda v, a, r: v.invert("00") and 0)
     with pytest.raises(CapabilityError):
         play(inst_a, snoop, "0000")
+    # the forward permutation stays free to a student that may not invert
+    inst = greedy_instance(6, 2, 1, seed=10, perm="table", perm_seed=7)
+    view = GameView(inst, may_invert=False)
+    assert [view.apply(v) for v in all_bitstrings(2)] == [inst.h.apply(v) for v in all_bitstrings(2)]
+    with pytest.raises(CapabilityError):
+        view.invert("00")
+    assert view.invert_calls == 0
+
+
+def test_games_refuse_an_instance_without_b_or_past_the_scan_cap(inst_a):
+    unplayable = dataclasses.replace(inst_a, b=None)
+    for game in (play, evaluate_partial):
+        with pytest.raises(ValueError, match="no off-range string b"):
+            game(unplayable, constant_strategy(0), "0000")
+    with pytest.raises(ValueError, match="no off-range string b"):
+        scan(unplayable, constant_strategy(0), lambda t: t.a)
+    wide = Instance(Design(n=15, ell=2, d=0, sets=((0, 1),)), Permutation(ell=2, kind="identity"), HardBit(), c=1, b="1")
+    with pytest.raises(ValueError, match="n=15 > 14"):
+        scan(wide, constant_strategy(0), lambda t: t.a)
 
 
 def test_omniscient_always_succeeds_in_one_query(inst_a):
@@ -202,6 +225,16 @@ def test_strategy_from_spec_round_trip(inst_a):
         with pytest.raises(ValueError):
             strategy_from_spec(bad)
     assert strategy_from_spec({"kind": "omniscient", "name": ""}).name == "omniscient"
+    # a negative query budget is refused by name; zero queries is a student that just emits
+    for bad, name in (
+        ("round-robin:-2", "round-robin--2@0"),
+        ("constant:0:-1", "constant-0x-1"),
+        ("seeded-random:-1", "seeded-random--1s0"),
+        ({"kind": "table", "moves": {}, "max_queries": -1}, "table"),
+    ):
+        with pytest.raises(ValueError, match=f"strategy '{name}' has a negative query budget"):
+            strategy_from_spec(bad)
+    assert strategy_from_spec("constant:0:0").max_queries == 0
     assert strategy_from_spec({"kind": "table", "moves": {"0010": [0, 1]}}).max_queries == 2
 
 

@@ -169,6 +169,14 @@ def test_instance_validation():
         Instance(shared_too_much, Permutation(ell=2, kind="identity"), HardBit(), c=1)
 
 
+def test_enumeration_refuses_n_past_its_cap():
+    wide = Instance(Design(n=21, ell=2, d=0, sets=((0, 1),)), Permutation(ell=2, kind="identity"), HardBit(), c=1)
+    with pytest.raises(ValueError, match="n <= 20"):
+        find_off_range(wide)
+    with pytest.raises(ValueError, match="n <= 20"):
+        certify_off_range(wide, "1")
+
+
 def test_strict_violations_reference():
     inst = reference_instance()
     # m = n+1 and ell = round(n^(1/3)) hold; d = 1 misses ceil(log2 5) = 3
