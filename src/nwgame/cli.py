@@ -19,7 +19,7 @@ from . import analysis, hardcore
 from .bits import check_bits, hex_to_bits
 from .crypto import HARD_BIT_KINDS, PERMUTATION_KINDS, HardBit, Permutation, check_bijection
 from .design import Design, build_polynomial_design, extend_greedy, require_valid, verify_design
-from .errors import SearchExhausted, ValidationError, json_field, json_value
+from .errors import ABSENT, REQUIRED, SearchExhausted, ValidationError, json_object, json_value
 from .game import StudentStrategy, evaluate_partial, failure_set, play, strategy_from_spec
 from .generator import (
     ENUMERATION_MAX_N,
@@ -38,6 +38,16 @@ EXIT_SEARCH = 4
 
 BIJECTION_CHECK_MAX_ELL = 12
 SCHEMA = "nwgame-report/1"
+
+# The run config's fields; a config without "hardcore" has no hardcore section
+CONFIG_FIELDS = {
+    "seed": (int, 0), "c": (int, 1), "strict": (bool, False), "hard_bit": (str, "last-bit"),
+    "design": (dict, {"q": 2, "degree": 1}), "permutation": (dict, {"kind": "identity"}),
+    "b": (dict, {"mode": "lex-min"}), "strategies": (list, []), "analyses": (list, ["census"]),
+    "hardcore": (dict, ABSENT),
+}
+HARDCORE_FIELDS = {"stages": (list, REQUIRED), "k": (int, None), "k_max": (int, None)}
+ANALYSES = ("census", "assignment", "reduce", "failureset")
 
 
 def _dump(payload: dict, out: str | None) -> None:
@@ -87,44 +97,14 @@ def _parse_trace(text: str) -> tuple[int, ...]:
 # Experiment configs
 
 
-def _resolve_config(config: dict) -> dict:
-    """The config's top-level fields, each checked against its JSON type,
-    with defaults filled in; nested fields are checked where they are read."""
-    resolved = {
-        "seed": json_field(config, "seed", int, 0),
-        "c": json_field(config, "c", int, 1),
-        "strict": json_field(config, "strict", bool, False),
-        "design": json_field(config, "design", dict, {"q": 2, "degree": 1}),
-        "permutation": json_field(config, "permutation", dict, {"kind": "identity"}),
-        "hard_bit": json_field(config, "hard_bit", str, "last-bit"),
-        "b": json_field(config, "b", dict, {"mode": "lex-min"}),
-        "strategies": json_field(config, "strategies", list, []),
-        "analyses": json_field(config, "analyses", list, ["census"]),
-    }
-    if "hardcore" in config:
-        resolved["hardcore"] = json_field(config, "hardcore", dict)
-    unknown = sorted(set(config) - set(resolved))
-    if unknown:
-        raise ValueError(f"unknown config fields {unknown}")
-    return resolved
-
-
 def _design_from_config(cfg: dict, extend_seed: int) -> Design:
     """A design config: {"explicit": DESIGN} or the polynomial family
     {"q", "degree"}, greedily extended to "extend_to" rows."""
     if "explicit" in cfg:
-        return Design.from_json_dict(json_field(cfg, "explicit", dict, where="design"))
-    q, degree = (json_field(cfg, key, int, where="design") for key in ("q", "degree"))
-    base = build_polynomial_design(q, degree)
-    target = json_field(cfg, "extend_to", int, base.m, "design")
-    return require_valid(extend_greedy(base, target, extend_seed))
-
-
-def _permutation_from_config(cfg: dict, ell: int, seed: int) -> Permutation:
-    """A permutation config is a permutation JSON object whose ell is the
-    design's and whose kind and seed have defaults."""
-    defaults = {"kind": "identity", "seed": derive_seed("permutation", seed)}
-    return Permutation.from_json_dict({**defaults, **cfg, "ell": ell})
+        return Design.from_json_dict(json_object(cfg, {"explicit": (dict, REQUIRED)}, "design")["explicit"])
+    cfg = json_object(cfg, {"q": (int, REQUIRED), "degree": (int, REQUIRED), "extend_to": (int, ABSENT)}, "design")
+    base = build_polynomial_design(cfg["q"], cfg["degree"])
+    return require_valid(extend_greedy(base, cfg.get("extend_to", base.m), extend_seed))
 
 
 def _build_instance(
@@ -169,17 +149,14 @@ def strategy_sections(
             sections["reduction"] = analysis.run_reduction(inst, strategy, jobs=jobs).to_json_dict()
         elif kind == "failureset":
             sections["failures"] = failure_set(inst, strategy, jobs=jobs).to_json_dict()
-        else:
-            raise ValueError(f"unknown analysis {kind!r}")
     return sections
 
 
 def hardcore_section(
-    inst: Instance, stages: Any, k: int | None, k_max: int | None, jobs: int = 1
+    inst: Instance, family: hardcore.StudentFamily, k: int | None, k_max: int | None, jobs: int = 1
 ) -> dict:
-    """The hardcore report section for a family of stage specs: the k-stage
+    """The hardcore report section for a family of students: the k-stage
     extraction and the sweep over k = 1..k_max, each when asked for."""
-    family = hardcore.StudentFamily(tuple(map(strategy_from_spec, json_value(stages, list, "family stages"))))
     section: dict[str, Any] = {}
     if k is not None:
         section["extract"] = hardcore.extract_hardcore(inst, family, k, jobs=jobs).to_json_dict()
@@ -191,16 +168,26 @@ def hardcore_section(
 
 def run_experiment(config: dict, jobs: int = 1) -> dict:
     """Execute a config end to end.  The report is a pure function of the
-    config: worker count and wall clock never reach the output."""
-    resolved = _resolve_config(config)
+    config: worker count and wall clock never reach the output.  Every
+    config object and analysis name is read before the instance is built."""
+    resolved = json_object(config, CONFIG_FIELDS, "config")
+    unknown = [kind for kind in resolved["analyses"] if kind not in ANALYSES]
+    if unknown:
+        raise ValueError(f"unknown analyses {unknown}; the analyses are {list(ANALYSES)}")
+    value_hex = {"value_hex": (str, REQUIRED)} if resolved["b"].get("mode") == "explicit" else {}
+    b_cfg = json_object(resolved["b"], {"mode": (str, "lex-min"), **value_hex}, "b")
+    hc = json_object(resolved["hardcore"], HARDCORE_FIELDS, "hardcore") if "hardcore" in resolved else None
+    family = None if hc is None else hardcore.StudentFamily(tuple(map(strategy_from_spec, hc["stages"])))
+    strategies = [(spec, strategy_from_spec(spec)) for spec in resolved["strategies"]]
+
     seed = resolved["seed"]
     design = _design_from_config(resolved["design"], derive_seed("design-extend", seed))
-    h = _permutation_from_config(resolved["permutation"], design.ell, seed)
-    b_cfg = resolved["b"]
-    b_mode = json_field(b_cfg, "mode", str, "lex-min", "b")
-    b = hex_to_bits(json_field(b_cfg, "value_hex", str, where="b"), design.m) if b_mode == "explicit" else None
+    # a permutation object whose ell is the design's and whose kind and seed have defaults
+    perm = {"kind": "identity", "seed": derive_seed("permutation", seed), **resolved["permutation"], "ell": design.ell}
+    h = Permutation.from_json_dict(perm)
+    b = hex_to_bits(b_cfg["value_hex"], design.m) if b_cfg["mode"] == "explicit" else None
     inst, warnings = _build_instance(
-        design, h, resolved["hard_bit"], resolved["c"], seed, b, b_mode, resolved["strict"]
+        design, h, resolved["hard_bit"], resolved["c"], seed, b, b_cfg["mode"], resolved["strict"]
     )
 
     report: dict[str, Any] = {
@@ -212,15 +199,12 @@ def run_experiment(config: dict, jobs: int = 1) -> dict:
         "strategies": [],
     }
 
-    for spec in resolved["strategies"]:
-        strategy = strategy_from_spec(spec)
+    for spec, strategy in strategies:
         sections = strategy_sections(inst, strategy, resolved["analyses"], jobs=jobs)
         report["strategies"].append({"name": strategy.name, "spec": spec, **sections})
 
-    if "hardcore" in resolved:
-        hc = resolved["hardcore"]
-        k, k_max = (json_field(hc, key, int, None, "hardcore") for key in ("k", "k_max"))
-        report["hardcore"] = hardcore_section(inst, hc.get("stages"), k, k_max, jobs=jobs)
+    if hc is not None:
+        report["hardcore"] = hardcore_section(inst, family, hc["k"], hc["k_max"], jobs=jobs)
 
     return report
 
@@ -310,8 +294,10 @@ def _cmd_hardcore(args: argparse.Namespace) -> int:
     """`hardcore extract|sweep`: the run report's hardcore section."""
     inst = _load_instance(args.instance)
     family = _json_arg(args.family)
-    stages = family.get("stages") if isinstance(family, dict) else family
-    section = hardcore_section(inst, stages, args.k, args.k_max, jobs=args.jobs)
+    if isinstance(family, dict):
+        family = json_object(family, {"stages": (list, REQUIRED)}, "family")["stages"]
+    family = hardcore.StudentFamily(tuple(map(strategy_from_spec, json_value(family, list, "family stages"))))
+    section = hardcore_section(inst, family, args.k, args.k_max, jobs=args.jobs)
     if args.subcommand == "extract":
         _dump(section["extract"], args.out)
         return EXIT_OK

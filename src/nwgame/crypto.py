@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .bits import all_bitstrings, bits_to_int, check_bits, int_to_bits, parity
-from .errors import json_field, json_value
+from .errors import REQUIRED, json_object
 from .seeds import derive_seed
 
 PERMUTATION_KINDS = ("identity", "table", "feistel")
@@ -21,6 +21,9 @@ TABLE_MAX_ELL = 20
 DEFAULT_ROUNDS = 4
 # Cap on a feistel's rounds * 2^(ell/2) round-table entries (4 rounds: ell <= 28)
 FEISTEL_MAX_ENTRIES = 1 << 16
+PERMUTATION_FIELDS = {
+    "ell": (int, REQUIRED), "kind": (str, REQUIRED), "seed": (int, 0), "rounds": (int, DEFAULT_ROUNDS),
+}
 
 
 @dataclass(frozen=True)
@@ -95,13 +98,7 @@ class Permutation:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Permutation":
-        data = json_value(data, dict, "permutation")
-        return Permutation(
-            ell=json_field(data, "ell", int, where="permutation"),
-            kind=json_field(data, "kind", str, where="permutation"),
-            seed=json_field(data, "seed", int, 0, "permutation"),
-            rounds=json_field(data, "rounds", int, DEFAULT_ROUNDS, "permutation"),
-        )
+        return Permutation(**json_object(data, PERMUTATION_FIELDS, "permutation"))
 
 
 def check_bijection(h: Permutation) -> bool:

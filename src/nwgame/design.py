@@ -12,12 +12,16 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 
-from .errors import SearchExhausted, ValidationError, json_field, json_value
+from .errors import ABSENT, REQUIRED, SearchExhausted, ValidationError, json_object, json_value
 from .gf import Field
 
 # The row cap of build_polynomial_design.  The largest design it admits,
 # q = 11 with degree 2 (1,331 rows), verifies in under a second.
 POLYNOMIAL_MAX_ROWS = 2048
+# A design file's fields; "m", when given, must be the number of sets
+DESIGN_FIELDS = {
+    "n": (int, REQUIRED), "ell": (int, REQUIRED), "d": (int, REQUIRED), "sets": (list, REQUIRED), "m": (int, ABSENT),
+}
 
 
 @dataclass(frozen=True)
@@ -42,14 +46,13 @@ class Design:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Design":
-        data = json_value(data, dict, "design")
-        n, ell, d = (json_field(data, key, int, where="design") for key in ("n", "ell", "d"))
+        data = json_object(data, DESIGN_FIELDS, "design")
         sets = tuple(
             tuple(json_value(p, int, "design position") for p in json_value(row, list, "design row"))
-            for row in json_field(data, "sets", list, where="design")
+            for row in data["sets"]
         )
-        des = Design(n, ell, d, sets)
-        declared_m = json_field(data, "m", int, des.m, "design")
+        des = Design(data["n"], data["ell"], data["d"], sets)
+        declared_m = data.get("m", des.m)
         if declared_m != des.m:
             raise ValueError(f"declared m={declared_m} but {des.m} sets given")
         return des

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the one rule for reading
-JSON input: a value of the wrong JSON type is bad input (ValueError)."""
+JSON input: a wrong JSON type, missing or unknown field is bad input (ValueError)."""
 
+import copy
 from typing import Any
 
 
@@ -17,7 +18,7 @@ class ValidationError(ValueError):
 
 
 _JSON_TYPES = {int: "an integer", bool: "a boolean", str: "a string", list: "a list", dict: "an object"}
-REQUIRED = object()
+REQUIRED, ABSENT = object(), object()
 
 
 def json_value(value: Any, kind: type, what: str) -> Any:
@@ -28,11 +29,20 @@ def json_value(value: Any, kind: type, what: str) -> Any:
     raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, got {value!r}")
 
 
-def json_field(data: dict, key: str, kind: type, default: Any = REQUIRED, where: str = "config") -> Any:
-    """json_value of data[key], or `default` when the key is absent.  null
-    is a value, never an absent key; a missing required key is bad input."""
-    if key in data:
-        return json_value(data[key], kind, f"{where} {key!r}")
-    if default is REQUIRED:
-        raise ValueError(f"{where} needs the field {key!r}")
-    return default
+def json_object(data: Any, fields: dict[str, tuple[type, Any]], where: str) -> dict:
+    """`data` read through its table of field -> (JSON type, default): an
+    absent field takes a copy of its default (REQUIRED: bad input; ABSENT:
+    left out), a field outside the table is bad input, and null is a value."""
+    data = json_value(data, dict, where)
+    unknown = sorted(set(data) - set(fields), key=str)
+    if unknown:
+        raise ValueError(f"unknown {where} fields {unknown}")
+    resolved = {}
+    for key, (kind, default) in fields.items():
+        if key in data:
+            resolved[key] = json_value(data[key], kind, f"{where} {key!r}")
+        elif default is REQUIRED:
+            raise ValueError(f"{where} needs the field {key!r}")
+        elif default is not ABSENT:
+            resolved[key] = copy.deepcopy(default)
+    return resolved

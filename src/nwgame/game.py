@@ -20,7 +20,7 @@ from typing import Any, Callable, NamedTuple
 
 from .bits import bits_to_int, check_bits, int_to_bits
 from .design import restrict
-from .errors import CapabilityError, json_field, json_value
+from .errors import ABSENT, REQUIRED, CapabilityError, json_object, json_value
 from .generator import Instance
 from .seeds import derive_seed, seed_stream
 from .sharding import run_sharded
@@ -323,15 +323,17 @@ def _table_from_spec(moves: dict, max_queries: int | None = None, **rest: Any) -
     return table_strategy(rows, max_queries, **rest)
 
 
-# Each kind's builder and the JSON types of its spec fields, the first one
-# required.  The shorthand kind[:arg[:arg]] fills the fields other than
-# "output" in this order, each with an integer.  Every kind takes a "name".
-_KINDS: dict[str, tuple[Callable[..., StudentStrategy], dict[str, type]]] = {
-    "constant": (constant_strategy, {"row": int, "queries": int, "output": object}),
-    "round-robin": (round_robin_strategy, {"max_queries": int, "start": int, "output": object}),
-    "seeded-random": (seeded_random_strategy, {"max_queries": int, "seed": int, "output": object}),
-    "omniscient": (omniscient_strategy, {}),
-    "table": (_table_from_spec, {"moves": dict, "max_queries": int, "output": object}),
+# Each kind's builder and the table of its spec fields.  The shorthand
+# kind[:arg[:arg]] fills the fields before the shared ones, in this order,
+# each with an integer.
+_NAMED = {"kind": (str, REQUIRED), "name": (str, ABSENT)}
+_SHARED = {"output": (object, ABSENT), **_NAMED}
+_KINDS: dict[str, tuple[Callable[..., StudentStrategy], dict[str, tuple[type, Any]]]] = {
+    "constant": (constant_strategy, {"row": (int, REQUIRED), "queries": (int, ABSENT), **_SHARED}),
+    "round-robin": (round_robin_strategy, {"max_queries": (int, REQUIRED), "start": (int, ABSENT), **_SHARED}),
+    "seeded-random": (seeded_random_strategy, {"max_queries": (int, REQUIRED), "seed": (int, ABSENT), **_SHARED}),
+    "omniscient": (omniscient_strategy, _NAMED),
+    "table": (_table_from_spec, {"moves": (dict, REQUIRED), "max_queries": (int, ABSENT), **_SHARED}),
 }
 
 
@@ -343,24 +345,22 @@ def strategy_from_spec(spec: dict | str) -> StudentStrategy:
     Kinds: constant {row, queries?, output?}, round-robin {max_queries,
     start?, output?}, seeded-random {max_queries, seed?, output?},
     omniscient {}, table {moves, max_queries?, output?}.  Each accepts an
-    optional name.  A missing required field or a field of the wrong JSON
-    type is a ValueError.
+    optional name.  A missing required field, a field of the wrong JSON
+    type or a field outside the kind's table is a ValueError.
     """
     if isinstance(spec, str):
         kind, *args = spec.strip().split(":")
         if kind not in _KINDS:
             raise ValueError(f"cannot parse strategy {spec!r}")
-        fields = [field for field in _KINDS[kind][1] if field != "output"]
+        fields = [field for field in _KINDS[kind][1] if field not in _SHARED]
         if not min(1, len(fields)) <= len(args) <= len(fields):
             usage = ":".join([kind, *fields[:1]]) + "".join(f"[:{field}]" for field in fields[1:])
             raise ValueError(f"strategy {spec!r} does not match {usage}")
         spec = {"kind": kind, **{field: int(arg) for field, arg in zip(fields, args)}}
-    kind = json_field(json_value(spec, dict, "strategy spec"), "kind", str, where="strategy")
-    if kind not in _KINDS:
-        raise ValueError(f"unknown strategy kind {kind!r}")
+    kind = json_value(spec, dict, "strategy spec").get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"strategy 'kind' must be one of {list(_KINDS)}, got {kind!r}")
     builder, fields = _KINDS[kind]
-    required = list(fields)[:1]
-    return builder(**{
-        key: json_field(spec, key, field_type, where=f"{kind} strategy")
-        for key, field_type in {**fields, "name": str}.items() if key in spec or key in required
-    })
+    args = json_object(spec, fields, f"{kind} strategy")
+    del args["kind"]
+    return builder(**args)

@@ -20,11 +20,16 @@ from functools import cached_property
 from .bits import all_bitstrings, bits_to_hex, bits_to_int, check_bits, hex_to_bits, int_to_bits
 from .crypto import HardBit, Permutation
 from .design import Design, require_valid, restrict
-from .errors import SearchExhausted, ValidationError, json_field, json_value
+from .errors import ABSENT, REQUIRED, SearchExhausted, ValidationError, json_object, json_value
 from .seeds import derive_seed
 
 ENUMERATION_MAX_N = 20
 OFF_RANGE_MODES = ("lex-min", "seeded-random")
+# "strict_warnings" is written by `nwgame instance make` and ignored on read
+INSTANCE_FIELDS = {
+    "design": (object, REQUIRED), "permutation": (object, REQUIRED), "c": (int, REQUIRED), "hard_bit": (str, "last-bit"),
+    "b_hex": (object, None), "b_certified": (bool, False), "strict_warnings": (list, ABSENT),
+}
 
 
 class _Preimages(dict):
@@ -116,16 +121,15 @@ class Instance:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Instance":
-        data = json_value(data, dict, "instance")
-        design = Design.from_json_dict(json_field(data, "design", object, where="instance"))
-        b_hex = data.get("b_hex")
+        data = json_object(data, INSTANCE_FIELDS, "instance")
+        design, b_hex = Design.from_json_dict(data["design"]), data["b_hex"]
         return Instance(
             design=design,
-            h=Permutation.from_json_dict(json_field(data, "permutation", object, where="instance")),
-            hard_bit=HardBit(json_field(data, "hard_bit", str, "last-bit", "instance")),
-            c=json_field(data, "c", int, where="instance"),
+            h=Permutation.from_json_dict(data["permutation"]),
+            hard_bit=HardBit(data["hard_bit"]),
+            c=data["c"],
             b=None if b_hex is None else hex_to_bits(json_value(b_hex, str, "instance 'b_hex'"), design.m),
-            b_certified=json_field(data, "b_certified", bool, False, "instance"),
+            b_certified=data["b_certified"],
         )
 
 

@@ -278,11 +278,29 @@ def test_run_seed_override_changes_report(tmp_path):
     assert out_a.read_bytes() != out_b.read_bytes()
 
 
-def test_run_rejects_unknown_analysis(tmp_path):
+def test_run_rejects_unknown_analysis(tmp_path, capsys, monkeypatch):
+    # refused when the config is read, before the instance is built, with or without strategies
+    monkeypatch.setattr(cli, "_build_instance", lambda *args: pytest.fail("the instance was built"))
     config = tmp_path / "config.json"
-    bad = dict(CONFIG, analyses=["census", "vibes"])
-    config.write_text(json.dumps(bad))
-    assert main(["run", str(config)]) == EXIT_CONFIG
+    for strategies in (CONFIG["strategies"], []):
+        config.write_text(json.dumps(dict(CONFIG, strategies=strategies, analyses=["census", "vibes"])))
+        assert main(["run", str(config)]) == EXIT_CONFIG
+        assert "unknown analyses ['vibes']" in capsys.readouterr().err
+
+
+def test_run_reads_every_config_object_before_the_instance(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_build_instance", lambda *args: pytest.fail("the instance was built"))
+    config = tmp_path / "config.json"
+    stage = {"kind": "constant", "row": 0, "qeries": 1}
+    for bad, named in [
+        (dict(CONFIG, permutation={"kind": "table", "sed": 4}), "sed"),
+        (dict(CONFIG, b={"mode": "lex-min", "valu_hex": "3"}), "valu_hex"),
+        (dict(CONFIG, strategies=[{"kind": "round-robin", "max_queries": 2, "strat": 1}]), "strat"),
+        (dict(CONFIG, hardcore={"stages": [stage], "k": 1}), "qeries"),
+    ]:
+        config.write_text(json.dumps(bad))
+        assert main(["run", str(config)]) == EXIT_CONFIG
+        assert repr(named) in capsys.readouterr().err
 
 
 def test_run_names_unknown_config_fields(tmp_path, capsys):
@@ -315,52 +333,65 @@ BAD_HEX = {"0x1f": "prefix", "1_f": "separator", " 1f\n": "whitespace", "+1f": "
 
 
 @pytest.mark.parametrize(
-    "args, config",
+    "args, config, named",
     [
-        (["game", "failureset", "--strategy", "constant"], None),
-        (["game", "failureset", "--strategy", "constant:0", "--sample", "-5"], None),
-        (["run"], [CONFIG]),
-        (["run"], dict(CONFIG, strategies="abc")),
-        (["run"], dict(CONFIG, design=5)),
-        (["run"], dict(CONFIG, seed=[1])),
-        (["run"], dict(CONFIG, permutation=7)),
-        (["run"], dict(CONFIG, b=3)),
-        (["run"], dict(CONFIG, hardcore=3, strategies=[])),
-        (["instance", "check"], _instance_with(c=[1])),
-        (["instance", "check"], _instance_with(permutation=7)),
-        (["design", "verify"], {"n": 4, "ell": 2, "d": 1, "sets": 5}),
-        (["analyze", "census", "--strategy", "omniscient", "--instance"], _instance_with(c=[1])),
-        (["hardcore", "extract", "--family", '{"stages": 5}', "--k", "1"], None),
-        (["analyze", "census", "--strategy", json.dumps(ROW_IS_A_LIST)], None),
-        (["run"], dict(CONFIG, strategies=[ROW_IS_A_LIST])),
-        (["hardcore", "extract", "--family", json.dumps([ROW_IS_A_LIST]), "--k", "1"], None),
-        (["analyze", "census", "--strategy", '{"kind":"table","moves":5}'], None),
-        (["run"], dict(CONFIG, b={"mode": "explicit", "value_hex": 5})),
-        (["run"], dict(CONFIG, strict="no")),
-        (["run"], dict(CONFIG, seed="7")),
-        (["analyze", "assignment", "--strategy", "round-robin:2", "--trace", "99"], None),
-        (["analyze", "assignment", "--strategy", "round-robin:2", "--trace", "-1"], None),
-        (["instance", "check"], _instance_with(b_certified="no")),
-        (["instance", "check"], _instance_with(c="2")),
-        (["instance", "check"], _instance_with(c=2.5)),
-        (["instance", "check"], _permutation_with(seed="1")),
-        (["design", "verify"], {"n": float("inf"), "ell": 2, "d": 1, "sets": [[0, 1]]}),
-        (["run"], dict(CONFIG, design={"explicit": ELL_IS_A_STRING})),
-        *[(["instance", "check"], _instance_with(b_hex=hx)) for hx in BAD_HEX],
-        *[(["run"], dict(CONFIG, b={"mode": "explicit", "value_hex": hx})) for hx in BAD_HEX],
-        (["instance", "check"], _permutation_with(kind="feistel", rounds=300000)),
-        (["run"], dict(CONFIG, permutation={"kind": "feistel", "rounds": 300000})),
-        (["instance", "check"], _permutation_with(kind="feistel", ell=64)),
-        (["run"], DEEP),
-        (["instance", "check"], DEEP),
-        (["design", "verify"], DEEP),
-        (["game", "play", "--input", "0000", "--strategy", DEEP], None),
-        (["hardcore", "extract", "--k", "1", "--family", DEEP], None),
-        (["analyze", "census", "--strategy", "round-robin:-2"], None),
-        (["analyze", "census", "--strategy", "constant:0:-1"], None),
-        (["analyze", "census", "--strategy", "seeded-random:-1"], None),
-        (["analyze", "census", "--strategy", '{"kind":"table","moves":{},"max_queries":-1}'], None),
-        (["run"], dict(CONFIG, strategies=[{"kind": "round-robin", "max_queries": -1}])),
+        (["game", "failureset", "--strategy", "constant"], None, None),
+        (["game", "failureset", "--strategy", "constant:0", "--sample", "-5"], None, None),
+        (["run"], [CONFIG], None),
+        (["run"], dict(CONFIG, strategies="abc"), None),
+        (["run"], dict(CONFIG, design=5), None),
+        (["run"], dict(CONFIG, seed=[1]), None),
+        (["run"], dict(CONFIG, permutation=7), None),
+        (["run"], dict(CONFIG, b=3), None),
+        (["run"], dict(CONFIG, hardcore=3, strategies=[]), None),
+        (["instance", "check"], _instance_with(c=[1]), None),
+        (["instance", "check"], _instance_with(permutation=7), None),
+        (["design", "verify"], {"n": 4, "ell": 2, "d": 1, "sets": 5}, None),
+        (["analyze", "census", "--strategy", "omniscient", "--instance"], _instance_with(c=[1]), None),
+        (["hardcore", "extract", "--family", '{"stages": 5}', "--k", "1"], None, None),
+        (["analyze", "census", "--strategy", json.dumps(ROW_IS_A_LIST)], None, None),
+        (["run"], dict(CONFIG, strategies=[ROW_IS_A_LIST]), None),
+        (["hardcore", "extract", "--family", json.dumps([ROW_IS_A_LIST]), "--k", "1"], None, None),
+        (["analyze", "census", "--strategy", '{"kind":"table","moves":5}'], None, None),
+        (["run"], dict(CONFIG, b={"mode": "explicit", "value_hex": 5}), None),
+        (["run"], dict(CONFIG, strict="no"), None),
+        (["run"], dict(CONFIG, seed="7"), None),
+        (["analyze", "assignment", "--strategy", "round-robin:2", "--trace", "99"], None, None),
+        (["analyze", "assignment", "--strategy", "round-robin:2", "--trace", "-1"], None, None),
+        (["instance", "check"], _instance_with(b_certified="no"), None),
+        (["instance", "check"], _instance_with(c="2"), None),
+        (["instance", "check"], _instance_with(c=2.5), None),
+        (["instance", "check"], _permutation_with(seed="1"), None),
+        (["design", "verify"], {"n": float("inf"), "ell": 2, "d": 1, "sets": [[0, 1]]}, None),
+        (["run"], dict(CONFIG, design={"explicit": ELL_IS_A_STRING}), None),
+        *[(["instance", "check"], _instance_with(b_hex=hx), None) for hx in BAD_HEX],
+        *[(["run"], dict(CONFIG, b={"mode": "explicit", "value_hex": hx}), None) for hx in BAD_HEX],
+        (["instance", "check"], _permutation_with(kind="feistel", rounds=300000), None),
+        (["run"], dict(CONFIG, permutation={"kind": "feistel", "rounds": 300000}), None),
+        (["instance", "check"], _permutation_with(kind="feistel", ell=64), None),
+        (["run"], DEEP, None),
+        (["instance", "check"], DEEP, None),
+        (["design", "verify"], DEEP, None),
+        (["game", "play", "--input", "0000", "--strategy", DEEP], None, None),
+        (["hardcore", "extract", "--k", "1", "--family", DEEP], None, None),
+        (["analyze", "census", "--strategy", "round-robin:-2"], None, None),
+        (["analyze", "census", "--strategy", "constant:0:-1"], None, None),
+        (["analyze", "census", "--strategy", "seeded-random:-1"], None, None),
+        (["analyze", "census", "--strategy", '{"kind":"table","moves":{},"max_queries":-1}'], None, None),
+        (["run"], dict(CONFIG, strategies=[{"kind": "round-robin", "max_queries": -1}]), None),
+        (["run"], dict(CONFIG, design={"q": 2, "degree": 1, "extendto": 6}), "extendto"),
+        (["run"], dict(CONFIG, design={"explicit": build_polynomial_design(2, 1).to_json_dict(), "q": 2}), "q"),
+        (["run"], dict(CONFIG, permutation={"kind": "table", "sed": 4}), "sed"),
+        (["run"], dict(CONFIG, b={"mode": "lex-min", "valu_hex": "3"}), "valu_hex"),
+        (["run"], dict(CONFIG, b={"mode": "explicit"}), "value_hex"),
+        (["run"], dict(CONFIG, b={"value_hex": "02"}), "value_hex"),
+        (["run"], dict(CONFIG, hardcore={"stages": ["constant:0"], "kmax": 1}), "kmax"),
+        (["analyze", "census", "--strategy", '{"kind": "round-robin", "max_queries": 2, "strat": 1}'], None, "strat"),
+        (["hardcore", "extract", "--k", "1", "--family", '[{"kind":"constant","row":0,"qeries":1}]'], None, "qeries"),
+        (["hardcore", "extract", "--k", "1", "--family", '{"stages": ["constant:0"], "k": 1}'], None, "k"),
+        (["design", "verify"], lambda instance: dict(instance["design"], mm=4), "mm"),
+        (["instance", "check"], _instance_with(b_hexx="02"), "b_hexx"),
+        (["instance", "check"], _permutation_with(rnds=4), "rnds"),
     ],
     ids=[
         "shorthand-missing-row", "negative-sample", "config-is-a-list", "strategies-is-a-string",
@@ -379,9 +410,13 @@ BAD_HEX = {"0x1f": "prefix", "1_f": "separator", " 1f\n": "whitespace", "+1f": "
         "inline-strategy-nested-too-deep", "inline-family-nested-too-deep",
         "round-robin-negative-budget", "constant-negative-budget", "seeded-random-negative-budget",
         "table-negative-budget", "config-strategy-negative-budget",
+        "config-design-misspelled", "config-design-explicit-and-q", "config-permutation-misspelled",
+        "config-b-misspelled", "config-b-explicit-without-value", "config-b-value-without-explicit",
+        "config-hardcore-misspelled", "strategy-misspelled", "family-stage-misspelled", "family-object-misspelled",
+        "design-file-misspelled", "instance-file-misspelled", "instance-permutation-misspelled",
     ],
 )
-def test_bad_input_exits_config(workspace, args, config):
+def test_bad_input_exits_config(workspace, capsys, args, config, named):
     tmp, _, instance = workspace
     if config is None:
         argv = [*args, "--instance", str(instance)]
@@ -392,6 +427,8 @@ def test_bad_input_exits_config(workspace, args, config):
         path.write_text(config if isinstance(config, str) else json.dumps(config))
         argv = [*args, str(path)]
     assert main(argv) == EXIT_CONFIG
+    if named is not None:  # a misspelled or missing field is named
+        assert repr(named) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("position", [4, -1], ids=["position-past-n", "position-negative"])
