@@ -300,11 +300,15 @@ def omniscient_strategy(name: str | None = None) -> StudentStrategy:
 def table_strategy(moves: dict[str, tuple], max_queries: int, name: str | None = None, output: Any = None) -> StudentStrategy:
     """Scripted per-input play: moves[a] lists the rows to query for input
     a, after which the student stops with `output`.  Inputs missing from
-    the table stop immediately."""
+    the table stop immediately.  The keys are '0'/'1' strings of one
+    width, and a move on an instance of another n is a ValueError."""
 
-    frozen = {a: tuple(seq) for a, seq in moves.items()}
+    first = next(iter(moves), "")
+    frozen = {check_bits(a, len(first), "table key"): tuple(seq) for a, seq in moves.items()}
 
     def move(view: GameView, a: str, replies: tuple[str, ...]) -> Move:
+        if frozen and view.n != len(first):
+            raise ValueError(f"table key {first!r} has {len(first)} bits, the instance has n = {view.n}")
         seq = frozen.get(a, ())
         if len(replies) < len(seq):
             return seq[len(replies)]

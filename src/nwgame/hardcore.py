@@ -47,35 +47,44 @@ def composed_budget(k: int) -> int:
 def compose(family: StudentFamily, k: int) -> StudentStrategy:
     """Run stages 1..k in sequence over one shared reply stream.
 
-    Each stage is replayed from the start of the stream: replies consumed
-    by earlier stages are fed back as that stage's own, so every stage sees
-    exactly the teacher traffic its queries would have produced.  The
-    composite stops with the tuple of stage outputs.
+    Each stage sees the replies its own queries produced and is asked once
+    per step: the composite keeps the progress of its last game and resumes
+    it when the same view and input bring a stream that strictly extends
+    the last one.  Any other call recomputes from stage 1, so the move is a
+    pure function of (view, a, replies).  It stops with the stage outputs.
     """
     if not 1 <= k <= len(family.stages):
         raise ValueError(f"k must be in 1..{len(family.stages)}, got {k}")
     stages = family.stages[:k]
+    plan = tuple((stage.move, stage.max_queries) for stage in stages)
+    # one tuple, read once and replaced whole: a composite shared between
+    # threads, each on its own view, at worst recomputes
+    progress: tuple = (None,)
 
     def move(view: GameView, a: str, replies: tuple[str, ...]):
-        cursor = 0
-        outputs = []
-        for stage in stages:
-            consumed = 0
-            while True:
-                stage_move = stage.move(view, a, replies[cursor : cursor + consumed])
-                if isinstance(stage_move, Output) or stage_move is None:
-                    value = stage_move.value if isinstance(stage_move, Output) else None
-                    outputs.append(value)
-                    cursor += consumed
-                    break
-                if consumed >= stage.max_queries:
-                    # the stage overruns its own budget
-                    return ProtocolViolation()
-                if cursor + consumed < len(replies):
-                    consumed += 1
-                    continue
-                return stage_move
-        return Output(tuple(outputs))
+        nonlocal progress
+        last = progress
+        seen = last[2] if last[0] is view and last[1] == a else replies
+        if len(seen) < len(replies) and replies[: len(seen)] == seen:
+            index, cursor, consumed, outputs = last[3:]
+        else:
+            index, cursor, consumed, outputs = 0, 0, 0, ()
+        while index < k:
+            stage_move, limit = plan[index]
+            row = stage_move(view, a, replies[cursor : cursor + consumed])
+            if row is None or isinstance(row, Output):
+                outputs += (getattr(row, "value", None),)
+                index, cursor, consumed = index + 1, cursor + consumed, 0
+            elif consumed >= limit:
+                # the stage overruns its own budget
+                return ProtocolViolation()
+            elif cursor + consumed < len(replies):
+                consumed += 1
+            else:
+                # the next call's reply answers this move
+                progress = (view, a, replies, index, cursor, consumed + 1, outputs)
+                return row
+        return Output(outputs)
 
     name = "+".join(stage.name for stage in stages)
     return StudentStrategy(

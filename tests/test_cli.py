@@ -392,6 +392,9 @@ BAD_HEX = {"0x1f": "prefix", "1_f": "separator", " 1f\n": "whitespace", "+1f": "
         (["design", "verify"], lambda instance: dict(instance["design"], mm=4), "mm"),
         (["instance", "check"], _instance_with(b_hexx="02"), "b_hexx"),
         (["instance", "check"], _permutation_with(rnds=4), "rnds"),
+        (["analyze", "census", "--strategy", '{"kind":"table","moves":{"01x":[1],"0101010":[0]}}'], None, "01x"),
+        (["analyze", "census", "--strategy", '{"kind":"table","moves":{"0101010":[0]}}'], None, "0101010"),
+        (["hardcore", "sweep", "--k-max", "1", "--family", '[{"kind":"table","moves":{"01010":[0]}}]'], None, "01010"),
     ],
     ids=[
         "shorthand-missing-row", "negative-sample", "config-is-a-list", "strategies-is-a-string",
@@ -414,6 +417,7 @@ BAD_HEX = {"0x1f": "prefix", "1_f": "separator", " 1f\n": "whitespace", "+1f": "
         "config-b-misspelled", "config-b-explicit-without-value", "config-b-value-without-explicit",
         "config-hardcore-misspelled", "strategy-misspelled", "family-stage-misspelled", "family-object-misspelled",
         "design-file-misspelled", "instance-file-misspelled", "instance-permutation-misspelled",
+        "table-key-not-bits", "table-key-wider-than-n", "family-table-key-wider-than-n",
     ],
 )
 def test_bad_input_exits_config(workspace, capsys, args, config, named):

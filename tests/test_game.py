@@ -186,6 +186,38 @@ def test_table_strategy_missing_input_stops(inst_a):
     assert not t.success and t.queries == ()
 
 
+@pytest.mark.parametrize(
+    "moves, key",
+    [({"01x": [1], "0101010": [0]}, "01x"), ({"0101": [0], "010": [1]}, "010"), ({"": [0], "0": [1]}, "0")],
+    ids=["not-bits", "two-widths", "empty-then-one-bit"],
+)
+def test_table_spec_refuses_keys_that_are_not_one_width_of_bits(moves, key):
+    with pytest.raises(ValueError, match=repr(key)):
+        strategy_from_spec({"kind": "table", "moves": moves})
+    with pytest.raises(ValueError, match=repr(key)):
+        table_strategy(moves, max_queries=1)
+
+
+def test_table_of_another_width_refuses_the_first_move(inst_a):
+    """A table keyed by 7-bit inputs on an n = 4 instance stops the scan
+    at its first move, before any query, rather than stopping every game
+    as if the table were empty."""
+    student = strategy_from_spec({"kind": "table", "moves": {"0101010": [0]}})
+    asked = []
+
+    def move(view, a, replies):
+        asked.append(replies)
+        return student.move(view, a, replies)
+
+    with pytest.raises(ValueError, match="'0101010' has 7 bits, the instance has n = 4"):
+        scan(inst_a, dataclasses.replace(student, move=move), lambda t: t)
+    assert asked == [()]
+    with pytest.raises(ValueError, match="'0101010'"):
+        evaluate_partial(inst_a, student, "0000")
+    # an empty table has no width and plays on any instance
+    assert play(inst_a, table_strategy({}, max_queries=0), "0000").queries == ()
+
+
 def test_strategy_from_spec_round_trip(inst_a):
     for spec in (
         {"kind": "constant", "row": 0},

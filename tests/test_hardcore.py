@@ -1,8 +1,13 @@
+import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nwgame import (
+    Output,
+    ProtocolViolation,
     StudentFamily,
     StudentStrategy,
     compose,
@@ -15,10 +20,12 @@ from nwgame import (
     round_robin_strategy,
     seeded_random_strategy,
     sweep,
+    table_strategy,
 )
 from nwgame.bits import all_bitstrings
+from nwgame.game import GameView, scan
 
-from helpers import reference_instance
+from helpers import greedy_instance, reference_instance
 
 
 def family4() -> StudentFamily:
@@ -142,3 +149,198 @@ def test_stage_overrun_is_a_violation(inst_a):
     t = evaluate_partial(inst_a, compose(StudentFamily((greedy,)), 1), "0000")
     assert t.queries == (1,)
     assert t.violation and t.defined and t.output is None
+
+
+def _replay_reference(family: StudentFamily, k: int) -> StudentStrategy:
+    """The composite that replays every stage from the start of the reply
+    stream on each move: the definition the incremental composite keeps."""
+    stages = family.stages[:k]
+
+    def move(view, a, replies):
+        cursor = 0
+        outputs = []
+        for stage in stages:
+            consumed = 0
+            while True:
+                stage_move = stage.move(view, a, replies[cursor : cursor + consumed])
+                if isinstance(stage_move, Output) or stage_move is None:
+                    value = stage_move.value if isinstance(stage_move, Output) else None
+                    outputs.append(value)
+                    cursor += consumed
+                    break
+                if consumed >= stage.max_queries:
+                    return ProtocolViolation()
+                if cursor + consumed < len(replies):
+                    consumed += 1
+                    continue
+                return stage_move
+        return Output(tuple(outputs))
+
+    return dataclasses.replace(compose(family, k), move=move)
+
+
+# n = 4..8 with ell = 2 replies, so the direct call sequences below can
+# draw replies from the four 2-bit strings; each n has a second instance
+# with one more row, whose view the call sequences switch to
+DIFFERENTIAL_INSTANCES = {n: greedy_instance(n, 2, 1, seed=n, c=2) for n in range(4, 9)}
+OTHER_INSTANCES = {n: greedy_instance(n, 2, 1, seed=n + 1, c=2, m=n + 2) for n in range(4, 9)}
+STAGE_KINDS = ("constant", "round-robin", "seeded-random", "table", "overrun", "non-row", "adaptive")
+
+
+def _overrun(budget: int) -> StudentStrategy:
+    """Declares `budget` queries but never stops asking."""
+    return StudentStrategy(f"overrun-{budget}", budget, lambda view, a, replies: len(replies) % view.m)
+
+
+def _non_row(budget: int, at: int) -> StudentStrategy:
+    """Asks row 0 until `at` replies, then names a row that does not exist."""
+    return StudentStrategy(f"non-row-{at}", budget, lambda view, a, replies: 0 if len(replies) < at else view.m)
+
+
+def _adaptive(budget: int, output: str) -> StudentStrategy:
+    """Picks its rows from the view, the input and the replies' bits, stops
+    early on some of them, and stops with the replies it saw, so a stage
+    resumed from another game's progress shows."""
+
+    def move(view, a, replies):
+        pick = (view.m + a.count("1") + sum(int(reply, 2) for reply in replies)) % 3
+        if len(replies) < budget and (pick or not replies):
+            return pick % view.m
+        return Output((output, replies))
+
+    return StudentStrategy(f"adaptive-{budget}", budget, move)
+
+
+@st.composite
+def families(draw, inst, keys) -> StudentFamily:
+    """1 to 4 stages of the library kinds and of students that overrun
+    their budget, name a non-row or read the replies' bits; table stages
+    draw their inputs from `keys`."""
+    stages, budget = [], 0
+    for k in range(1, draw(st.integers(1, 4)) + 1):
+        budget = draw(st.integers(budget, k))
+        kind, output, row = draw(st.sampled_from(STAGE_KINDS)), f"s{k}", draw(st.integers(0, inst.m - 1))
+        if kind == "constant":
+            stage = constant_strategy(row, queries=budget, output=output)
+        elif kind == "round-robin":
+            stage = round_robin_strategy(budget, start=row, output=output)
+        elif kind == "seeded-random":
+            stage = seeded_random_strategy(budget, seed=row, output=output)
+        elif kind == "table":
+            # rows -1 and m are non-rows, and a list longer than the budget overruns it
+            rows = st.lists(st.integers(-1, inst.m), max_size=budget + 1)
+            moves = draw(st.dictionaries(st.sampled_from(keys), rows, max_size=12))
+            stage = table_strategy(moves, budget, output=output)
+        elif kind == "overrun":
+            stage = _overrun(budget)
+        elif kind == "non-row":
+            stage = _non_row(budget, draw(st.integers(0, budget)))
+        else:
+            stage = _adaptive(budget, output)
+        stages.append(stage)
+    return StudentFamily(tuple(stages))
+
+
+def _counted(family: StudentFamily, asked: Counter) -> StudentFamily:
+    """The family with each stage's moves tallied by (input, stage, replies
+    the stage has seen)."""
+
+    def counting(index, stage):
+        def move(view, a, replies):
+            asked[a, index, len(replies)] += 1
+            return stage.move(view, a, replies)
+
+        return dataclasses.replace(stage, move=move)
+
+    return StudentFamily(tuple(counting(index, stage) for index, stage in enumerate(family.stages)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(4, 8))
+def test_composite_scans_match_replay_reference(data, n):
+    inst = DIFFERENTIAL_INSTANCES[n]
+    family = data.draw(families(inst, list(all_bitstrings(n))))
+    for k in range(1, len(family.stages) + 1):
+        for witness in (False, True):
+            asked = Counter()
+            composite = compose(_counted(family, asked), k)
+            expected = scan(inst, _replay_reference(family, k), lambda t: t, witness=witness)
+            assert scan(inst, composite, lambda t: t, witness=witness) == expected
+            # each input is one game, in which each stage is asked once per step
+            assert set(asked.values()) <= {1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(4, 8),
+    calls=st.lists(
+        st.tuples(
+            st.integers(0, 1),
+            st.integers(0, 1),
+            st.sampled_from(["extend", "stay", "again", "truncate", "rewrite", "jump", "restart"]),
+            st.sampled_from(["00", "01", "10", "11"]),
+        ),
+        max_size=40,
+    ),
+)
+def test_composite_calls_match_replay_reference(data, n, calls):
+    """Two games on two inputs, interleaved, each call on the view of
+    either of two instances.  "stay" asks a game again on its own stream,
+    "again" repeats the previous call's (view, a, replies) exactly, and
+    "jump" makes a longer stream that need not extend the last one."""
+    inst = DIFFERENTIAL_INSTANCES[n]
+    inputs = data.draw(st.lists(st.sampled_from(list(all_bitstrings(n))), min_size=2, max_size=2, unique=True))
+    family = data.draw(families(inst, inputs))
+    k = data.draw(st.integers(1, len(family.stages)))
+    composite, reference = compose(family, k), _replay_reference(family, k)
+    views = (GameView(inst, False), GameView(OTHER_INSTANCES[n], False))
+    streams = [(), ()]
+    args = (views[0], inputs[0], ())
+    for game, view, action, reply in calls:
+        if action != "again":
+            if action == "extend":
+                streams[game] += (reply,)
+            elif action == "truncate":
+                streams[game] = streams[game][:-1]
+            elif action == "rewrite":
+                streams[game] = streams[game][:-1] + (reply,)
+            elif action == "jump":
+                streams[game] = (reply,) * (len(streams[game]) + 1)
+            elif action == "restart":
+                streams[game] = ()
+            args = (views[view], inputs[game], streams[game])
+        assert composite.move(*args) == reference.move(*args)
+
+
+def test_each_stage_is_asked_once_per_step():
+    """Each finished stage costs one move that emits its Output, so the
+    stage moves of a game can outnumber its composite moves; what holds is
+    that no stage is asked twice with the same replies in one game."""
+    inst = DIFFERENTIAL_INSTANCES[8]
+    for k in (2, 3, 4):
+        for witness in (False, True):
+            asked, replayed = Counter(), Counter()
+            scan(inst, compose(_counted(family4(), asked), k), lambda t: None, witness=witness)
+            scan(inst, _replay_reference(_counted(family4(), replayed), k), lambda t: None, witness=witness)
+            assert set(asked) == set(replayed) and set(asked.values()) == {1}
+            assert sum(replayed.values()) > sum(asked.values())
+
+
+def test_composite_resumes_only_its_own_game():
+    """A stream that extends the last one still starts over when the input
+    or the view differs: here stage 1 asks one row only for input 0001 on
+    the first instance's view, so a resumed stage 2 would see one reply
+    too few and ask row 0 instead of row 1."""
+    inst, other = DIFFERENTIAL_INSTANCES[4], OTHER_INSTANCES[4]
+    picky = StudentStrategy(
+        "picky", 1, lambda view, a, replies: 0 if not replies and view.m == inst.m and a == "0001" else Output("s1")
+    )
+    family = StudentFamily((picky, round_robin_strategy(2, output="s2")))
+    view, other_view = GameView(inst, False), GameView(other, False)
+    for second in ((view, "0000", ("00",)), (other_view, "0001", ("00",)), (view, "0001", ("00",))):
+        composite, reference = compose(family, 2), _replay_reference(family, 2)
+        for args in ((view, "0001", ()), second, second):
+            assert composite.move(*args) == reference.move(*args)
+        assert reference.move(*second) == (0 if second[0] is view and second[1] == "0001" else 1)
+
