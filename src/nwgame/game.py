@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
-from .bits import bits_to_int, check_bits, int_to_bits
+from .bits import bits_to_int, check_bits
 from .design import restrict
 from .errors import ABSENT, REQUIRED, CapabilityError, json_object, json_value
 from .generator import Instance
@@ -129,9 +129,12 @@ def _games(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callable
         raise ValueError("instance has no off-range string b; attach one first")
     view = GameView(inst, strategy.may_invert)
     move, limit = strategy.move, strategy.max_queries
-    budget = min(limit, inst.c)
+    # witness mode asks once more after the last query, for the output
+    steps = range(limit + 1) if witness else range(min(limit, inst.c))
     restrictions, answer = inst.restrictions, inst.answer
     ell, mask, m, b = inst.ell, (1 << inst.ell) - 1, inst.m, inst.b
+    # a Transcript from its seven fields, without the NamedTuple's argument parsing
+    new = tuple.__new__
 
     def run(a: str, value: int) -> Transcript:
         packed = restrictions(value)
@@ -139,9 +142,9 @@ def _games(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callable
         replies: tuple[str, ...] = ()
         success = violation = False
         output = None
-        while witness or len(queries) < budget:
+        for step in steps:
             row = move(view, a, replies)
-            if not (isinstance(row, int) and 0 <= row < m and len(queries) < limit):
+            if not (isinstance(row, int) and 0 <= row < m and step < limit):
                 if row is None or isinstance(row, Output):
                     output = getattr(row, "value", None)
                 else:
@@ -154,8 +157,8 @@ def _games(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callable
                 success = True
                 break
         if witness:
-            return Transcript(a, queries, replies, success, violation, not success, output)
-        return Transcript(a, queries, replies, success, violation)
+            return new(Transcript, (a, queries, replies, success, violation, not success, output))
+        return new(Transcript, (a, queries, replies, success, violation, None, None))
 
     return run
 
@@ -213,9 +216,14 @@ def scan(
         raise ValueError(f"n={inst.n} > {EXHAUSTIVE_MAX_N}: exhaustive scan refused")
 
     def worker(lo: int, hi: int) -> list:
-        run, n = _games(inst, strategy, witness), inst.n
-        kept = (keep(run(int_to_bits(value, n), value)) for value in range(lo, hi))
-        return [out for out in kept if out is not None]
+        run, n, spec = _games(inst, strategy, witness), inst.n, f"0{inst.n}b"
+        kept = []
+        for value in range(lo, hi):
+            # int_to_bits without its range check: value < 2^n
+            out = keep(run(format(value, spec) if n else "", value))
+            if out is not None:
+                kept.append(out)
+        return kept
 
     return [out for shard in run_sharded(1 << inst.n, jobs, worker) for out in shard]
 
@@ -232,9 +240,10 @@ def failure_set(
         size, seed = sample
         if size < 1:
             raise ValueError(f"sample size must be at least 1, got {size}")
-        rng = random.Random(derive_seed("failure-sample", seed))
-        drawn = [int_to_bits(rng.randrange(1 << inst.n), inst.n) for _ in range(size)]
-        failures = tuple(a for a in drawn if not play(inst, strategy, a).success)
+        rng, n, spec = random.Random(derive_seed("failure-sample", seed)), inst.n, f"0{inst.n}b"
+        run, drawn = _games(inst, strategy, False), (rng.randrange(1 << n) for _ in range(size))
+        games = (run(format(value, spec) if n else "", value) for value in drawn)
+        failures = tuple(t.a for t in games if not t.success)
         return FailureReport(inst.n, False, failures, size - len(failures), sample_size=size, seed=seed)
 
     failed = tuple(scan(inst, strategy, lambda t: None if t.success else t.a, jobs=jobs))
@@ -248,22 +257,21 @@ def failure_set(
 def constant_strategy(row: int, queries: int = 1, output: Any = None, name: str | None = None) -> StudentStrategy:
     """Query the same row `queries` times, then stop with `output`.
     queries=0 makes a zero-query student that just emits."""
+    stop = Output(output)
 
     def move(view: GameView, a: str, replies: tuple[str, ...]) -> Move:
-        if len(replies) < queries:
-            return row
-        return Output(output)
+        return row if len(replies) < queries else stop
 
     return StudentStrategy(name or f"constant-{row}x{queries}", max_queries=queries, move=move)
 
 
 def round_robin_strategy(max_queries: int, start: int = 0, output: Any = None, name: str | None = None) -> StudentStrategy:
     """Query rows start, start+1, ... mod m, then stop with `output`."""
+    stop = Output(output)
 
     def move(view: GameView, a: str, replies: tuple[str, ...]) -> Move:
-        if len(replies) < max_queries:
-            return (start + len(replies)) % view.m
-        return Output(output)
+        step = len(replies)
+        return (start + step) % view.m if step < max_queries else stop
 
     return StudentStrategy(name or f"round-robin-{max_queries}@{start}", max_queries=max_queries, move=move)
 
@@ -273,12 +281,11 @@ def seeded_random_strategy(max_queries: int, seed: int = 0, output: Any = None, 
     derive_seed("srand", seed, a, step) mod m, deterministic as a strategy
     and uncorrelated with the design's structure."""
 
-    row_seed = seed_stream("srand", seed)
+    row_seed, stop = seed_stream("srand", seed), Output(output)
 
     def move(view: GameView, a: str, replies: tuple[str, ...]) -> Move:
-        if len(replies) < max_queries:
-            return row_seed(a, len(replies)) % view.m
-        return Output(output)
+        step = len(replies)
+        return row_seed(a, step) % view.m if step < max_queries else stop
 
     return StudentStrategy(name or f"seeded-random-{max_queries}s{seed}", max_queries=max_queries, move=move)
 
@@ -305,14 +312,13 @@ def table_strategy(moves: dict[str, tuple], max_queries: int, name: str | None =
 
     first = next(iter(moves), "")
     frozen = {check_bits(a, len(first), "table key"): tuple(seq) for a, seq in moves.items()}
+    stop = Output(output)
 
     def move(view: GameView, a: str, replies: tuple[str, ...]) -> Move:
         if frozen and view.n != len(first):
             raise ValueError(f"table key {first!r} has {len(first)} bits, the instance has n = {view.n}")
-        seq = frozen.get(a, ())
-        if len(replies) < len(seq):
-            return seq[len(replies)]
-        return Output(output)
+        seq, step = frozen.get(a, ()), len(replies)
+        return seq[step] if step < len(seq) else stop
 
     return StudentStrategy(name or "table", max_queries=max_queries, move=move)
 

@@ -83,6 +83,12 @@ class Instance:
         # dataclasses.replace starts the new instance with an empty memo
         return _Preimages(self.h, self.hard_bit)
 
+    @cached_property
+    def _rows(self) -> tuple[int, range]:
+        # not a field: evaluate's row mask and the bit offset of each row's
+        # restriction in `restrictions`
+        return (1 << self.ell) - 1, range(0, self.ell * self.m, self.ell)
+
     def answer(self, u: int) -> tuple[str, str]:
         """h^-1(u) for the ell-bit row restriction of value u, with its hard bit
         as '0'/'1'; the memo holds one entry per restriction met."""
@@ -136,8 +142,8 @@ class Instance:
 def evaluate(inst: Instance, x: str) -> str:
     """The m-bit generator output on an n-bit input."""
     check_bits(x, inst.n, "generator input")
-    packed, ell, mask, answers = inst.restrictions(bits_to_int(x)), inst.ell, (1 << inst.ell) - 1, inst._answers
-    return "".join([answers[packed >> shift & mask][1] for shift in range(0, ell * inst.m, ell)])
+    (mask, shifts), packed, answers = inst._rows, inst.restrictions(bits_to_int(x)), inst._answers
+    return "".join([answers[packed >> shift & mask][1] for shift in shifts])
 
 
 def find_off_range(inst: Instance, mode: str = "lex-min", seed: int = 0) -> str:

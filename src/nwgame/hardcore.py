@@ -57,17 +57,16 @@ def compose(family: StudentFamily, k: int) -> StudentStrategy:
         raise ValueError(f"k must be in 1..{len(family.stages)}, got {k}")
     stages = family.stages[:k]
     plan = tuple((stage.move, stage.max_queries) for stage in stages)
-    # one tuple, read once and replaced whole: a composite shared between
-    # threads, each on its own view, at worst recomputes
-    progress: tuple = (None,)
+    violation = ProtocolViolation()
+    # (view, a, replies, index, cursor, consumed, outputs): one tuple, read
+    # once and replaced whole, so a composite shared between threads, each
+    # on its own view, at worst recomputes
+    progress: tuple = (None, None, (), 0, 0, 0, ())
 
     def move(view: GameView, a: str, replies: tuple[str, ...]):
         nonlocal progress
-        last = progress
-        seen = last[2] if last[0] is view and last[1] == a else replies
-        if len(seen) < len(replies) and replies[: len(seen)] == seen:
-            index, cursor, consumed, outputs = last[3:]
-        else:
+        last_view, last_a, seen, index, cursor, consumed, outputs = progress
+        if not (last_view is view and last_a == a and len(seen) < len(replies) and replies[: len(seen)] == seen):
             index, cursor, consumed, outputs = 0, 0, 0, ()
         while index < k:
             stage_move, limit = plan[index]
@@ -77,7 +76,7 @@ def compose(family: StudentFamily, k: int) -> StudentStrategy:
                 index, cursor, consumed = index + 1, cursor + consumed, 0
             elif consumed >= limit:
                 # the stage overruns its own budget
-                return ProtocolViolation()
+                return violation
             elif cursor + consumed < len(replies):
                 consumed += 1
             else:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,10 +31,11 @@ from nwgame import (
     table_strategy,
     trace_census,
 )
-from nwgame.bits import all_bitstrings
+from nwgame.bits import all_bitstrings, int_to_bits
 from nwgame.design import restrict
-from nwgame.game import GameView, Transcript, scan
+from nwgame.game import FailureReport, GameView, Transcript, scan
 from nwgame.generator import evaluate
+from nwgame.seeds import derive_seed
 
 from helpers import bad_index_strategy, greedy_instance, near_omniscient, reference_instance
 
@@ -128,6 +130,13 @@ def test_games_refuse_an_instance_without_b_or_past_the_scan_cap(inst_a):
     wide = Instance(Design(n=15, ell=2, d=0, sets=((0, 1),)), Permutation(ell=2, kind="identity"), HardBit(), c=1, b="1")
     with pytest.raises(ValueError, match="n=15 > 14"):
         scan(wide, constant_strategy(0), lambda t: t.a)
+
+
+def test_the_one_input_of_a_zero_bit_instance_is_the_empty_string():
+    empty = Instance(Design(n=0, ell=1, d=0, sets=()), Permutation(ell=1, kind="identity"), HardBit(), c=1, b="")
+    student = constant_strategy(0, queries=0)
+    assert scan(empty, student, lambda t: t) == [play(empty, student, "")]
+    assert failure_set(empty, student, sample=(3, 0)).failures == ("", "", "")
 
 
 def test_omniscient_always_succeeds_in_one_query(inst_a):
@@ -399,6 +408,69 @@ def test_library_strategies_match_reference(which, kind, row, queries, seed, out
         ),
     }[kind]()
     _scan_matches_reference(inst, student, witness)
+
+
+def _library_students(inst):
+    """Every library kind, each at a budget below and above the instance's c."""
+    table = {a: (i % inst.m, (i + 2) % inst.m) for i, a in enumerate(all_bitstrings(inst.n)) if i % 3}
+    return [
+        constant_strategy(1, queries=0, output="zero"),
+        constant_strategy(2, queries=1),
+        constant_strategy(3, queries=3, output=7),
+        round_robin_strategy(1, start=2, output=(1,)),
+        round_robin_strategy(3, start=4),
+        seeded_random_strategy(1, seed=6),
+        seeded_random_strategy(4, seed=9, output="s"),
+        table_strategy(table, 2, output="t"),
+        table_strategy(table, 3),
+    ]
+
+
+@pytest.mark.parametrize("which", range(len(STOP_RULE_INSTANCES)))
+@pytest.mark.parametrize("witness", [False, True])
+def test_scan_asks_as_many_moves_as_the_reference(which, witness):
+    inst = STOP_RULE_INSTANCES[which]
+    library = _library_students(inst)
+    family = StudentFamily((library[1], seeded_random_strategy(2, seed=3), round_robin_strategy(3, start=1, output="r")))
+    for student in library + [omniscient_strategy()] + [compose(family, k) for k in (1, 2, 3)]:
+        _scan_matches_reference(inst, student, witness)
+
+
+@pytest.mark.parametrize("which", range(len(STOP_RULE_INSTANCES)))
+def test_library_student_stops_with_one_output_object(which):
+    inst = STOP_RULE_INSTANCES[which]
+    view = GameView(inst, may_invert=False)
+    for student in _library_students(inst):
+        spent = ("0" * inst.ell,) * student.max_queries
+        stops = [student.move(view, a, spent) for a in all_bitstrings(inst.n)]
+        assert isinstance(stops[0], Output) and all(out is stops[0] for out in stops), student.name
+
+        def recorded(view, a, replies, move=student.move):
+            out = move(view, a, replies)
+            assert not isinstance(out, Output) or out is stops[0]
+            return out
+
+        for witness in (False, True):
+            scan(inst, dataclasses.replace(student, move=recorded), lambda t: None, witness=witness)
+
+
+@pytest.fixture(scope="module")
+def inst_n15():
+    return greedy_instance(15, 4, 2, seed=3, c=2)
+
+
+@pytest.mark.parametrize("sample_seed", [0, 41])
+@pytest.mark.parametrize("spec", ["round-robin:2:3", "seeded-random:3:5"])
+def test_sampled_failure_set_matches_per_draw_play(inst_n15, spec, sample_seed):
+    student, size = strategy_from_spec(spec), 400
+    rng = random.Random(derive_seed("failure-sample", sample_seed))
+    drawn = [int_to_bits(rng.randrange(1 << inst_n15.n), inst_n15.n) for _ in range(size)]
+    failures = tuple(a for a in drawn if not play(inst_n15, student, a).success)
+    assert 0 < len(failures) < size
+    report = failure_set(inst_n15, student, sample=(size, sample_seed))
+    assert report == FailureReport(15, False, failures, size - len(failures), sample_size=size, seed=sample_seed)
+    with pytest.raises(ValueError, match="n=15 > 14"):
+        failure_set(inst_n15, student)
 
 
 def test_transcript_is_an_immutable_value(inst_a):
