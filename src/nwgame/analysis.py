@@ -214,10 +214,10 @@ class Predictor:
         trace = self.trace
         positions = inst.design.sets[trace[-1]]
         a = embed(u, self.outside, positions, inst.n)
-        replies: list[str] = []
+        replies: tuple[str, ...] = ()
         last = len(trace) - 1
         for step, expected in enumerate(trace):
-            move = self.strategy.move(self.view, a, tuple(replies))
+            move = self.strategy.move(self.view, a, replies)
             if not isinstance(move, int) or move != expected:
                 return self.default_bit
             if step == last:
@@ -234,7 +234,7 @@ class Predictor:
             if inst.hard_bit.value(witness) != int(inst.b[expected]):
                 # live game would have stopped here, short of the full trace
                 return self.default_bit
-            replies.append(witness)
+            replies += (witness,)
         raise AssertionError("unreachable: loop returns at the final step")
 
 

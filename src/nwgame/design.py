@@ -9,6 +9,7 @@ algebraic family cannot hit.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import asdict, dataclass
 
@@ -117,16 +118,10 @@ def build_polynomial_design(q: int, degree: int) -> Design:
         raise ValueError(f"degree must satisfy 1 <= degree < q, got {degree}")
     if q ** (degree + 1) > POLYNOMIAL_MAX_ROWS:
         raise ValueError(f"q^(degree+1) = {q ** (degree + 1)} rows exceeds {POLYNOMIAL_MAX_ROWS}")
-    rows = []
-    for index in range(q ** (degree + 1)):
-        coeffs = []
-        rest = index
-        # coefficient of x^i is the i-th least significant base-q digit
-        for _ in range(degree + 1):
-            coeffs.append(rest % q)
-            rest //= q
-        rows.append(tuple(sorted(q * x + field.eval_poly(coeffs, x) for x in range(q))))
-    return Design(n=q * q, ell=q, d=degree, sets=tuple(rows))
+    # row index = the coefficient vector in base q, x^0's coefficient least significant
+    vectors = (digits[::-1] for digits in itertools.product(range(q), repeat=degree + 1))
+    rows = tuple(tuple(sorted(q * x + field.eval_poly(coeffs, x) for x in range(q))) for coeffs in vectors)
+    return Design(n=q * q, ell=q, d=degree, sets=rows)
 
 
 def _overlap(a: tuple[int, ...], b: tuple[int, ...]) -> int:

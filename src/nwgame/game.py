@@ -116,9 +116,9 @@ class Transcript(NamedTuple):
         return {**self._asdict(), "queries": list(self.queries), "replies": list(self.replies)}
 
 
-def _games(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callable[[str, int], Transcript]:
-    """The strategy's games on one view: run(a, value) plays input a (of
-    integer value `value`) until the first of:
+def _games(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callable[[int], Transcript]:
+    """The strategy's games on one view: run(value) plays the n-bit input a
+    of that integer value until the first of:
     1. the student stops (None or an Output): the run fails;
     2. the move is not a legal query (a ProtocolViolation, a non-row, or in
        witness mode a query after max_queries replies): a violation;
@@ -133,11 +133,13 @@ def _games(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callable
     steps = range(limit + 1) if witness else range(min(limit, inst.c))
     restrictions, answer = inst.restrictions, inst.answer
     ell, mask, m, b = inst.ell, (1 << inst.ell) - 1, inst.m, inst.b
+    # int_to_bits without its range check (value < 2^n); n = 0 has one input, ""
+    n, spec = inst.n, f"0{inst.n}b"
     # a Transcript from its seven fields, without the NamedTuple's argument parsing
     new = tuple.__new__
 
-    def run(a: str, value: int) -> Transcript:
-        packed = restrictions(value)
+    def run(value: int) -> Transcript:
+        a, packed = format(value, spec) if n else "", restrictions(value)
         queries: tuple[int, ...] = ()
         replies: tuple[str, ...] = ()
         success = violation = False
@@ -165,7 +167,7 @@ def _games(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callable
 
 def _play(inst: Instance, strategy: StudentStrategy, a: str, witness: bool) -> Transcript:
     check_bits(a, inst.n, "game input")
-    return _games(inst, strategy, witness)(a, bits_to_int(a))
+    return _games(inst, strategy, witness)(bits_to_int(a))
 
 
 def play(inst: Instance, strategy: StudentStrategy, a: str) -> Transcript:
@@ -216,11 +218,9 @@ def scan(
         raise ValueError(f"n={inst.n} > {EXHAUSTIVE_MAX_N}: exhaustive scan refused")
 
     def worker(lo: int, hi: int) -> list:
-        run, n, spec = _games(inst, strategy, witness), inst.n, f"0{inst.n}b"
-        kept = []
+        run, kept = _games(inst, strategy, witness), []
         for value in range(lo, hi):
-            # int_to_bits without its range check: value < 2^n
-            out = keep(run(format(value, spec) if n else "", value))
+            out = keep(run(value))
             if out is not None:
                 kept.append(out)
         return kept
@@ -240,9 +240,8 @@ def failure_set(
         size, seed = sample
         if size < 1:
             raise ValueError(f"sample size must be at least 1, got {size}")
-        rng, n, spec = random.Random(derive_seed("failure-sample", seed)), inst.n, f"0{inst.n}b"
-        run, drawn = _games(inst, strategy, False), (rng.randrange(1 << n) for _ in range(size))
-        games = (run(format(value, spec) if n else "", value) for value in drawn)
+        rng, run = random.Random(derive_seed("failure-sample", seed)), _games(inst, strategy, False)
+        games = (run(rng.randrange(1 << inst.n)) for _ in range(size))
         failures = tuple(t.a for t in games if not t.success)
         return FailureReport(inst.n, False, failures, size - len(failures), sample_size=size, seed=seed)
 

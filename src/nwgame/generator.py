@@ -162,16 +162,14 @@ def find_off_range(inst: Instance, mode: str = "lex-min", seed: int = 0) -> str:
 
     space = 1 << inst.m
     if mode == "lex-min":
-        for y in range(space):
-            if y not in in_range:
-                return int_to_bits(y, inst.m)
-        raise SearchExhausted("generator is surjective; no off-range string exists")
-    rng = random.Random(derive_seed("off-range", inst.m, seed))
-    for _ in range(1000):
-        y = rng.randrange(space)
+        candidates, exhausted = range(space), "generator is surjective; no off-range string exists"
+    else:
+        rng = random.Random(derive_seed("off-range", inst.m, seed))
+        candidates, exhausted = (rng.randrange(space) for _ in range(1000)), "no off-range string found in 1000 seeded draws"
+    for y in candidates:
         if y not in in_range:
             return int_to_bits(y, inst.m)
-    raise SearchExhausted("no off-range string found in 1000 seeded draws")
+    raise SearchExhausted(exhausted)
 
 
 def certify_off_range(inst: Instance, b: str) -> bool:

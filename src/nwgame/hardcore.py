@@ -58,30 +58,34 @@ def compose(family: StudentFamily, k: int) -> StudentStrategy:
     stages = family.stages[:k]
     plan = tuple((stage.move, stage.max_queries) for stage in stages)
     violation = ProtocolViolation()
-    # (view, a, replies, index, cursor, consumed, outputs): one tuple, read
-    # once and replaced whole, so a composite shared between threads, each
-    # on its own view, at worst recomputes
-    progress: tuple = (None, None, (), 0, 0, 0, ())
+    # (view, a, replies, index, own, used, outputs): the stage, its own
+    # replies, the stream replies consumed and the finished stages' outputs.
+    # One tuple, read once and replaced whole, so a composite shared between
+    # threads, each on its own view, at worst recomputes
+    progress: tuple = (None, None, (), 0, (), 0, ())
 
     def move(view: GameView, a: str, replies: tuple[str, ...]):
         nonlocal progress
-        last_view, last_a, seen, index, cursor, consumed, outputs = progress
-        if not (last_view is view and last_a == a and len(seen) < len(replies) and replies[: len(seen)] == seen):
-            index, cursor, consumed, outputs = 0, 0, 0, ()
+        last_view, last_a, seen, index, own, used, outputs = progress
+        if last_view is view and last_a == a and len(seen) < len(replies) and replies[: len(seen)] == seen:
+            # the reply to the query the last call returned
+            own, used = own + (replies[used],), used + 1
+        else:
+            index, own, used, outputs = 0, (), 0, ()
         while index < k:
             stage_move, limit = plan[index]
-            row = stage_move(view, a, replies[cursor : cursor + consumed])
+            row = stage_move(view, a, own)
             if row is None or isinstance(row, Output):
                 outputs += (getattr(row, "value", None),)
-                index, cursor, consumed = index + 1, cursor + consumed, 0
-            elif consumed >= limit:
+                index, own = index + 1, ()
+            elif len(own) >= limit:
                 # the stage overruns its own budget
                 return violation
-            elif cursor + consumed < len(replies):
-                consumed += 1
+            elif used < len(replies):
+                own, used = own + (replies[used],), used + 1
             else:
                 # the next call's reply answers this move
-                progress = (view, a, replies, index, cursor, consumed + 1, outputs)
+                progress = (view, a, replies, index, own, used, outputs)
                 return row
         return Output(outputs)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from nwgame import Design, SearchExhausted, build_polynomial_design, extend_greedy, verify_design
 from nwgame.design import POLYNOMIAL_MAX_ROWS, embed, require_valid, restrict
 from nwgame.errors import ValidationError
+from nwgame.gf import MAX_Q, Field, prime_power_split
 
 from helpers import REFERENCE_SETS
 
@@ -114,6 +115,23 @@ def test_polynomial_design_refuses_too_many_rows():
     with pytest.raises(ValueError):
         build_polynomial_design(13, 2)  # 2197 rows
     assert build_polynomial_design(11, 2).m == 1331 <= POLYNOMIAL_MAX_ROWS
+
+
+def test_polynomial_design_rows_follow_the_base_q_digits():
+    # every (q, degree) the row cap admits: row `index` is the polynomial
+    # whose x^i coefficient is the i-th least significant base-q digit
+    built = 0
+    for q in range(2, MAX_Q + 1):
+        for degree in range(1, q):
+            if prime_power_split(q) is None or q ** (degree + 1) > POLYNOMIAL_MAX_ROWS:
+                continue
+            field, rows = Field(q), build_polynomial_design(q, degree).sets
+            assert len(rows) == q ** (degree + 1)
+            for index, row in enumerate(rows):
+                coeffs = [index // q**i % q for i in range(degree + 1)]
+                assert row == tuple(sorted(q * x + field.eval_poly(coeffs, x) for x in range(q)))
+            built += 1
+    assert built == 19
 
 
 def test_restrict_and_embed_small():

@@ -105,8 +105,10 @@ def test_surjective_generator_has_no_off_range():
     # m=1 and both output bits appear, so the range is all of {0,1}
     design = Design(n=2, ell=2, d=1, sets=((0, 1),))
     inst = Instance(design, Permutation(ell=2, kind="identity"), HardBit("last-bit"), c=1)
-    with pytest.raises(SearchExhausted):
+    with pytest.raises(SearchExhausted, match="^generator is surjective; no off-range string exists$"):
         find_off_range(inst)
+    with pytest.raises(SearchExhausted, match="^no off-range string found in 1000 seeded draws$"):
+        find_off_range(inst, mode="seeded-random", seed=3)
 
 
 def test_explicit_b_validation():

@@ -19,11 +19,14 @@ from nwgame import (
     failure_bound,
     round_robin_strategy,
     seeded_random_strategy,
+    strategy_from_spec,
     sweep,
     table_strategy,
 )
 from nwgame.bits import all_bitstrings
+from nwgame.design import restrict
 from nwgame.game import GameView, scan
+from nwgame.hardcore import HardcoreReport
 
 from helpers import greedy_instance, reference_instance
 
@@ -344,3 +347,56 @@ def test_composite_resumes_only_its_own_game():
             assert composite.move(*args) == reference.move(*args)
         assert reference.move(*second) == (0 if second[0] is view and second[1] == "0001" else 1)
 
+
+def _spied(family: StudentFamily, handed: list) -> StudentFamily:
+    """The family with every reply tuple handed to a stage recorded as
+    (stage index, input, replies)."""
+
+    def spy(index, stage):
+        def move(view, a, replies):
+            handed.append((index, a, replies))
+            return stage.move(view, a, replies)
+
+        return dataclasses.replace(stage, move=move)
+
+    return StudentFamily(tuple(spy(index, stage) for index, stage in enumerate(family.stages)))
+
+
+def _own_replies(inst, stage: StudentStrategy, a: str, replies: tuple[str, ...]) -> bool:
+    """Whether reply j is the teacher's answer to the row `stage` queries
+    after seeing replies[:j], for every j."""
+    view, sets = GameView(inst, False), inst.design.sets
+    rows = (stage.move(view, a, replies[:j]) for j in range(len(replies)))
+    return replies == tuple(inst.h.invert(restrict(a, sets[row])) for row in rows)
+
+
+def test_each_stage_is_handed_its_own_replies_when_resumed():
+    inst, family, handed = DIFFERENTIAL_INSTANCES[8], family4(), []
+    scan(inst, compose(_spied(family, handed), 4), lambda t: None, witness=True)
+    # resumed: no stage is handed the same replies twice in one game
+    assert len(set(handed)) == len(handed) and max(len(replies) for _, _, replies in handed) == 4
+    for index, a, replies in handed:
+        assert _own_replies(inst, family.stages[index], a, replies)
+
+
+def test_each_stage_is_handed_its_own_replies_when_recomputed():
+    inst, family, handed = DIFFERENTIAL_INSTANCES[8], family4(), []
+    longest = sorted(scan(inst, compose(family, 4), lambda t: t, witness=True), key=lambda t: -len(t.replies))[:2]
+    composite, view = compose(_spied(family, handed), 4), GameView(inst, False)
+    # the two games in turn, each on a stream no longer than its last one: every call recomputes
+    calls = [(t.a, t.replies[:j]) for j in range(len(longest[0].replies), -1, -1) for t in longest]
+    for a, replies in calls:
+        composite.move(view, a, replies)
+    assert [a for a, _ in calls] == [a for index, a, replies in handed if (index, replies) == (0, ())]
+    assert max(len(replies) for _, _, replies in handed) == 4
+    for index, a, replies in handed:
+        assert _own_replies(inst, family.stages[index], a, replies)
+
+
+def test_report_leaves_out_members_above_the_emit_cap():
+    # a zero-query stage is defined on all 2^13 inputs, past the 4,096 cap
+    inst = greedy_instance(13, 2, 1, seed=0)
+    report = extract_hardcore(inst, StudentFamily((strategy_from_spec("constant:0:0"),)), 1)
+    data = report.to_json_dict()
+    assert report.size == data["size"] == 8192 > HardcoreReport.MEMBER_EMIT_CAP
+    assert "members_hex" not in data
