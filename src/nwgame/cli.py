@@ -17,7 +17,7 @@ from typing import Any
 
 from . import analysis, hardcore
 from .bits import check_bits, hex_to_bits
-from .crypto import HARD_BIT_KINDS, PERMUTATION_KINDS, HardBit, Permutation, check_bijection
+from .crypto import DEFAULT_ROUNDS, HARD_BIT_KINDS, PERMUTATION_KINDS, HardBit, Permutation, check_bijection
 from .design import Design, build_polynomial_design, extend_greedy, require_valid, verify_design
 from .errors import ABSENT, REQUIRED, SearchExhausted, ValidationError, json_object, json_value
 from .game import StudentStrategy, evaluate_partial, failure_set, play, strategy_from_spec
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--design", required=True)
     i.add_argument("--perm", default="identity", choices=PERMUTATION_KINDS)
     i.add_argument("--perm-seed", type=int, default=0)
-    i.add_argument("--rounds", type=int, default=4)
+    i.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
     i.add_argument("--hard-bit", default="last-bit", choices=HARD_BIT_KINDS)
     i.add_argument("--c", type=int, default=1)
     i.add_argument("--b", default=None, help="explicit off-range bits (certified when n allows)")

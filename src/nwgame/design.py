@@ -167,13 +167,5 @@ def embed(inner: str, outer: str, positions: tuple[int, ...], n: int) -> str:
     and whose remaining bits, in ascending position order, are `outer`."""
     if len(inner) != len(positions) or len(outer) != n - len(positions):
         raise ValueError("inner/outer lengths do not partition n positions")
-    inside = dict(zip(positions, inner))
-    out = []
-    cursor = 0
-    for p in range(n):
-        if p in inside:
-            out.append(inside[p])
-        else:
-            out.append(outer[cursor])
-            cursor += 1
-    return "".join(out)
+    inside, rest = dict(zip(positions, inner)), iter(outer)
+    return "".join([inside[p] if p in inside else next(rest) for p in range(n)])

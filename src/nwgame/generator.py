@@ -158,7 +158,7 @@ def find_off_range(inst: Instance, mode: str = "lex-min", seed: int = 0) -> str:
         raise ValueError(f"off-range certification needs n <= {ENUMERATION_MAX_N}, got {inst.n}")
     if mode not in OFF_RANGE_MODES:
         raise ValueError(f"unknown off-range search mode {mode!r}")
-    in_range = {int(evaluate(inst, x), 2) for x in all_bitstrings(inst.n)}
+    in_range = {bits_to_int(evaluate(inst, x)) for x in all_bitstrings(inst.n)}
 
     space = 1 << inst.m
     if mode == "lex-min":

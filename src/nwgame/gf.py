@@ -1,9 +1,9 @@
 """Arithmetic in small finite fields GF(q), q a prime power up to 16.
 
-Elements are integers 0..q-1.  For prime q this is arithmetic mod q.  For
-prime powers the base-p digits of the integer are the coefficients of a
-polynomial over GF(p), reduced by a fixed irreducible polynomial, so the
-encoding never varies between runs or machines.
+Elements are integers 0..q-1, q = p^k, whose base-p digits are the
+coefficients of a polynomial over GF(p).  Products are reduced by a fixed
+irreducible polynomial of degree k, so the encoding never varies between
+runs or machines; for prime q no product needs reducing (arithmetic mod q).
 """
 
 from __future__ import annotations
@@ -75,16 +75,12 @@ class Field:
     def add(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self.k == 1:
-            return (a + b) % self.p
         da, db = self._digits(a), self._digits(b)
         return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
 
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self.k == 1:
-            return (a * b) % self.p
         da, db = self._digits(a), self._digits(b)
         prod = [0] * (2 * self.k - 1)
         for i, x in enumerate(da):
@@ -94,9 +90,8 @@ class Field:
         return self._undigits(self._reduce(prod))
 
     def _reduce(self, coeffs: list[int]) -> list[int]:
-        irr = _IRREDUCIBLE[self.q]
         for i in range(len(coeffs) - 1, self.k - 1, -1):
-            c = coeffs[i]
+            c, irr = coeffs[i], _IRREDUCIBLE[self.q]
             if c:
                 coeffs[i] = 0
                 # t^i = t^(i-k) * (t^k mod irr); irr is monic of degree k

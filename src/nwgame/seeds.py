@@ -31,4 +31,4 @@ def seed_stream(*prefix: object) -> Callable[..., int]:
 
 def derive_seed(*parts: object) -> int:
     """Collapse labels, ints, and strings into a stable 64-bit seed."""
-    return int.from_bytes(_hash(hashlib.blake2b(digest_size=8), parts).digest(), "big")
+    return seed_stream()(*parts)
