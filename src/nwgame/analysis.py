@@ -176,8 +176,8 @@ def build_witness_tables(
     bits it shares with that row, so each table has at most 2^d entries:
     the map from the row's restriction z to its preimage.
     """
-    if not trace or trace[-1] in trace[:-1]:
-        raise ValueError(f"trace must be nonempty, its final row not queried before: {trace}")
+    if not trace or trace[-1] in trace[:-1] or not all(0 <= row < inst.m for row in trace):
+        raise ValueError(f"trace must be nonempty rows in 0..{inst.m - 1}, its final row not queried before: {trace}")
     row_k = trace[-1]
     positions = inst.design.sets[row_k]
     inputs = [embed(u, outside, positions, inst.n) for u in all_bitstrings(inst.ell)]

@@ -144,6 +144,14 @@ def test_witness_tables_reject_repeated_final_row(inst_a):
         build_witness_tables(inst_a, (0, 1, 0), "00")
 
 
+def test_witness_tables_reject_rows_outside_the_design(inst_a):
+    # (7,) once indexed past the design's rows; (-1,) once built tables for
+    # every row, the final row among them
+    for trace in ((7,), (-1,), (9, 0)):
+        with pytest.raises(ValueError, match=r"rows in 0\.\.4"):
+            build_witness_tables(inst_a, trace, "00")
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(5, 8), st.integers(0, 50), st.data())
 def test_witness_tables_match_the_shared_bit_projection(n, seed, data):

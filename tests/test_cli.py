@@ -202,6 +202,20 @@ def test_exit_code_search_exhausted(tmp_path):
     assert main(["instance", "make", "--design", str(design), "--c", "1"]) == EXIT_SEARCH
 
 
+@pytest.mark.parametrize(
+    "mode, message",
+    [("lex-min", "generator is surjective; no off-range string exists"),
+     ("seeded-random", "no off-range string found in 1000 seeded draws")],
+    ids=["lex-min", "seeded-random"],
+)
+def test_zero_row_design_has_no_off_range_b(tmp_path, capsys, mode, message):
+    # with no rows the generator maps onto the one 0-bit string: no b exists
+    design = tmp_path / "empty.json"
+    design.write_text(json.dumps({"n": 4, "ell": 2, "d": 1, "sets": []}))
+    assert main(["instance", "make", "--design", str(design), "--b-mode", mode]) == EXIT_SEARCH
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_oversized_budgets_exit_config_before_any_game(workspace, capsys, monkeypatch):
     # a failure ceiling too long to print is refused before the first game
     tmp, _, instance = workspace
