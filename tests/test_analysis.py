@@ -145,8 +145,6 @@ def test_witness_tables_reject_repeated_final_row(inst_a):
 
 
 def test_witness_tables_reject_rows_outside_the_design(inst_a):
-    # (7,) once indexed past the design's rows; (-1,) once built tables for
-    # every row, the final row among them
     for trace in ((7,), (-1,), (9, 0)):
         with pytest.raises(ValueError, match=r"rows in 0\.\.4"):
             build_witness_tables(inst_a, trace, "00")
