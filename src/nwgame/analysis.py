@@ -154,10 +154,12 @@ def best_partial_assignment(
     # sort as the outside strings do
     row_bits = sum(1 << (inst.n - 1 - p) for p in inside)
 
-    def keep(t) -> tuple[int, str]:
-        return bits_to_int(t.a) & ~row_bits, _classify(t.trace, trace)
-
-    tally = Counter(scan(inst, strategy, keep, jobs=jobs))
+    # every input keeps its trace, () for a failed run, so the list lines
+    # up with the input values
+    played = scan(inst, strategy, lambda t: t.trace or (), jobs=jobs)
+    tally: Counter = Counter()
+    for (fixing, seen), count in Counter(zip(map((~row_bits).__and__, range(1 << inst.n)), played)).items():
+        tally[fixing, _classify(seen, trace)] += count
     # input order meets each fixing first at its lexicographic rank, and max
     # keeps the first of equal margins, so ties go to the lex-min fixing
     margins = {fixing: tally[fixing, "exact"] - tally[fixing, "proper"] for fixing, _ in tally}

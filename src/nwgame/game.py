@@ -2,7 +2,7 @@
 
 Solve mode: on a shared n-bit input, the student names rows of the design
 and the teacher answers each row i with the unique permutation preimage of
-the input's restriction to that row (packed once per game, then read from
+the input's restriction to that row (packed once per input, then read from
 the instance's memo).  The run succeeds the moment a reply's hard bit
 disagrees with the published off-range string at the queried row; the
 sequence of rows of a successful run is its trace.
@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, NamedTuple
 
-from .bits import bits_to_int, check_bits
+from .bits import bits_to_int, check_bits, int_to_bits
 from .design import restrict
 from .errors import ABSENT, REQUIRED, CapabilityError, json_object, json_value
 from .generator import Instance
@@ -116,9 +117,10 @@ class Transcript(NamedTuple):
         return {**self._asdict(), "queries": list(self.queries), "replies": list(self.replies)}
 
 
-def _games(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callable[[int], Transcript]:
-    """The strategy's games on one view: run(value) plays the n-bit input a
-    of that integer value until the first of:
+def _games(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callable[[str, int], Transcript]:
+    """The strategy's games on one view: run(a, packed) plays the n-bit input
+    a, whose row restrictions are packed as `inst.restrictions` packs them,
+    until the first of:
     1. the student stops (None or an Output): the run fails;
     2. the move is not a legal query (a ProtocolViolation, a non-row, or in
        witness mode a query after max_queries replies): a violation;
@@ -131,15 +133,12 @@ def _games(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callable
     move, limit = strategy.move, strategy.max_queries
     # witness mode asks once more after the last query, for the output
     steps = range(limit + 1) if witness else range(min(limit, inst.c))
-    restrictions, answer = inst.restrictions, inst.answer
+    answer = inst.answer
     ell, mask, m, b = inst.ell, (1 << inst.ell) - 1, inst.m, inst.b
-    # int_to_bits without its range check (value < 2^n); n = 0 has one input, ""
-    n, spec = inst.n, f"0{inst.n}b"
     # a Transcript from its seven fields, without the NamedTuple's argument parsing
     new = tuple.__new__
 
-    def run(value: int) -> Transcript:
-        a, packed = format(value, spec) if n else "", restrictions(value)
+    def run(a: str, packed: int) -> Transcript:
         queries: tuple[int, ...] = ()
         replies: tuple[str, ...] = ()
         success = violation = False
@@ -167,7 +166,7 @@ def _games(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callable
 
 def _play(inst: Instance, strategy: StudentStrategy, a: str, witness: bool) -> Transcript:
     check_bits(a, inst.n, "game input")
-    return _games(inst, strategy, witness)(bits_to_int(a))
+    return _games(inst, strategy, witness)(a, inst.restrictions(bits_to_int(a)))
 
 
 def play(inst: Instance, strategy: StudentStrategy, a: str) -> Transcript:
@@ -210,20 +209,18 @@ def scan(
 ) -> list:
     """Play each of the 2^n inputs once, in input order (n <= 14), and
     return keep(transcript) for every run where that value is not None.
+    Each input's string and packed restrictions come from `inst._inputs`.
 
     Every exhaustive question about a strategy is a fold over this list;
     shards merge in input order, so `jobs` never changes the result.
     """
     if inst.n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"n={inst.n} > {EXHAUSTIVE_MAX_N}: exhaustive scan refused")
+    inputs, packed = inst._inputs
 
     def worker(lo: int, hi: int) -> list:
-        run, kept = _games(inst, strategy, witness), []
-        for value in range(lo, hi):
-            out = keep(run(value))
-            if out is not None:
-                kept.append(out)
-        return kept
+        kept = map(keep, map(_games(inst, strategy, witness), inputs[lo:hi], packed[lo:hi]))
+        return [out for out in kept if out is not None]
 
     return [out for shard in run_sharded(1 << inst.n, jobs, worker) for out in shard]
 
@@ -241,7 +238,8 @@ def failure_set(
         if size < 1:
             raise ValueError(f"sample size must be at least 1, got {size}")
         rng, run = random.Random(derive_seed("failure-sample", seed)), _games(inst, strategy, False)
-        games = (run(rng.randrange(1 << inst.n)) for _ in range(size))
+        draws = (rng.randrange(1 << inst.n) for _ in range(size))
+        games = (run(int_to_bits(x, inst.n), inst.restrictions(x)) for x in draws)
         failures = tuple(t.a for t in games if not t.success)
         return FailureReport(inst.n, False, failures, size - len(failures), sample_size=size, seed=seed)
 
@@ -280,7 +278,9 @@ def seeded_random_strategy(max_queries: int, seed: int = 0, output: Any = None, 
     derive_seed("srand", seed, a, step) mod m, deterministic as a strategy
     and uncorrelated with the design's structure."""
 
-    row_seed, stop = seed_stream("srand", seed), Output(output)
+    # (a, step) -> 64-bit hash, reduced mod m after the lookup so one strategy
+    # serves instances of any m; 2^16 entries hold an n = 14 scan at 4 queries
+    row_seed, stop = lru_cache(maxsize=1 << 16)(seed_stream("srand", seed)), Output(output)
 
     def move(view: GameView, a: str, replies: tuple[str, ...]) -> Move:
         step = len(replies)

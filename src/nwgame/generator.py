@@ -8,6 +8,8 @@ and the per-game query budget c.
 Both the generator and the game's teacher read an input's m row
 restrictions packed into one int (`Instance.restrictions`), and each
 restriction's preimage and hard bit from a lazy memo (`Instance.answer`).
+The exhaustive game scans read every input's string and packed
+restrictions from one table per instance (`Instance._inputs`).
 """
 
 from __future__ import annotations
@@ -114,6 +116,12 @@ class Instance:
             packed |= table[x & 255]
             x >>= 8
         return packed
+
+    @cached_property
+    def _inputs(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
+        # not a field: every input's n-bit string and its `restrictions`, in
+        # input order, for the exhaustive scans (2^n entries, built by the first)
+        return tuple(all_bitstrings(self.n)), tuple(map(self.restrictions, range(1 << self.n)))
 
     def to_json_dict(self) -> dict:
         return {

@@ -53,6 +53,10 @@ class Field:
         p, k = split
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)
+        # q x q sum and product tables from the digit path (q <= 16)
+        elements = range(self.q)
+        object.__setattr__(self, "_sums", tuple(tuple(self._digit_add(a, b) for b in elements) for a in elements))
+        object.__setattr__(self, "_products", tuple(tuple(self._digit_mul(a, b) for b in elements) for a in elements))
 
     def _digits(self, a: int) -> list[int]:
         out = []
@@ -73,14 +77,16 @@ class Field:
         return a
 
     def add(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
+        return self._sums[self._check(a)][self._check(b)]
+
+    def mul(self, a: int, b: int) -> int:
+        return self._products[self._check(a)][self._check(b)]
+
+    def _digit_add(self, a: int, b: int) -> int:
         da, db = self._digits(a), self._digits(b)
         return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
 
-    def mul(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
+    def _digit_mul(self, a: int, b: int) -> int:
         da, db = self._digits(a), self._digits(b)
         prod = [0] * (2 * self.k - 1)
         for i, x in enumerate(da):

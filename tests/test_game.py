@@ -21,6 +21,7 @@ from nwgame import (
     constant_strategy,
     definedness_set,
     embed,
+    extend_greedy,
     evaluate_partial,
     failure_set,
     omniscient_strategy,
@@ -137,6 +138,21 @@ def test_the_one_input_of_a_zero_bit_instance_is_the_empty_string():
     student = constant_strategy(0, queries=0)
     assert scan(empty, student, lambda t: t) == [play(empty, student, "")]
     assert failure_set(empty, student, sample=(3, 0)).failures == ("", "", "")
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_input_table_is_each_inputs_string_and_packed_restrictions(n):
+    # n = 0 keeps its design with no rows; its one input is ""
+    ell = min(n, 2) or 1
+    design = Design(n=n, ell=ell, d=ell - 1, sets=())
+    if n:
+        design = extend_greedy(design, max(n - 1, 1), seed=n)
+    inst = Instance(design, Permutation(ell=ell, kind="identity"), HardBit(), c=1, b="0" * design.m)
+    assert "_inputs" not in vars(inst)
+    inputs, packed = inst._inputs
+    assert list(zip(inputs, packed)) == [(int_to_bits(x, n), inst.restrictions(x)) for x in range(1 << n)]
+    # every scan hands each game the table's own string for its input
+    assert all(a is b for a, b in zip(scan(inst, constant_strategy(0, queries=0), lambda t: t.a), inputs))
 
 
 def test_omniscient_always_succeeds_in_one_query(inst_a):
@@ -471,6 +487,16 @@ def test_sampled_failure_set_matches_per_draw_play(inst_n15, spec, sample_seed):
     assert report == FailureReport(15, False, failures, size - len(failures), sample_size=size, seed=sample_seed)
     with pytest.raises(ValueError, match="n=15 > 14"):
         failure_set(inst_n15, student)
+
+
+def test_games_past_the_scan_cap_build_no_input_table(inst_n15):
+    student = strategy_from_spec("seeded-random:2:1")
+    failure_set(inst_n15, student, sample=(50, 7))
+    play(inst_n15, student, "0" * 15)
+    evaluate_partial(inst_n15, student, "1" * 15)
+    with pytest.raises(ValueError, match="n=15 > 14"):
+        failure_set(inst_n15, student)
+    assert "_inputs" not in vars(inst_n15)
 
 
 def test_transcript_is_an_immutable_value(inst_a):

@@ -81,3 +81,14 @@ def test_eval_poly_horner():
     assert f.eval_poly((1, 2, 1), 2) == 0
     assert f.eval_poly((), 2) == 0
     assert f.eval_poly((2,), 1) == 2
+
+
+@pytest.mark.parametrize("q", FIELD_SIZES)
+def test_operations_refuse_elements_outside_the_field(q):
+    f = Field(q)
+    for bad in (-1, -q, q, q + 1):
+        for op in (f.add, f.mul):
+            with pytest.raises(ValueError, match=f"outside GF\\({q}\\)"):
+                op(bad, 0)
+            with pytest.raises(ValueError, match=f"outside GF\\({q}\\)"):
+                op(0, bad)

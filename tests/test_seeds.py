@@ -37,3 +37,25 @@ def test_seeded_random_rows_are_the_derive_seed_definition(which, max_queries, s
         assert move == derive_seed("srand", seed, a, step) % inst.m
     else:
         assert move.value is None
+
+
+def test_seeded_random_rows_survive_a_shared_strategy_and_eviction():
+    # one strategy object on instances with m = 5 and m = 10, before and
+    # after more than 2^16 distinct (input, step) keys pass through its cache
+    narrow, wide = INSTANCES[0], INSTANCES[2]
+    assert (narrow.m, wide.m) == (5, 10)
+    student = seeded_random_strategy(2, seed=11)
+    views = [(GameView(inst, False), inst) for inst in (narrow, wide)]
+    keys = [(format(value, "04b"), step) for value in range(16) for step in (0, 1)]
+
+    def rows_match():
+        for view, inst in views:
+            for a, step in keys:
+                replies = ("0" * inst.ell,) * step
+                assert student.move(view, a, replies) == derive_seed("srand", 11, a, step) % inst.m
+
+    rows_match()
+    flood = GameView(wide, False)
+    for value in range(1 << 16 | 1000):
+        student.move(flood, format(value, "017b"), ())
+    rows_match()
