@@ -6,7 +6,8 @@ and the most significant bit when converting to an integer.
 
 from __future__ import annotations
 
-from typing import Iterator
+from itertools import repeat
+from typing import Iterable
 
 
 def int_to_bits(value: int, width: int) -> str:
@@ -28,10 +29,9 @@ def check_bits(bits: str, width: int, what: str = "bitstring") -> str:
     return bits
 
 
-def all_bitstrings(width: int) -> Iterator[str]:
+def all_bitstrings(width: int) -> Iterable[str]:
     """All width-bit strings in numeric (= lexicographic) order."""
-    for value in range(1 << width):
-        yield format(value, f"0{width}b") if width else ""
+    return map(format, range(1 << width), repeat(f"0{width}b")) if width else ("",)
 
 
 def bits_to_hex(bits: str) -> str:

@@ -134,7 +134,8 @@ def _games(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callable
     # witness mode asks once more after the last query, for the output
     steps = range(limit + 1) if witness else range(min(limit, inst.c))
     answer = inst.answer
-    ell, mask, m, b = inst.ell, (1 << inst.ell) - 1, inst.m, inst.b
+    (mask, offsets), m, b = inst._rows, inst.m, inst.b
+    slot = offsets.step
     # a Transcript from its seven fields, without the NamedTuple's argument parsing
     new = tuple.__new__
 
@@ -152,7 +153,7 @@ def _games(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callable
                     violation = True
                 break
             queries += (row,)
-            reply, bit = answer(packed >> ell * row & mask)
+            reply, bit = answer(packed >> slot * row & mask)
             replies += (reply,)
             if bit != b[row]:
                 success = True

@@ -6,10 +6,13 @@ carries a target string b certified to lie outside the generator's range,
 and the per-game query budget c.
 
 Both the generator and the game's teacher read an input's m row
-restrictions packed into one int (`Instance.restrictions`), and each
-restriction's preimage and hard bit from a lazy memo (`Instance.answer`).
-The exhaustive game scans read every input's string and packed
-restrictions from one table per instance (`Instance._inputs`).
+restrictions packed into one int (`Instance.restrictions`), one byte per
+row when ell <= 8, and each restriction's preimage and hard bit from a memo
+(`Instance.answer`).  For ell <= 8 the first `evaluate` fills all 2^ell
+memo entries into a byte table and translates each output from the packed
+bytes; wider rows stay one memo entry per restriction met.  The exhaustive
+game scans read every input's string and packed restrictions from one
+table per instance (`Instance._inputs`).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .bits import all_bitstrings, bits_to_hex, bits_to_int, check_bits, hex_to_bits, int_to_bits
 from .crypto import HardBit, Permutation
@@ -87,30 +90,43 @@ class Instance:
 
     @cached_property
     def _rows(self) -> tuple[int, range]:
-        # not a field: evaluate's row mask and the bit offset of each row's
-        # restriction in `restrictions`
-        return (1 << self.ell) - 1, range(0, self.ell * self.m, self.ell)
+        # not a field: the row mask and the bit offset of each row's slot in
+        # `restrictions`.  A slot is one byte for ell <= 8, else ell bits
+        slot = max(self.ell, 8)
+        return (1 << self.ell) - 1, range(0, slot * self.m, slot)
 
     def answer(self, u: int) -> tuple[str, str]:
         """h^-1(u) for the ell-bit row restriction of value u, with its hard bit
-        as '0'/'1'; the memo holds one entry per restriction met."""
+        as '0'/'1'; the memo holds one entry per restriction met, and all
+        2^ell of them once `evaluate` has run with ell <= 8."""
         return self._answers[u]
+
+    @cached_property
+    def _hard_bit_bytes(self) -> bytes:
+        # not a field: evaluate's bytes.translate table for byte slots (ell
+        # <= 8), byte u to the hard bit of restriction u; bytes past 2^ell
+        # never occur in a slot
+        answers = self._answers
+        return "".join([answers[u][1] for u in range(1 << self.ell)]).ljust(256).encode()
 
     @cached_property
     def _chunk_tables(self) -> list[list[int]]:
         # not a field either.  Projection is linear over bits: table k maps each
         # value of input bits 8k..8k+7 (from the least significant) to the OR of
         # its unit vectors' restrictions, read over every row from m-1 down to 0
-        n = self.n
+        # and each padded with zeros to its slot
+        n, ell, pad = self.n, self.ell, "0" * (self._rows[1].step - self.ell)
         positions = tuple(p for row in self.design.sets[::-1] for p in row)
         tables = [[0] for _ in range(0, n, 8)]
         for j in range(n):
-            packed = bits_to_int(restrict(int_to_bits(1 << j, n), positions))
+            bits = restrict(int_to_bits(1 << j, n), positions)
+            packed = bits_to_int("".join([pad + bits[i : i + ell] for i in range(0, len(bits), ell)]))
             tables[j // 8] += [t | packed for t in tables[j // 8]]
         return tables
 
     def restrictions(self, x: int) -> int:
-        """The m row restrictions of the input of value x, row i at bits ell*i."""
+        """The m row restrictions of the input of value x, one slot per row:
+        row i is byte i when ell <= 8, else bits ell*i up."""
         packed = 0
         for table in self._chunk_tables:
             packed |= table[x & 255]
@@ -148,9 +164,15 @@ class Instance:
 
 
 def evaluate(inst: Instance, x: str) -> str:
-    """The m-bit generator output on an n-bit input."""
+    """The m-bit generator output on an n-bit input.  With ell <= 8 each row
+    is one byte of the packed restrictions, translated to its hard bit by a
+    table of all 2^ell answers; wider rows are looked up one at a time,
+    filling one memo entry per restriction met."""
     check_bits(x, inst.n, "generator input")
-    (mask, shifts), packed, answers = inst._rows, inst.restrictions(bits_to_int(x)), inst._answers
+    (mask, shifts), packed = inst._rows, inst.restrictions(bits_to_int(x))
+    if shifts.step == 8:
+        return packed.to_bytes(len(shifts), "little").translate(inst._hard_bit_bytes).decode()
+    answers = inst._answers
     return "".join([answers[packed >> shift & mask][1] for shift in shifts])
 
 
@@ -166,7 +188,7 @@ def find_off_range(inst: Instance, mode: str = "lex-min", seed: int = 0) -> str:
         raise ValueError(f"off-range certification needs n <= {ENUMERATION_MAX_N}, got {inst.n}")
     if mode not in OFF_RANGE_MODES:
         raise ValueError(f"unknown off-range search mode {mode!r}")
-    in_range = {bits_to_int(evaluate(inst, x)) for x in all_bitstrings(inst.n)}
+    in_range = set(map(bits_to_int, map(partial(evaluate, inst), all_bitstrings(inst.n))))
 
     space = 1 << inst.m
     if mode == "lex-min":
@@ -186,7 +208,7 @@ def certify_off_range(inst: Instance, b: str) -> bool:
     check_bits(b, inst.m, "off-range string b")
     if inst.n > ENUMERATION_MAX_N:
         raise ValueError(f"certification needs n <= {ENUMERATION_MAX_N}, got {inst.n}")
-    return all(evaluate(inst, x) != b for x in all_bitstrings(inst.n))
+    return b not in map(partial(evaluate, inst), all_bitstrings(inst.n))
 
 
 def strict_violations(inst: Instance) -> list[str]:

@@ -58,16 +58,17 @@ def compose(family: StudentFamily, k: int) -> StudentStrategy:
     stages = family.stages[:k]
     plan = tuple((stage.move, stage.max_queries) for stage in stages)
     violation = ProtocolViolation()
-    # (view, a, replies, index, own, used, outputs): the stage, its own
-    # replies, the stream replies consumed and the finished stages' outputs.
-    # One tuple, read once and replaced whole, so a composite shared between
-    # threads, each on its own view, at worst recomputes
-    progress: tuple = (None, None, (), 0, (), 0, ())
+    # (view, a, replies, index, own, outputs): the stage, its own replies and
+    # the finished stages' outputs; a game is saved when it has consumed every
+    # reply it saw.  One tuple, read once and replaced whole, so a composite
+    # shared between threads, each on its own view, at worst recomputes
+    progress: tuple = (None, None, (), 0, (), ())
 
     def move(view: GameView, a: str, replies: tuple[str, ...]):
         nonlocal progress
-        last_view, last_a, seen, index, own, used, outputs = progress
-        if last_view is view and last_a == a and len(seen) < len(replies) and replies[: len(seen)] == seen:
+        last_view, last_a, seen, index, own, outputs = progress
+        used = len(seen)
+        if last_view is view and last_a == a and used < len(replies) and replies[:used] == seen:
             # the reply to the query the last call returned
             own, used = own + (replies[used],), used + 1
         else:
@@ -85,7 +86,7 @@ def compose(family: StudentFamily, k: int) -> StudentStrategy:
                 own, used = own + (replies[used],), used + 1
             else:
                 # the next call's reply answers this move
-                progress = (view, a, replies, index, own, used, outputs)
+                progress = (view, a, replies, index, own, outputs)
                 return row
         return Output(outputs)
 

@@ -324,3 +324,49 @@ def test_packed_memo_stays_lazy_for_wide_identity_rows():
     assert evaluate(inst, x) == string_reference(inst, x)
     assert len(inst._answers) <= inst.m
     assert_replies_match_reference(inst, (round_robin_strategy(3),), [x, "1" * n])
+
+
+# every ell from 1 to 12, so rows on both sides of the one-byte slot (8 / 9)
+# are met, on inputs of up to 20 bits
+@pytest.mark.parametrize("ell", range(1, 13))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data(), hard=st.sampled_from(HARD_BIT_KINDS), seed=st.integers(0, 1 << 16))
+def test_row_slots_match_string_reference_across_the_byte_boundary(ell, data, hard, seed):
+    perm = data.draw(st.sampled_from(("table", "identity", "feistel") if ell % 2 == 0 else ("table", "identity")))
+    n = data.draw(st.integers(ell, 20))
+    m = data.draw(st.integers(1, 12))
+    rng = random.Random(seed)
+    sets = tuple(tuple(sorted(rng.sample(range(n), ell))) for _ in range(m))
+    # b is not certified here: the search and the check are compared below
+    inst = Instance(
+        Design(n, ell, ell, sets), Permutation(ell, perm, seed=seed), HardBit(hard),
+        c=m, b=int_to_bits(rng.randrange(1 << m), m),
+    )
+    inputs = [int_to_bits(v, n) for v in rng.sample(range(1 << n), min(64, 1 << n))]
+
+    # byte slots fill the whole memo on the first evaluate; wider rows meet
+    # one entry per row
+    assert evaluate(inst, inputs[0]) == string_reference(inst, inputs[0])
+    if ell <= 8:
+        assert len(inst._answers) == 1 << ell
+    else:
+        assert len(inst._answers) <= m
+
+    assert [evaluate(inst, x) for x in inputs] == [string_reference(inst, x) for x in inputs]
+    mask, offsets = inst._rows
+    for x in inputs:
+        packed = inst.restrictions(bits_to_int(x))
+        assert [packed >> offset & mask for offset in offsets] == [bits_to_int(restrict(x, row)) for row in sets]
+        assert packed >> (offsets.step * m) == 0
+    assert_replies_match_reference(inst, (round_robin_strategy(m), seeded_random_strategy(3, seed=seed)), inputs)
+
+    if n <= 10:
+        outputs = {string_reference(inst, x) for x in all_bitstrings(n)}
+        outside = [y for y in all_bitstrings(m) if y not in outputs]
+        if outside:
+            assert find_off_range(inst) == outside[0]
+        else:
+            with pytest.raises(SearchExhausted):
+                find_off_range(inst)
+        for y in {*outside[:2], *sorted(outputs)[:2]}:
+            assert certify_off_range(inst, y) == (y not in outputs)
