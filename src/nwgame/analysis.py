@@ -39,17 +39,13 @@ def _score_key(m: int):
 @dataclass(frozen=True)
 class TraceCensus:
     """Counts of every trace over all 2^n inputs, plus the best one by the
-    count-score rule.  `no_trace` flags an empty success set."""
+    count-score rule.  best_trace is None when no run succeeds."""
 
     m: int
     w_size: int
     counts: dict[Trace, int]
     best_trace: Trace | None
     best_count: int
-
-    @property
-    def no_trace(self) -> bool:
-        return self.best_trace is None
 
     @property
     def bound_ok(self) -> bool | None:

@@ -113,7 +113,7 @@ def _build_instance(
     """The instance `instance make` and `nwgame run` emit, with its strict
     warnings: h is checked to be a bijection (ell <= 12), b is searched for
     or, when given, certified off range, and strict mode refuses warnings."""
-    if design.ell <= BIJECTION_CHECK_MAX_ELL and not check_bijection(h):
+    if h.ell <= BIJECTION_CHECK_MAX_ELL and not check_bijection(h):
         raise ValidationError(f"permutation {h.kind} on ell={h.ell} is not a bijection")
     inst = make_instance(design, h, HardBit(hard_bit), c, b=b, b_mode=b_mode, seed=seed)
     warnings = strict_violations(inst)
@@ -182,8 +182,8 @@ def run_experiment(config: dict, jobs: int = 1) -> dict:
 
     seed = resolved["seed"]
     design = _design_from_config(resolved["design"], derive_seed("design-extend", seed))
-    # a permutation object whose ell is the design's and whose kind and seed have defaults
-    perm = {"kind": "identity", "seed": derive_seed("permutation", seed), **resolved["permutation"], "ell": design.ell}
+    # kind, seed and ell default; an ell other than the design's is refused by Instance
+    perm = {"kind": "identity", "seed": derive_seed("permutation", seed), "ell": design.ell, **resolved["permutation"]}
     h = Permutation.from_json_dict(perm)
     b = hex_to_bits(b_cfg["value_hex"], design.m) if b_cfg["mode"] == "explicit" else None
     inst, warnings = _build_instance(
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
     i.add_argument("--hard-bit", default="last-bit", choices=HARD_BIT_KINDS)
     i.add_argument("--c", type=int, default=1)
-    i.add_argument("--b", default=None, help="explicit off-range bits (certified when n allows)")
+    i.add_argument("--b", default=None, help=f"explicit off-range bits; certifying them needs n <= {ENUMERATION_MAX_N}")
     i.add_argument("--b-mode", default="lex-min", choices=OFF_RANGE_MODES)
     i.add_argument("--seed", type=int, default=0)
     i.add_argument("--strict", action="store_true")

@@ -19,6 +19,7 @@ from .gf import Field
 # The row cap of build_polynomial_design.  The largest design it admits,
 # q = 11 with degree 2 (1,331 rows), verifies in under a second.
 POLYNOMIAL_MAX_ROWS = 2048
+GREEDY_ATTEMPTS = 20000  # random draws extend_greedy makes before it gives up
 # A design file's fields; "m", when given, must be the number of sets
 DESIGN_FIELDS = {
     "n": (int, REQUIRED), "ell": (int, REQUIRED), "d": (int, REQUIRED), "sets": (list, REQUIRED), "m": (int, ABSENT),
@@ -128,15 +129,10 @@ def _overlap(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return len(set(a).intersection(b))
 
 
-def extend_greedy(
-    base: Design,
-    target_m: int,
-    seed: int,
-    attempt_budget: int = 20000,
-) -> Design:
+def extend_greedy(base: Design, target_m: int, seed: int) -> Design:
     """Append random admissible ell-subsets until the design has target_m
-    rows.  Deterministic for a fixed seed.  Raises SearchExhausted when the
-    attempt budget runs out before an admissible subset appears."""
+    rows.  Deterministic for a fixed seed.  Raises SearchExhausted when
+    GREEDY_ATTEMPTS draws run out before the design is full."""
     if target_m < base.m:
         raise ValueError(f"target_m={target_m} below current m={base.m}")
     if base.ell > base.n:
@@ -145,7 +141,7 @@ def extend_greedy(
         return base
     rng = random.Random(seed)
     rows = list(base.sets)
-    for _ in range(attempt_budget):
+    for _ in range(GREEDY_ATTEMPTS):
         cand = tuple(sorted(rng.sample(range(base.n), base.ell)))
         if all(_overlap(cand, row) <= base.d for row in rows):
             rows.append(cand)
@@ -153,7 +149,7 @@ def extend_greedy(
                 return Design(base.n, base.ell, base.d, tuple(rows))
     raise SearchExhausted(
         f"no admissible {base.ell}-subset of [{base.n}] after "
-        f"{attempt_budget} attempts (have {len(rows)} rows, want {target_m})"
+        f"{GREEDY_ATTEMPTS} attempts (have {len(rows)} rows, want {target_m})"
     )
 
 

@@ -8,6 +8,7 @@ runs or machines; for prime q no product needs reducing (arithmetic mod q).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 MAX_Q = 16
@@ -21,23 +22,17 @@ _IRREDUCIBLE = {
     16: (1, 1, 0, 0, 1),  # t^4 + t + 1 over GF(2)
 }
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
-
 
 def prime_power_split(q: int) -> tuple[int, int] | None:
     """Return (p, k) with q = p**k, or None when q is not a prime power."""
     if q < 2:
         return None
-    for p in _SMALL_PRIMES:
-        if q % p == 0:
-            k = 0
-            value = 1
-            while value < q:
-                value *= p
-                k += 1
-            return (p, k) if value == q else None
-    # q <= MAX_Q has a factor among the small primes unless q is prime itself
-    return (q, 1)
+    # the least divisor above 1 is prime; trial division costs O(sqrt(q))
+    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+    k = 0
+    while q % p == 0:
+        q, k = q // p, k + 1
+    return (p, k) if q == 1 else None
 
 
 @dataclass(frozen=True)
@@ -47,8 +42,8 @@ class Field:
     q: int
 
     def __post_init__(self) -> None:
-        split = prime_power_split(self.q)
-        if split is None or self.q > MAX_Q:
+        split = prime_power_split(self.q) if self.q <= MAX_Q else None
+        if split is None:
             raise ValueError(f"q must be a prime power <= {MAX_Q}, got {self.q}")
         p, k = split
         object.__setattr__(self, "p", p)

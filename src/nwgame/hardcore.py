@@ -60,8 +60,8 @@ def compose(family: StudentFamily, k: int) -> StudentStrategy:
     violation = ProtocolViolation()
     # (view, a, replies, index, own, outputs): the stage, its own replies and
     # the finished stages' outputs; a game is saved when it has consumed every
-    # reply it saw.  One tuple, read once and replaced whole, so a composite
-    # shared between threads, each on its own view, at worst recomputes
+    # reply it saw.  One tuple, read once per move and replaced whole, so no
+    # move ever sees the fields of two different games
     progress: tuple = (None, None, (), 0, (), ())
 
     def move(view: GameView, a: str, replies: tuple[str, ...]):

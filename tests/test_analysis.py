@@ -40,7 +40,7 @@ def test_census_omniscient_frozen(inst_a):
 
 def test_census_empty_when_student_never_succeeds(inst_a):
     census = trace_census(inst_a, constant_strategy(0, queries=0))
-    assert census.no_trace and census.w_size == 0
+    assert census.best_trace is None and census.w_size == 0
     assert census.bound_ok is None
     assert census.to_json_dict()["best"] is None
 

@@ -324,6 +324,18 @@ def test_run_names_unknown_config_fields(tmp_path, capsys):
     assert "unknown config fields ['analysis', 'sed']" in capsys.readouterr().err
 
 
+def test_run_checks_the_permutation_ell_against_the_design(tmp_path, capsys):
+    # the default design is q = 2: ell = 2; an ell far past the bijection cap is refused unenumerated
+    config = tmp_path / "config.json"
+    base = {"strategies": ["round-robin:2"]}
+    for permutation in ({"kind": "table", "ell": 7}, {"kind": "identity", "ell": 10**6}):
+        config.write_text(json.dumps(dict(base, permutation=permutation)))
+        assert main(["run", str(config)]) == EXIT_CONFIG
+        assert f"design ell=2 does not match permutation ell={permutation['ell']}" in capsys.readouterr().err
+    plain = run_experiment(dict(base, permutation={"kind": "table"}))
+    assert run_experiment(dict(base, permutation={"kind": "table", "ell": 2}))["instance"] == plain["instance"]
+
+
 ROW_IS_A_LIST = {"kind": "constant", "row": [1]}
 
 

@@ -86,8 +86,8 @@ def test_extend_greedy_from_empty_base():
 def test_extend_greedy_exhausts_when_infeasible():
     # only one 2-subset of a 2-element ground set exists at d=0
     base = Design(n=2, ell=2, d=0, sets=((0, 1),))
-    with pytest.raises(SearchExhausted):
-        extend_greedy(base, 2, seed=0, attempt_budget=200)
+    with pytest.raises(SearchExhausted, match="after 20000 attempts"):
+        extend_greedy(base, 2, seed=0)
 
 
 def test_extend_greedy_noop_and_bad_target():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import nwgame.gf
 from nwgame.gf import Field, prime_power_split
 
 # hand-checked against polynomial arithmetic mod t^2 + t + 1 over GF(2)
@@ -20,6 +21,10 @@ def test_prime_power_split():
     assert prime_power_split(6) is None
     assert prime_power_split(12) is None
     assert prime_power_split(1) is None
+    assert prime_power_split(17) == (17, 1)
+    assert prime_power_split(289) == (17, 2)
+    assert prime_power_split(323) is None
+    assert prime_power_split(1024) == (2, 10)
 
 
 def test_rejects_non_prime_powers_and_large_q():
@@ -28,6 +33,16 @@ def test_rejects_non_prime_powers_and_large_q():
             Field(bad)
     with pytest.raises(ValueError):
         Field(32)
+
+
+def test_large_q_is_refused_before_it_is_split(monkeypatch):
+    # trial division costs O(sqrt(q)): a q past MAX_Q never reaches it
+    calls = []
+    monkeypatch.setattr(nwgame.gf, "prime_power_split", lambda q: calls.append(q))
+    for q in (2**61 - 1, 10**18):
+        with pytest.raises(ValueError, match="prime power <= 16"):
+            Field(q)
+    assert calls == []
 
 
 def test_gf4_multiplication_table_frozen():
