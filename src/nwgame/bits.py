@@ -6,8 +6,9 @@ and the most significant bit when converting to an integer.
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Iterable
+from itertools import product, starmap
+from operator import add
+from typing import Iterator
 
 
 def int_to_bits(value: int, width: int) -> str:
@@ -29,9 +30,13 @@ def check_bits(bits: str, width: int, what: str = "bitstring") -> str:
     return bits
 
 
-def all_bitstrings(width: int) -> Iterable[str]:
-    """All width-bit strings in numeric (= lexicographic) order."""
-    return map(format, range(1 << width), repeat(f"0{width}b")) if width else ("",)
+def all_bitstrings(width: int) -> Iterator[str]:
+    """All width-bit strings in numeric (= lexicographic) order, lazily: each
+    high half joined to each low half, so only 2 * 2^(width/2) are formatted."""
+    low = width // 2
+    # a w-bit half is v + 2^w in binary without its leading 1 ("" for w = 0)
+    halves = ([format(v, "b")[1:] for v in range(1 << w, 2 << w)] for w in (width - low, low))
+    return starmap(add, product(*halves))
 
 
 def bits_to_hex(bits: str) -> str:

@@ -21,6 +21,8 @@ import dataclasses
 import random
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import repeat
+from typing import Callable
 
 from .bits import all_bitstrings, bits_to_hex, bits_to_int, check_bits, hex_to_bits, int_to_bits
 from .crypto import HardBit, Permutation
@@ -84,8 +86,8 @@ class Instance:
 
     @cached_property
     def _answers(self) -> _Preimages:
-        # not a field: stays out of __eq__, repr and the JSON form, and
-        # dataclasses.replace starts the new instance with an empty memo
+        # not a field: stays out of __eq__, repr, pickles (`__reduce__`) and the
+        # JSON form, and dataclasses.replace starts the new instance empty
         return _Preimages(self.h, self.hard_bit)
 
     @cached_property
@@ -102,19 +104,13 @@ class Instance:
         return self._answers[u]
 
     @cached_property
-    def _hard_bit_bytes(self) -> bytes:
-        # not a field: evaluate's bytes.translate table for byte slots (ell
-        # <= 8), byte u to the hard bit of restriction u; bytes past 2^ell
-        # never occur in a slot
-        answers = self._answers
-        return "".join([answers[u][1] for u in range(1 << self.ell)]).ljust(256).encode()
-
-    @cached_property
-    def _chunk_tables(self) -> list[list[int]]:
-        # not a field either.  Projection is linear over bits: table k maps each
-        # value of input bits 8k..8k+7 (from the least significant) to the OR of
-        # its unit vectors' restrictions, read over every row from m-1 down to 0
-        # and each padded with zeros to its slot
+    def restrictions(self) -> Callable[[int], int]:
+        """The m row restrictions of the input of value x, one slot per row: row
+        i is byte i when ell <= 8, else bits ell*i up; bound once per instance."""
+        # Projection is linear over bits: table k maps each value of input bits
+        # 8k..8k+7 (from the least significant) to the OR of its unit vectors'
+        # restrictions, read over every row from m-1 down to 0 and each padded
+        # with zeros to its slot
         n, ell, pad = self.n, self.ell, "0" * (self._rows[1].step - self.ell)
         positions = tuple(p for row in self.design.sets[::-1] for p in row)
         tables = [[0] for _ in range(0, n, 8)]
@@ -122,22 +118,40 @@ class Instance:
             bits = restrict(int_to_bits(1 << j, n), positions)
             packed = bits_to_int("".join([pad + bits[i : i + ell] for i in range(0, len(bits), ell)]))
             tables[j // 8] += [t | packed for t in tables[j // 8]]
-        return tables
 
-    def restrictions(self, x: int) -> int:
-        """The m row restrictions of the input of value x, one slot per row:
-        row i is byte i when ell <= 8, else bits ell*i up."""
-        packed = 0
-        for table in self._chunk_tables:
-            packed |= table[x & 255]
-            x >>= 8
-        return packed
+        def restrictions(x: int) -> int:
+            packed = 0
+            for table in tables:
+                packed |= table[x & 255]
+                x >>= 8
+            return packed
+
+        return restrictions
+
+    @cached_property
+    def _output(self) -> Callable[[int], str]:
+        # not a field: `evaluate` on an input's value.  Byte slots (ell <= 8) go
+        # through a translate table of all 2^ell hard bits (bytes past 2^ell
+        # never occur in a slot); wider rows fill one memo entry per restriction met
+        pack, answers, (mask, shifts) = self.restrictions, self._answers, self._rows
+        if shifts.step == 8:
+            m, table = self.m, "".join([answers[u][1] for u in range(1 << self.ell)]).ljust(256).encode()
+            return lambda x: pack(x).to_bytes(m, "little").translate(table).decode()
+
+        def wide(x: int) -> str:
+            packed = pack(x)
+            return "".join([answers[packed >> shift & mask][1] for shift in shifts])
+
+        return wide
 
     @cached_property
     def _inputs(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
         # not a field: every input's n-bit string and its `restrictions`, in
         # input order, for the exhaustive scans (2^n entries, built by the first)
         return tuple(all_bitstrings(self.n)), tuple(map(self.restrictions, range(1 << self.n)))
+
+    def __reduce__(self) -> tuple:
+        return Instance, (self.design, self.h, self.hard_bit, self.c, self.b, self.b_certified)
 
     def to_json_dict(self) -> dict:
         return {
@@ -164,16 +178,10 @@ class Instance:
 
 
 def evaluate(inst: Instance, x: str) -> str:
-    """The m-bit generator output on an n-bit input.  With ell <= 8 each row
-    is one byte of the packed restrictions, translated to its hard bit by a
-    table of all 2^ell answers; wider rows are looked up one at a time,
-    filling one memo entry per restriction met."""
+    """The m-bit generator output on an n-bit input: checked, parsed, then
+    read from the instance's bound output function (`Instance._output`)."""
     check_bits(x, inst.n, "generator input")
-    (mask, shifts), packed = inst._rows, inst.restrictions(bits_to_int(x))
-    if shifts.step == 8:
-        return packed.to_bytes(len(shifts), "little").translate(inst._hard_bit_bytes).decode()
-    answers = inst._answers
-    return "".join([answers[packed >> shift & mask][1] for shift in shifts])
+    return inst._output(int(x or "0", 2))
 
 
 def find_off_range(inst: Instance, mode: str = "lex-min", seed: int = 0) -> str:
@@ -188,7 +196,9 @@ def find_off_range(inst: Instance, mode: str = "lex-min", seed: int = 0) -> str:
         raise ValueError(f"off-range certification needs n <= {ENUMERATION_MAX_N}, got {inst.n}")
     if mode not in OFF_RANGE_MODES:
         raise ValueError(f"unknown off-range search mode {mode!r}")
-    in_range = set(map(bits_to_int, map(partial(evaluate, inst), all_bitstrings(inst.n))))
+    outputs = map(partial(evaluate, inst), all_bitstrings(inst.n))
+    # a zero-row generator's only output is "", of value 0
+    in_range = set(map(int, outputs, repeat(2))) if inst.m else {0}
 
     space = 1 << inst.m
     if mode == "lex-min":

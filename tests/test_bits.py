@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -58,11 +60,13 @@ def test_hex_is_fixed_width():
 
 
 def test_all_bitstrings_order_and_count():
-    strings = list(all_bitstrings(3))
-    assert strings == sorted(strings)
-    assert len(strings) == 8
-    assert strings[0] == "000" and strings[-1] == "111"
+    # format(0, "00b") is "0", so width 0 is checked on its own
     assert list(all_bitstrings(0)) == [""]
+    for width in range(1, 17):
+        assert list(all_bitstrings(width)) == [format(v, f"0{width}b") for v in range(2**width)]
+    # width 20 walked once without keeping the strings
+    [(last_index, last)] = deque(enumerate(all_bitstrings(20)), maxlen=1)
+    assert (next(all_bitstrings(20)), last_index + 1, last) == ("0" * 20, 2**20, "1" * 20)
 
 
 def test_check_bits_rejects_bad_alphabet_and_width():

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -109,6 +110,14 @@ def test_surjective_generator_has_no_off_range():
         find_off_range(inst)
     with pytest.raises(SearchExhausted, match="^no off-range string found in 1000 seeded draws$"):
         find_off_range(inst, mode="seeded-random", seed=3)
+    # a design with no rows maps every input onto "", the only 0-bit string
+    empty = Instance(Design(4, 2, 1, ()), Permutation(ell=2, kind="identity"), HardBit("last-bit"), c=1)
+    assert {evaluate(empty, x) for x in all_bitstrings(4)} == {""}
+    assert certify_off_range(empty, "") is False
+    with pytest.raises(SearchExhausted, match="^generator is surjective; no off-range string exists$"):
+        find_off_range(empty)
+    with pytest.raises(SearchExhausted, match="^no off-range string found in 1000 seeded draws$"):
+        find_off_range(empty, mode="seeded-random", seed=3)
 
 
 def test_explicit_b_validation():
@@ -207,11 +216,20 @@ def test_json_round_trip_preserves_everything():
     assert again.b_certified
     for x in all_bitstrings(6):
         assert evaluate(again, x) == evaluate(inst, x)
+    # an evaluated instance holds bound functions; it pickles by its fields
+    thawed = pickle.loads(pickle.dumps(inst))
+    assert thawed == inst and "_output" not in vars(thawed)
+    assert [evaluate(thawed, x) for x in all_bitstrings(6)] == [evaluate(inst, x) for x in all_bitstrings(6)]
 
 
 def test_evaluate_checks_width():
     with pytest.raises(ValueError):
         evaluate(bare_reference(), "001")
+    # width-4 strings that int(x, 2) reads as numbers, and one it refuses
+    # with its own message: the check comes before the parse
+    for x in ("1_01", "+101", " 101", "0b11", "0121"):
+        with pytest.raises(ValueError, match="may contain only '0'/'1'"):
+            evaluate(bare_reference(), x)
 
 
 @settings(max_examples=30, deadline=None)
