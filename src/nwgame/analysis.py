@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .bits import all_bitstrings, bits_to_int, int_to_bits
 from .design import embed, restrict
-from .game import GameView, StudentStrategy, failure_set, play, scan
+from .game import GameView, StudentStrategy, _batch, failure_set, scan
 from .generator import Instance
 
 Trace = tuple[int, ...]
@@ -93,7 +93,7 @@ class TraceCensus:
 
 def trace_census(inst: Instance, strategy: StudentStrategy, jobs: int = 1) -> TraceCensus:
     """Play every input and tally traces of successful runs (n <= 14)."""
-    counts: dict[Trace, int] = dict(Counter(scan(inst, strategy, lambda t: t.trace, jobs=jobs)))
+    counts: dict[Trace, int] = dict(Counter(filter(None, scan(inst, strategy, jobs=jobs))))
     best, best_count = min(counts.items(), key=_score_key(inst.m), default=(None, 0))
     return TraceCensus(inst.m, sum(counts.values()), counts, best, best_count)
 
@@ -150,9 +150,7 @@ def best_partial_assignment(
     # sort as the outside strings do
     row_bits = sum(1 << (inst.n - 1 - p) for p in inside)
 
-    # every input keeps its trace, () for a failed run, so the list lines
-    # up with the input values
-    played = scan(inst, strategy, lambda t: t.trace or (), jobs=jobs)
+    played = scan(inst, strategy, jobs=jobs)
     tally: Counter = Counter()
     for (fixing, seen), count in Counter(zip(map((~row_bits).__and__, range(1 << inst.n)), played)).items():
         tally[fixing, _classify(seen, trace)] += count
@@ -250,11 +248,10 @@ def build_predictor(
     if tables is None:
         tables = build_witness_tables(inst, trace, outside)
     positions = inst.design.sets[trace[-1]]
-    ones = 0
-    total = 0
-    for value, u in enumerate(all_bitstrings(inst.ell)):
-        a = embed(u, outside, positions, inst.n)
-        if _classify(play(inst, strategy, a).trace, trace) == "other":
+    inputs = [embed(u, outside, positions, inst.n) for u in all_bitstrings(inst.ell)]
+    ones = total = 0
+    for value, played in enumerate(_batch(inst, strategy, inputs, witness=False, column=True)):
+        if _classify(played, trace) == "other":
             total += 1
             ones += int(inst.answer(value)[1])
     default_bit = 1 if 2 * ones > total else 0

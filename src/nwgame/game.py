@@ -17,7 +17,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, NamedTuple
+from itertools import compress, repeat, tee
+from operator import not_
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .bits import bits_to_int, check_bits, int_to_bits
 from .design import restrict
@@ -117,67 +119,69 @@ class Transcript(NamedTuple):
         return {**self._asdict(), "queries": list(self.queries), "replies": list(self.replies)}
 
 
-def _games(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callable[[str, int], Transcript]:
-    """The strategy's games on one view: run(a, packed) plays the n-bit input
-    a, whose row restrictions are packed as `inst.restrictions` packs them,
-    until the first of:
+def _games(inst: Instance, strategy: StudentStrategy, witness: bool, column: bool = False) -> Callable:
+    """The strategy's games on one view: games(inputs, packs) plays each
+    n-bit input a in turn, its row restrictions packed as
+    `inst.restrictions` packs them, until the first of:
     1. the student stops (None or an Output): the run fails;
     2. the move is not a legal query (a ProtocolViolation, a non-row, or in
        witness mode a query after max_queries replies): a violation;
     3. a reply's hard bit differs from b at the queried row: success;
     4. solve mode has answered min(max_queries, c) queries: the run fails
-       and the student is not asked again."""
+       and the student is not asked again.
+    It yields each game's Transcript, or with `column` its trace or None."""
     if inst.b is None:
         raise ValueError("instance has no off-range string b; attach one first")
     view = GameView(inst, strategy.may_invert)
     move, limit = strategy.move, strategy.max_queries
     # witness mode asks once more after the last query, for the output
     steps = range(limit + 1) if witness else range(min(limit, inst.c))
-    answer = inst.answer
-    (mask, offsets), m, b = inst._rows, inst.m, inst.b
-    slot = offsets.step
-    # a Transcript from its seven fields, without the NamedTuple's argument parsing
-    new = tuple.__new__
+    answers, (mask, offsets), m = inst._answers, inst._rows, inst.m
+    rows = tuple(zip(offsets, inst.b))  # row -> (its slot's bit offset, its bit of b)
 
-    def run(a: str, packed: int) -> Transcript:
-        queries: tuple[int, ...] = ()
-        replies: tuple[str, ...] = ()
-        success = violation = False
-        output = None
-        for step in steps:
-            row = move(view, a, replies)
-            if not (isinstance(row, int) and 0 <= row < m and step < limit):
-                if row is None or isinstance(row, Output):
-                    output = getattr(row, "value", None)
-                else:
-                    violation = True
-                break
-            queries += (row,)
-            reply, bit = answer(packed >> slot * row & mask)
-            replies += (reply,)
-            if bit != b[row]:
-                success = True
-                break
-        if witness:
-            return new(Transcript, (a, queries, replies, success, violation, not success, output))
-        return new(Transcript, (a, queries, replies, success, violation, None, None))
+    def games(inputs: Iterable[str], packs: Iterable[int]) -> Iterator:
+        for a, packed in zip(inputs, packs):
+            queries: tuple[int, ...] = ()
+            replies: tuple[str, ...] = ()
+            success = violation = False
+            output = None
+            for step in steps:
+                row = move(view, a, replies)
+                if not (isinstance(row, int) and 0 <= row < m and step < limit):
+                    if row is None or isinstance(row, Output):
+                        output = getattr(row, "value", None)
+                    else:
+                        violation = True
+                    break
+                queries += (row,)
+                shift, bit = rows[row]
+                reply, hard = answers[packed >> shift & mask]
+                replies += (reply,)
+                if hard != bit:
+                    success = True
+                    break
+            if column:
+                yield queries if success else None
+            else:
+                yield Transcript(a, queries, replies, success, violation, *((not success, output) if witness else ()))
 
-    return run
+    return games
 
 
-def _play(inst: Instance, strategy: StudentStrategy, a: str, witness: bool) -> Transcript:
-    check_bits(a, inst.n, "game input")
-    return _games(inst, strategy, witness)(a, inst.restrictions(bits_to_int(a)))
+def _batch(inst: Instance, strategy: StudentStrategy, inputs: Sequence[str], witness: bool, column: bool = False) -> Iterator:
+    """The games on the given n-bit strings, each checked and packed first."""
+    packs = [inst.restrictions(bits_to_int(check_bits(a, inst.n, "game input"))) for a in inputs]
+    return _games(inst, strategy, witness, column)(inputs, packs)
 
 
 def play(inst: Instance, strategy: StudentStrategy, a: str) -> Transcript:
     """One solve-mode run on input a."""
-    return _play(inst, strategy, a, witness=False)
+    return next(_batch(inst, strategy, (a,), False))
 
 
 def evaluate_partial(inst: Instance, strategy: StudentStrategy, a: str) -> Transcript:
     """One witness-mode run on input a; aborts on any disagreeing reply."""
-    return _play(inst, strategy, a, witness=True)
+    return next(_batch(inst, strategy, (a,), True))
 
 
 @dataclass(frozen=True)
@@ -201,29 +205,20 @@ class FailureReport:
         return {**vars(self), "failures": list(self.failures), "failure_count": self.failure_count}
 
 
-def scan(
-    inst: Instance,
-    strategy: StudentStrategy,
-    keep: Callable[[Transcript], Any],
-    witness: bool = False,
-    jobs: int = 1,
-) -> list:
-    """Play each of the 2^n inputs once, in input order (n <= 14), and
-    return keep(transcript) for every run where that value is not None.
-    Each input's string and packed restrictions come from `inst._inputs`.
+def scan(inst: Instance, strategy: StudentStrategy, witness: bool = False, jobs: int = 1) -> list:
+    """Play each of the 2^n inputs once, in input order (n <= 14), on one
+    view, reading each from `inst._inputs`, and return the trace column:
+    the trace of each successful run (never empty), or None.
 
-    Every exhaustive question about a strategy is a fold over this list;
+    Every exhaustive question about a strategy is a fold over this column;
     shards merge in input order, so `jobs` never changes the result.
     """
     if inst.n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"n={inst.n} > {EXHAUSTIVE_MAX_N}: exhaustive scan refused")
+    games = _games(inst, strategy, witness, True)
     inputs, packed = inst._inputs
-
-    def worker(lo: int, hi: int) -> list:
-        kept = map(keep, map(_games(inst, strategy, witness), inputs[lo:hi], packed[lo:hi]))
-        return [out for out in kept if out is not None]
-
-    return [out for shard in run_sharded(1 << inst.n, jobs, worker) for out in shard]
+    shards = run_sharded(1 << inst.n, jobs, lambda lo, hi: list(games(inputs[lo:hi], packed[lo:hi])))
+    return [trace for shard in shards for trace in shard]
 
 
 def failure_set(
@@ -239,12 +234,13 @@ def failure_set(
         if size < 1:
             raise ValueError(f"sample size must be at least 1, got {size}")
         rng, run = random.Random(derive_seed("failure-sample", seed)), _games(inst, strategy, False)
-        draws = (rng.randrange(1 << inst.n) for _ in range(size))
-        games = (run(int_to_bits(x, inst.n), inst.restrictions(x)) for x in draws)
+        draws, again = tee(rng.randrange(1 << inst.n) for _ in range(size))
+        games = run(map(int_to_bits, draws, repeat(inst.n)), map(inst.restrictions, again))
         failures = tuple(t.a for t in games if not t.success)
         return FailureReport(inst.n, False, failures, size - len(failures), sample_size=size, seed=seed)
 
-    failed = tuple(scan(inst, strategy, lambda t: None if t.success else t.a, jobs=jobs))
+    column = scan(inst, strategy, jobs=jobs)  # refuses n > 14 before the input table is built
+    failed = tuple(compress(inst._inputs[0], map(not_, column)))
     return FailureReport(inst.n, exhaustive=True, failures=failed, success_count=(1 << inst.n) - len(failed))
 
 
@@ -279,13 +275,19 @@ def seeded_random_strategy(max_queries: int, seed: int = 0, output: Any = None, 
     derive_seed("srand", seed, a, step) mod m, deterministic as a strategy
     and uncorrelated with the design's structure."""
 
-    # (a, step) -> 64-bit hash, reduced mod m after the lookup so one strategy
-    # serves instances of any m; 2^16 entries hold an n = 14 scan at 4 queries
-    row_seed, stop = lru_cache(maxsize=1 << 16)(seed_stream("srand", seed)), Output(output)
+    # a -> its steps' 64-bit hashes, each made when first asked and reduced mod
+    # m after the lookup, so one strategy serves any m; 2^16 inputs fit n <= 16
+    row_seed, stop = seed_stream("srand", seed), Output(output)
+    hashes = lru_cache(maxsize=1 << 16)(lambda a: [None] * max_queries)
 
     def move(view: GameView, a: str, replies: tuple[str, ...]) -> Move:
         step = len(replies)
-        return row_seed(a, step) % view.m if step < max_queries else stop
+        if step >= max_queries:
+            return stop
+        known = hashes(a)
+        if known[step] is None:
+            known[step] = row_seed(a, step)
+        return known[step] % view.m
 
     return StudentStrategy(name or f"seeded-random-{max_queries}s{seed}", max_queries=max_queries, move=move)
 

@@ -7,12 +7,12 @@ and the per-game query budget c.
 
 Both the generator and the game's teacher read an input's m row
 restrictions packed into one int (`Instance.restrictions`), one byte per
-row when ell <= 8, and each restriction's preimage and hard bit from a memo
-(`Instance.answer`).  For ell <= 8 the first `evaluate` fills all 2^ell
-memo entries into a byte table and translates each output from the packed
-bytes; wider rows stay one memo entry per restriction met.  The exhaustive
-game scans read every input's string and packed restrictions from one
-table per instance (`Instance._inputs`).
+row when ell <= 8, and each restriction's preimage and hard bit from one
+memo dict (`Instance._answers`; `Instance.answer` reads one entry).  For
+ell <= 8 the first `evaluate` fills all 2^ell entries into a byte table and
+translates each output from the packed bytes; wider rows stay one entry per
+restriction met.  The game's batch loop plays each exhaustive scan over one
+table per instance of every input's string and packing (`Instance._inputs`).
 """
 
 from __future__ import annotations

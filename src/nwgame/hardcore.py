@@ -131,7 +131,8 @@ class HardcoreReport:
 
 def definedness_set(inst: Instance, strategy: StudentStrategy, jobs: int = 1) -> set[str]:
     """All inputs whose witness-mode run is defined (n <= 14)."""
-    return set(scan(inst, strategy, lambda t: t.a if t.defined else None, witness=True, jobs=jobs))
+    column = scan(inst, strategy, witness=True, jobs=jobs)  # refuses n > 14 before the input table is built
+    return {a for a, trace in zip(inst._inputs[0], column) if trace is None}
 
 
 def extract_hardcore(inst: Instance, family: StudentFamily, k: int, jobs: int = 1) -> HardcoreReport:

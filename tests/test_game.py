@@ -32,9 +32,10 @@ from nwgame import (
     table_strategy,
     trace_census,
 )
+from nwgame import game
 from nwgame.bits import all_bitstrings, int_to_bits
 from nwgame.design import restrict
-from nwgame.game import FailureReport, GameView, Transcript, scan
+from nwgame.game import FailureReport, GameView, Transcript, _games, scan
 from nwgame.generator import evaluate
 from nwgame.seeds import derive_seed
 
@@ -127,16 +128,17 @@ def test_games_refuse_an_instance_without_b_or_past_the_scan_cap(inst_a):
         with pytest.raises(ValueError, match="no off-range string b"):
             game(unplayable, constant_strategy(0), "0000")
     with pytest.raises(ValueError, match="no off-range string b"):
-        scan(unplayable, constant_strategy(0), lambda t: t.a)
+        scan(unplayable, constant_strategy(0))
     wide = Instance(Design(n=15, ell=2, d=0, sets=((0, 1),)), Permutation(ell=2, kind="identity"), HardBit(), c=1, b="1")
     with pytest.raises(ValueError, match="n=15 > 14"):
-        scan(wide, constant_strategy(0), lambda t: t.a)
+        scan(wide, constant_strategy(0))
 
 
 def test_the_one_input_of_a_zero_bit_instance_is_the_empty_string():
     empty = Instance(Design(n=0, ell=1, d=0, sets=()), Permutation(ell=1, kind="identity"), HardBit(), c=1, b="")
     student = constant_strategy(0, queries=0)
-    assert scan(empty, student, lambda t: t) == [play(empty, student, "")]
+    assert list(_games(empty, student, False)(*empty._inputs)) == [play(empty, student, "")]
+    assert scan(empty, student) == [None]
     assert failure_set(empty, student, sample=(3, 0)).failures == ("", "", "")
 
 
@@ -152,7 +154,9 @@ def test_input_table_is_each_inputs_string_and_packed_restrictions(n):
     inputs, packed = inst._inputs
     assert list(zip(inputs, packed)) == [(int_to_bits(x, n), inst.restrictions(x)) for x in range(1 << n)]
     # every scan hands each game the table's own string for its input
-    assert all(a is b for a, b in zip(scan(inst, constant_strategy(0, queries=0), lambda t: t.a), inputs))
+    handed = []
+    scan(inst, StudentStrategy("recorder", 0, lambda view, a, replies: handed.append(a)), witness=True)
+    assert len(handed) == len(inputs) and all(a is b for a, b in zip(handed, inputs))
 
 
 def test_omniscient_always_succeeds_in_one_query(inst_a):
@@ -204,6 +208,34 @@ def test_seeded_random_strategy_is_reproducible(inst_a):
     assert t1.queries == t2.queries
 
 
+def test_seeded_random_hashes_each_step_of_an_input_once(monkeypatch, inst_a):
+    """Each input's steps are hashed when first asked, in any order, and
+    reduced mod the asking instance's m; a second scan hashes nothing."""
+    hashed = []
+
+    def counting_stream(*prefix, stream=game.seed_stream):
+        def row_seed(*rest, draw=stream(*prefix)):
+            hashed.append(rest)
+            return draw(*rest)
+
+        return row_seed
+
+    monkeypatch.setattr(game, "seed_stream", counting_stream)
+    student = seeded_random_strategy(4, seed=9, output="s")
+    inst = greedy_instance(8, 3, 2, seed=2, c=2)
+    for view in (GameView(inst_a, False), GameView(inst, False)):
+        for step in (2, 0, 3, 1, 2, 4):
+            want = derive_seed("srand", 9, "0101", step) % view.m if step < 4 else Output("s")
+            assert student.move(view, "0101", ("00",) * step) == want
+    assert hashed == [("0101", 2), ("0101", 0), ("0101", 3), ("0101", 1)]
+    for witness in (True, False):
+        hashed.clear()
+        first = scan(inst, student, witness)
+        assert len(hashed) == (sum(4 if t is None else len(t) for t in first) if witness else 0)
+        hashed.clear()
+        assert scan(inst, student, witness) == first and hashed == []
+
+
 def test_table_strategy_missing_input_stops(inst_a):
     s = table_strategy({"0010": (0,)}, max_queries=1)
     assert play(inst_a, s, "0010").success
@@ -235,7 +267,7 @@ def test_table_of_another_width_refuses_the_first_move(inst_a):
         return student.move(view, a, replies)
 
     with pytest.raises(ValueError, match="'0101010' has 7 bits, the instance has n = 4"):
-        scan(inst_a, dataclasses.replace(student, move=move), lambda t: t)
+        scan(inst_a, dataclasses.replace(student, move=move))
     assert asked == [()]
     with pytest.raises(ValueError, match="'0101010'"):
         evaluate_partial(inst_a, student, "0000")
@@ -361,9 +393,11 @@ def _stop_rule_reference(inst, strategy, a, witness):
 
 
 def _scan_matches_reference(inst, student, witness):
-    """scan's transcripts and its count of move calls equal the reference's;
-    returns the reference's (transcript, moves asked) per input."""
+    """The batch loop's transcripts, scan's trace column at jobs 1 and 3, and
+    the count of move calls of each equal the reference's; returns the
+    reference's (transcript, moves asked) per input."""
     expected = [_stop_rule_reference(inst, student, a, witness) for a in all_bitstrings(inst.n)]
+    moves = sum(calls for _, calls in expected)
     asked = []
 
     def counted(view, a, replies):
@@ -371,8 +405,12 @@ def _scan_matches_reference(inst, student, witness):
         return student.move(view, a, replies)
 
     counting = dataclasses.replace(student, move=counted)
-    assert scan(inst, counting, lambda t: t, witness=witness) == [t for t, _ in expected]
-    assert len(asked) == sum(calls for _, calls in expected)
+    assert list(_games(inst, counting, witness)(*inst._inputs)) == [t for t, _ in expected]
+    assert len(asked) == moves
+    for jobs in (1, 3):
+        asked.clear()
+        assert scan(inst, counting, witness, jobs) == [t.trace for t, _ in expected]
+        assert len(asked) == moves
     return expected
 
 
@@ -467,7 +505,7 @@ def test_library_student_stops_with_one_output_object(which):
             return out
 
         for witness in (False, True):
-            scan(inst, dataclasses.replace(student, move=recorded), lambda t: None, witness=witness)
+            scan(inst, dataclasses.replace(student, move=recorded), witness=witness)
 
 
 @pytest.fixture(scope="module")
@@ -494,8 +532,9 @@ def test_games_past_the_scan_cap_build_no_input_table(inst_n15):
     failure_set(inst_n15, student, sample=(50, 7))
     play(inst_n15, student, "0" * 15)
     evaluate_partial(inst_n15, student, "1" * 15)
-    with pytest.raises(ValueError, match="n=15 > 14"):
-        failure_set(inst_n15, student)
+    for scan_past_the_cap in (failure_set, definedness_set, trace_census):
+        with pytest.raises(ValueError, match="n=15 > 14"):
+            scan_past_the_cap(inst_n15, student)
     assert "_inputs" not in vars(inst_n15)
 
 
@@ -539,7 +578,8 @@ def test_scan_folds_match_per_input_reference(n, ell, seed, c, hard, kind, arg, 
     }[kind]()
     inputs = list(all_bitstrings(n))
     solve = [play(inst, student, a) for a in inputs]
-    assert scan(inst, student, lambda t: t, jobs=jobs) == solve
+    assert list(_games(inst, student, False)(*inst._inputs)) == solve
+    assert scan(inst, student, jobs=jobs) == [t.trace for t in solve]
 
     counts: dict = {}
     for t in solve:

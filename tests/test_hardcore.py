@@ -25,7 +25,7 @@ from nwgame import (
 )
 from nwgame.bits import all_bitstrings
 from nwgame.design import restrict
-from nwgame.game import GameView, scan
+from nwgame.game import GameView, _games, scan
 from nwgame.hardcore import HardcoreReport
 
 from helpers import greedy_instance, reference_instance
@@ -267,10 +267,11 @@ def test_composite_scans_match_replay_reference(data, n):
         for witness in (False, True):
             asked = Counter()
             composite = compose(_counted(family, asked), k)
-            expected = scan(inst, _replay_reference(family, k), lambda t: t, witness=witness)
-            assert scan(inst, composite, lambda t: t, witness=witness) == expected
+            expected = list(_games(inst, _replay_reference(family, k), witness)(*inst._inputs))
+            assert list(_games(inst, composite, witness)(*inst._inputs)) == expected
             # each input is one game, in which each stage is asked once per step
             assert set(asked.values()) <= {1}
+            assert scan(inst, compose(family, k), witness) == [t.trace for t in expected]
 
 
 @settings(max_examples=100, deadline=None)
@@ -324,8 +325,8 @@ def test_each_stage_is_asked_once_per_step():
     for k in (2, 3, 4):
         for witness in (False, True):
             asked, replayed = Counter(), Counter()
-            scan(inst, compose(_counted(family4(), asked), k), lambda t: None, witness=witness)
-            scan(inst, _replay_reference(_counted(family4(), replayed), k), lambda t: None, witness=witness)
+            scan(inst, compose(_counted(family4(), asked), k), witness=witness)
+            scan(inst, _replay_reference(_counted(family4(), replayed), k), witness=witness)
             assert set(asked) == set(replayed) and set(asked.values()) == {1}
             assert sum(replayed.values()) > sum(asked.values())
 
@@ -372,7 +373,7 @@ def _own_replies(inst, stage: StudentStrategy, a: str, replies: tuple[str, ...])
 
 def test_each_stage_is_handed_its_own_replies_when_resumed():
     inst, family, handed = DIFFERENTIAL_INSTANCES[8], family4(), []
-    scan(inst, compose(_spied(family, handed), 4), lambda t: None, witness=True)
+    scan(inst, compose(_spied(family, handed), 4), witness=True)
     # resumed: no stage is handed the same replies twice in one game
     assert len(set(handed)) == len(handed) and max(len(replies) for _, _, replies in handed) == 4
     for index, a, replies in handed:
@@ -381,7 +382,7 @@ def test_each_stage_is_handed_its_own_replies_when_resumed():
 
 def test_each_stage_is_handed_its_own_replies_when_recomputed():
     inst, family, handed = DIFFERENTIAL_INSTANCES[8], family4(), []
-    longest = sorted(scan(inst, compose(family, 4), lambda t: t, witness=True), key=lambda t: -len(t.replies))[:2]
+    longest = sorted(_games(inst, compose(family, 4), True)(*inst._inputs), key=lambda t: -len(t.replies))[:2]
     composite, view = compose(_spied(family, handed), 4), GameView(inst, False)
     # the two games in turn, each on a stream no longer than its last one: every call recomputes
     calls = [(t.a, t.replies[:j]) for j in range(len(longest[0].replies), -1, -1) for t in longest]
