@@ -92,7 +92,7 @@ class TraceCensus:
 
 
 def trace_census(inst: Instance, strategy: StudentStrategy, jobs: int = 1) -> TraceCensus:
-    """Play every input and tally traces of successful runs (n <= 14)."""
+    """Play every input and tally traces of successful runs (n <= EXHAUSTIVE_MAX_N)."""
     counts: dict[Trace, int] = dict(Counter(filter(None, scan(inst, strategy, jobs=jobs))))
     best, best_count = min(counts.items(), key=_score_key(inst.m), default=(None, 0))
     return TraceCensus(inst.m, sum(counts.values()), counts, best, best_count)

@@ -20,7 +20,7 @@ from .bits import check_bits, hex_to_bits
 from .crypto import DEFAULT_ROUNDS, HARD_BIT_KINDS, PERMUTATION_KINDS, HardBit, Permutation, check_bijection
 from .design import Design, build_polynomial_design, extend_greedy, require_valid, verify_design
 from .errors import ABSENT, REQUIRED, SearchExhausted, ValidationError, json_object, json_value
-from .game import StudentStrategy, evaluate_partial, failure_set, play, strategy_from_spec
+from .game import EXHAUSTIVE_MAX_N, StudentStrategy, evaluate_partial, failure_set, play, strategy_from_spec
 from .generator import (
     ENUMERATION_MAX_N,
     OFF_RANGE_MODES,
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = gsub.add_parser("failureset")
     g.add_argument("--instance", required=True)
     g.add_argument("--strategy", required=True)
-    g.add_argument("--sample", type=int, default=None, help="Monte-Carlo size for n > 14")
+    g.add_argument("--sample", type=int, default=None, help=f"Monte-Carlo size for n > {EXHAUSTIVE_MAX_N}")
     g.add_argument("--sample-seed", type=int, default=0)
     common(g)
     g.set_defaults(func=_cmd_strategy_section)

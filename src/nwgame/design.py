@@ -125,10 +125,6 @@ def build_polynomial_design(q: int, degree: int) -> Design:
     return Design(n=q * q, ell=q, d=degree, sets=rows)
 
 
-def _overlap(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    return len(set(a).intersection(b))
-
-
 def extend_greedy(base: Design, target_m: int, seed: int) -> Design:
     """Append random admissible ell-subsets until the design has target_m
     rows.  Deterministic for a fixed seed.  Raises SearchExhausted when
@@ -143,7 +139,8 @@ def extend_greedy(base: Design, target_m: int, seed: int) -> Design:
     rows = list(base.sets)
     for _ in range(GREEDY_ATTEMPTS):
         cand = tuple(sorted(rng.sample(range(base.n), base.ell)))
-        if all(_overlap(cand, row) <= base.d for row in rows):
+        members = set(cand)
+        if all(len(members.intersection(row)) <= base.d for row in rows):
             rows.append(cand)
             if len(rows) == target_m:
                 return Design(base.n, base.ell, base.d, tuple(rows))

@@ -186,7 +186,7 @@ def evaluate_partial(inst: Instance, strategy: StudentStrategy, a: str) -> Trans
 
 @dataclass(frozen=True)
 class FailureReport:
-    """Inputs on which solve-mode runs fail.  Exhaustive for n <= 14;
+    """Inputs on which solve-mode runs fail.  Exhaustive for n <= EXHAUSTIVE_MAX_N;
     larger n only via an explicit, clearly-labeled Monte-Carlo sample."""
 
     n: int
@@ -206,7 +206,7 @@ class FailureReport:
 
 
 def scan(inst: Instance, strategy: StudentStrategy, witness: bool = False, jobs: int = 1) -> list:
-    """Play each of the 2^n inputs once, in input order (n <= 14), on one
+    """Play each of the 2^n inputs once, in input order (n <= EXHAUSTIVE_MAX_N), on one
     view, reading each from `inst._inputs`, and return the trace column:
     the trace of each successful run (never empty), or None.
 
@@ -227,7 +227,7 @@ def failure_set(
     jobs: int = 1,
     sample: tuple[int, int] | None = None,
 ) -> FailureReport:
-    """All inputs where the solve-mode run fails (exhaustive, n <= 14), or
+    """All inputs where the solve-mode run fails (exhaustive, n <= EXHAUSTIVE_MAX_N), or
     a seeded sample of them when `sample=(size, seed)` is given."""
     if sample is not None:
         size, seed = sample
@@ -239,7 +239,7 @@ def failure_set(
         failures = tuple(t.a for t in games if not t.success)
         return FailureReport(inst.n, False, failures, size - len(failures), sample_size=size, seed=seed)
 
-    column = scan(inst, strategy, jobs=jobs)  # refuses n > 14 before the input table is built
+    column = scan(inst, strategy, jobs=jobs)  # refuses n > EXHAUSTIVE_MAX_N before the input table is built
     failed = tuple(compress(inst._inputs[0], map(not_, column)))
     return FailureReport(inst.n, exhaustive=True, failures=failed, success_count=(1 << inst.n) - len(failed))
 

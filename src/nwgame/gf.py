@@ -1,9 +1,10 @@
 """Arithmetic in small finite fields GF(q), q a prime power up to 16.
 
 Elements are integers 0..q-1, q = p^k, whose base-p digits are the
-coefficients of a polynomial over GF(p).  Products are reduced by a fixed
-irreducible polynomial of degree k, so the encoding never varies between
-runs or machines; for prime q no product needs reducing (arithmetic mod q).
+coefficients of a polynomial over GF(p).  The sum and product tables are
+built once from these digit vectors and a fixed irreducible polynomial of
+degree k, so the encoding never varies between runs or machines; for prime
+q no product needs reducing (arithmetic mod q).
 """
 
 from __future__ import annotations
@@ -46,25 +47,24 @@ class Field:
         if split is None:
             raise ValueError(f"q must be a prime power <= {MAX_Q}, got {self.q}")
         p, k = split
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
-        # q x q sum and product tables from the digit path (q <= 16)
-        elements = range(self.q)
-        object.__setattr__(self, "_sums", tuple(tuple(self._digit_add(a, b) for b in elements) for a in elements))
-        object.__setattr__(self, "_products", tuple(tuple(self._digit_mul(a, b) for b in elements) for a in elements))
-
-    def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _undigits(self, digits: list[int]) -> int:
-        value = 0
-        for digit in reversed(digits):
-            value = value * self.p + digit
-        return value
+        # each element's k base-p digits, t^0 first, and the element of each digit vector
+        digits = [tuple(a // p**i % p for i in range(k)) for a in range(self.q)]
+        element = {v: a for a, v in enumerate(digits)}
+        sums = tuple(tuple(element[tuple((x + y) % p for x, y in zip(u, v))] for v in digits) for u in digits)
+        products = {}
+        for a, u in enumerate(digits):
+            for b, v in enumerate(digits):
+                prod = [0] * (2 * k - 1)
+                for i, x in enumerate(u):
+                    for j, y in enumerate(v):
+                        prod[i + j] += x * y
+                # from the top degree down, t^i = t^(i-k) * (t^k - irr); irr is monic of degree k
+                for i in range(2 * k - 2, k - 1, -1):
+                    c = prod[i] % p
+                    prod[i - k : i] = [y - c * r for y, r in zip(prod[i - k : i], _IRREDUCIBLE[self.q])]
+                products[a, b] = element[tuple(y % p for y in prod[:k])]
+        object.__setattr__(self, "_sums", sums)
+        object.__setattr__(self, "_products", tuple(tuple(products[a, b] for b in range(self.q)) for a in range(self.q)))
 
     def _check(self, a: int) -> int:
         if not 0 <= a < self.q:
@@ -76,29 +76,6 @@ class Field:
 
     def mul(self, a: int, b: int) -> int:
         return self._products[self._check(a)][self._check(b)]
-
-    def _digit_add(self, a: int, b: int) -> int:
-        da, db = self._digits(a), self._digits(b)
-        return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
-
-    def _digit_mul(self, a: int, b: int) -> int:
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        return self._undigits(self._reduce(prod))
-
-    def _reduce(self, coeffs: list[int]) -> list[int]:
-        for i in range(len(coeffs) - 1, self.k - 1, -1):
-            c, irr = coeffs[i], _IRREDUCIBLE[self.q]
-            if c:
-                coeffs[i] = 0
-                # t^i = t^(i-k) * (t^k mod irr); irr is monic of degree k
-                for j in range(self.k):
-                    coeffs[i - self.k + j] = (coeffs[i - self.k + j] - c * irr[j]) % self.p
-        return coeffs[: self.k]
 
     def eval_poly(self, coeffs: list[int] | tuple[int, ...], x: int) -> int:
         """Evaluate sum coeffs[i] * x^i by Horner's rule."""

@@ -130,8 +130,8 @@ class HardcoreReport:
 
 
 def definedness_set(inst: Instance, strategy: StudentStrategy, jobs: int = 1) -> set[str]:
-    """All inputs whose witness-mode run is defined (n <= 14)."""
-    column = scan(inst, strategy, witness=True, jobs=jobs)  # refuses n > 14 before the input table is built
+    """All inputs whose witness-mode run is defined (n <= EXHAUSTIVE_MAX_N)."""
+    column = scan(inst, strategy, witness=True, jobs=jobs)  # refuses n > EXHAUSTIVE_MAX_N before the input table is built
     return {a for a, trace in zip(inst._inputs[0], column) if trace is None}
 
 

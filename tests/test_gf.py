@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -88,6 +90,31 @@ def test_field_axioms_random_triples(q, data):
     assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
     assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+
+# sha256 over the add table then the mul table, row a = 0 first, one byte per
+# entry; recorded before the tables were built from digit vectors.  An
+# irreducible swapped for another one of the same degree changes them.
+FROZEN_TABLES = {
+    2: "090b5ea336d2a3fae01b94507c3609d9103ac09195f599993d6271b148bf725e",
+    3: "f9287b0c3bb4fee914a64727425f94be4156a17447bd12ca0d098fd1f414e913",
+    4: "fc7e342da9b4f0b5a3b5a2595814de4c49e8e733d07379a4ebeabf57542ae10a",
+    5: "52ba69e53329b3b2ad7e29dd8179e2fd2fca0281328fc40180696cbc7bdd84e0",
+    7: "1b4435bbb6ea8cb7eec2865d6328e4544fdd7de743f768a3d7d5376521cecd51",
+    8: "0e386441c46b1123bb738282bc6a7de2ac49bcd55bb355af0341e320d7fd0da5",
+    9: "db74138954ff101e0257f1efcee10a77dad78d02fab275ac89da02606bed1cbe",
+    11: "d3056bc16c3096b387c5f4b4bd5e171c744b05832be57d31b4d53326c87459ca",
+    13: "f3034a90fb9bb8a7546579ff1dd543ec5fab2dbf1cd3aa301edf4363997be589",
+    16: "70c9fb2d0f13a41df60c792f17feaf96dbb0c177d0e91e7c5f395251466903ef",
+}
+
+
+def test_every_field_table_is_frozen():
+    assert sorted(FROZEN_TABLES) == list(FIELD_SIZES)
+    for q in FIELD_SIZES:
+        f, elements = Field(q), range(q)
+        tables = bytes(op(a, b) for op in (f.add, f.mul) for a in elements for b in elements)
+        assert hashlib.sha256(tables).hexdigest() == FROZEN_TABLES[q], q
 
 
 def test_eval_poly_horner():
