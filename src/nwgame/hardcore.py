@@ -9,7 +9,7 @@ the failure ceiling at budget k^2, which dominates k(k+1)/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .bits import bits_to_hex
@@ -135,19 +135,38 @@ def definedness_set(inst: Instance, strategy: StudentStrategy, jobs: int = 1) ->
     return {a for a, trace in zip(inst._inputs[0], column) if trace is None}
 
 
+def _report(inst: Instance, k: int, members: set[str]) -> HardcoreReport:
+    return HardcoreReport(k, inst.n, len(members), failure_bound(inst.ell, inst.m, k * k), tuple(sorted(members)))
+
+
 def extract_hardcore(inst: Instance, family: StudentFamily, k: int, jobs: int = 1) -> HardcoreReport:
-    """Definedness set of the k-stage composite, sized against the ceiling
-    at budget k^2."""
+    """Definedness set of the k-stage composite, sized against the ceiling at budget k^2."""
     composite = compose(family, k)
-    bound = failure_bound(inst.ell, inst.m, k * k)
-    members = definedness_set(inst, composite, jobs=jobs)
-    return HardcoreReport(
-        k=k, n=inst.n, size=len(members), bound=bound, members=tuple(sorted(members))
-    )
+    failure_bound(inst.ell, inst.m, k * k)  # refused before the scan
+    return _report(inst, k, definedness_set(inst, composite, jobs=jobs))
 
 
 def sweep(inst: Instance, family: StudentFamily, k_max: int, jobs: int = 1) -> list[HardcoreReport]:
+    """extract_hardcore for k = 1..k_max from one witness scan of composite k_max per run of equal may_invert
+    (at most two).  Composite k plays composite k_max's game up to stage k+1's first move, and a witness game
+    is defined unless a reply disagrees with b, so D_k is D_{k_max} and the inputs where stage k+1 was asked."""
     if not 1 <= k_max <= len(family.stages):
         raise ValueError(f"k_max must be in 1..{len(family.stages)}, got {k_max}")
     failure_bound(inst.ell, inst.m, k_max * k_max)  # the largest budget, refused before any scan
-    return [extract_hardcore(inst, family, k, jobs=jobs) for k in range(1, k_max + 1)]
+    asked: list[set[str]] = [set() for _ in range(k_max + 1)]  # stage i+1's first asks, none yet at i = last
+
+    def recorded(i: int, stage: StudentStrategy) -> StudentStrategy:
+        def move(view: GameView, a: str, replies: tuple[str, ...]):
+            if not replies:
+                asked[i].add(a)
+            return stage.move(view, a, replies)
+
+        return replace(stage, move=move)
+
+    stages = StudentFamily(tuple(map(recorded, range(k_max), family.stages)))
+    unflagged = next((i for i, stage in enumerate(stages.stages) if stage.may_invert), 0)  # composites 1..unflagged
+    reports: list[HardcoreReport] = []
+    for last in filter(None, (unflagged, k_max)):
+        members = definedness_set(inst, compose(stages, last), jobs=jobs)
+        reports += [_report(inst, k, asked[k] | members) for k in range(len(reports) + 1, last + 1)]
+    return reports

@@ -17,14 +17,18 @@ from nwgame import (
     evaluate_partial,
     extract_hardcore,
     failure_bound,
+    omniscient_strategy,
     round_robin_strategy,
     seeded_random_strategy,
     strategy_from_spec,
     sweep,
     table_strategy,
 )
+from nwgame import hardcore
 from nwgame.bits import all_bitstrings
+from nwgame.cli import hardcore_section
 from nwgame.design import restrict
+from nwgame.errors import CapabilityError
 from nwgame.game import GameView, _games, scan
 from nwgame.hardcore import HardcoreReport
 
@@ -125,8 +129,6 @@ def test_sweep_shapes_and_members(inst_a):
 
 
 def test_composite_capability_is_or_of_stages(inst_a):
-    from nwgame import omniscient_strategy
-
     fam = StudentFamily((omniscient_strategy(), round_robin_strategy(2)))
     assert compose(fam, 2).may_invert
     assert not compose(family4(), 2).may_invert
@@ -401,3 +403,90 @@ def test_report_leaves_out_members_above_the_emit_cap():
     data = report.to_json_dict()
     assert report.size == data["size"] == 8192 > HardcoreReport.MEMBER_EMIT_CAP
     assert "members_hex" not in data
+
+
+def _with_omniscient(family: StudentFamily, at: int) -> StudentFamily:
+    """The family with stage `at` (from 0) replaced by the omniscient student
+    under that stage's budget, so the budgets stay valid."""
+    stages = family.stages
+    omniscient = dataclasses.replace(omniscient_strategy(), max_queries=stages[at].max_queries)
+    return StudentFamily(stages[:at] + (omniscient,) + stages[at + 1 :])
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), n=st.integers(4, 8))
+def test_sweep_matches_each_composite_scanned_alone(data, n):
+    """Every report of the one-scan sweep equals the k-stage extraction and
+    the definedness set of the replaying composite, with and without an
+    omniscient stage that makes the later composites may_invert."""
+    inst = DIFFERENTIAL_INSTANCES[n]
+    family = data.draw(families(inst, list(all_bitstrings(n))))
+    at = data.draw(st.none() | st.integers(0, len(family.stages) - 1))
+    if at is not None:
+        family = _with_omniscient(family, at)
+    k_max = data.draw(st.integers(1, len(family.stages)))
+    for jobs in (1, 2):
+        reports = sweep(inst, family, k_max, jobs=jobs)
+        assert [report.k for report in reports] == list(range(1, k_max + 1))
+        for k, report in enumerate(reports, start=1):
+            alone = extract_hardcore(inst, family, k)
+            assert (report.to_json_dict(), report.members) == (alone.to_json_dict(), alone.members)
+            assert set(report.members) == definedness_set(inst, _replay_reference(family, k), jobs=jobs)
+
+
+@pytest.mark.parametrize(
+    "at, scans",
+    [(None, [(4, False)]), (0, [(4, True)]), (1, [(1, False), (4, True)]), (3, [(3, False), (4, True)])],
+)
+def test_sweep_plays_each_input_once_per_capability_run(monkeypatch, at, scans):
+    """The composites a sweep scans, one game per input each: composite k_max
+    alone, or first the composite of the stages before the first may_invert
+    stage on a view without invert."""
+    inst, games = DIFFERENTIAL_INSTANCES[6], []
+    compose = hardcore.compose
+
+    def counted(family, k):
+        composite = compose(family, k)
+
+        def move(view, a, replies):
+            if not replies:
+                games.append((k, composite.may_invert, a))
+            return composite.move(view, a, replies)
+
+        return dataclasses.replace(composite, move=move)
+
+    monkeypatch.setattr(hardcore, "compose", counted)
+    family = family4() if at is None else _with_omniscient(family4(), at)
+    sweep(inst, family, 4, jobs=2)
+    assert games == [(last, flag, a) for last, flag in scans for a in inst._inputs[0]]
+
+
+def test_sweep_refuses_invert_to_a_stage_before_the_first_flagged_one():
+    """Composite 1 may not invert, so its unflagged stage that calls invert
+    fails the sweep even though composite 2 may."""
+
+    def peek(view, a, replies):
+        return Output(view.invert("0" * view.ell))
+
+    inst = DIFFERENTIAL_INSTANCES[4]
+    family = StudentFamily((StudentStrategy("peek", 1, peek), omniscient_strategy()))
+    assert extract_hardcore(inst, family, 2).size >= 0
+    for k_max in (1, 2):
+        with pytest.raises(CapabilityError):
+            sweep(inst, family, k_max)
+
+
+def test_hardcore_section_reads_the_extraction_from_the_sweep(monkeypatch):
+    inst, family = DIFFERENTIAL_INSTANCES[8], family4()
+    expected = {
+        "extract": extract_hardcore(inst, family, 2).to_json_dict(),
+        "sweep": [report.to_json_dict() for report in sweep(inst, family, 3)],
+    }
+
+    def no_extract(*args, **kwargs):
+        raise AssertionError("composite k scanned again")
+
+    monkeypatch.setattr(hardcore, "extract_hardcore", no_extract)
+    assert hardcore_section(inst, family, 2, 3) == expected
+    with pytest.raises(AssertionError):
+        hardcore_section(inst, family, 4, 3)
