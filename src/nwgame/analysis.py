@@ -15,6 +15,7 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import compress
 
 from .bits import all_bitstrings, bits_to_int, int_to_bits
 from .design import embed, restrict
@@ -151,15 +152,16 @@ def best_partial_assignment(
     row_bits = sum(1 << (inst.n - 1 - p) for p in inside)
 
     played = scan(inst, strategy, jobs=jobs)
-    tally: Counter = Counter()
-    for (fixing, seen), count in Counter(zip(map((~row_bits).__and__, range(1 << inst.n)), played)).items():
-        tally[fixing, _classify(seen, trace)] += count
+    kinds = {seen: _classify(seen, trace) for seen in set(played)}  # each distinct trace once
+    classes = list(map(kinds.__getitem__, played))
+    fixings = list(map((~row_bits).__and__, range(1 << inst.n)))
+    exact, proper = (Counter(compress(fixings, map(kind.__eq__, classes))) for kind in ("exact", "proper"))
     # input order meets each fixing first at its lexicographic rank, and max
     # keeps the first of equal margins, so ties go to the lex-min fixing
-    margins = {fixing: tally[fixing, "exact"] - tally[fixing, "proper"] for fixing, _ in tally}
+    margins = {fixing: exact[fixing] - proper[fixing] for fixing in dict.fromkeys(fixings)}
     fixing = max(margins, key=margins.__getitem__)
     outside = restrict(int_to_bits(fixing, inst.n), outside_positions)
-    return PartialAssignment(row, outside, margins[fixing], tally[fixing, "exact"], tally[fixing, "proper"])
+    return PartialAssignment(row, outside, margins[fixing], exact[fixing], proper[fixing])
 
 
 def build_witness_tables(

@@ -104,13 +104,11 @@ class Instance:
         return self._answers[u]
 
     @cached_property
-    def restrictions(self) -> Callable[[int], int]:
-        """The m row restrictions of the input of value x, one slot per row: row
-        i is byte i when ell <= 8, else bits ell*i up; bound once per instance."""
-        # Projection is linear over bits: table k maps each value of input bits
-        # 8k..8k+7 (from the least significant) to the OR of its unit vectors'
-        # restrictions, read over every row from m-1 down to 0 and each padded
-        # with zeros to its slot
+    def _chunks(self) -> list[list[int]]:
+        # not a field: projection is linear over bits, so table k maps each value
+        # of input bits 8k..8k+7 (from the least significant) to the OR of its
+        # unit vectors' restrictions, read over every row from m-1 down to 0 and
+        # each padded with zeros to its slot
         n, ell, pad = self.n, self.ell, "0" * (self._rows[1].step - self.ell)
         positions = tuple(p for row in self.design.sets[::-1] for p in row)
         tables = [[0] for _ in range(0, n, 8)]
@@ -118,6 +116,13 @@ class Instance:
             bits = restrict(int_to_bits(1 << j, n), positions)
             packed = bits_to_int("".join([pad + bits[i : i + ell] for i in range(0, len(bits), ell)]))
             tables[j // 8] += [t | packed for t in tables[j // 8]]
+        return tables
+
+    @cached_property
+    def restrictions(self) -> Callable[[int], int]:
+        """The m row restrictions of the input of value x, one slot per row: row
+        i is byte i when ell <= 8, else bits ell*i up; bound once per instance."""
+        tables = self._chunks
 
         def restrictions(x: int) -> int:
             packed = 0
@@ -146,9 +151,12 @@ class Instance:
 
     @cached_property
     def _inputs(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
-        # not a field: every input's n-bit string and its `restrictions`, in
-        # input order, for the exhaustive scans (2^n entries, built by the first)
-        return tuple(all_bitstrings(self.n)), tuple(map(self.restrictions, range(1 << self.n)))
+        # not a field: every input's n-bit string and its `restrictions` (one entry of each
+        # chunk table ORed, the top chunk outermost), in input order, for the exhaustive scans
+        packed = [0]
+        for table in reversed(self._chunks):
+            packed = [high | low for high in packed for low in table]
+        return tuple(all_bitstrings(self.n)), tuple(packed)
 
     def __reduce__(self) -> tuple:
         return Instance, (self.design, self.h, self.hard_bit, self.c, self.b, self.b_certified)

@@ -9,10 +9,10 @@ the failure ceiling at budget k^2, which dominates k(k+1)/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
 
-from .bits import bits_to_hex
 from .game import GameView, Output, ProtocolViolation, StudentStrategy, scan
 from .generator import Instance
 from .analysis import _fraction_json, failure_bound
@@ -44,14 +44,15 @@ def composed_budget(k: int) -> int:
     return k * (k + 1) // 2
 
 
-def compose(family: StudentFamily, k: int) -> StudentStrategy:
+def compose(family: StudentFamily, k: int, started: dict[str, int] | None = None) -> StudentStrategy:
     """Run stages 1..k in sequence over one shared reply stream.
 
     Each stage sees the replies its own queries produced and is asked once
     per step: the composite keeps the progress of its last game and resumes
-    it when the same view and input bring a stream that strictly extends
-    the last one.  Any other call recomputes from stage 1, so the move is a
-    pure function of (view, a, replies).  It stops with the stage outputs.
+    it when the same view and input bring that stream and one more reply.
+    Any other call recomputes from stage 1, so the move is a pure function
+    of (view, a, replies).  It stops with the stage outputs, and records in
+    `started` (if given) the furthest stage past 1 begun on each input.
     """
     if not 1 <= k <= len(family.stages):
         raise ValueError(f"k must be in 1..{len(family.stages)}, got {k}")
@@ -67,10 +68,10 @@ def compose(family: StudentFamily, k: int) -> StudentStrategy:
     def move(view: GameView, a: str, replies: tuple[str, ...]):
         nonlocal progress
         last_view, last_a, seen, index, own, outputs = progress
-        used = len(seen)
-        if last_view is view and last_a == a and used < len(replies) and replies[:used] == seen:
+        used = len(replies)
+        if last_view is view and last_a == a and used and replies[:-1] == seen:
             # the reply to the query the last call returned
-            own, used = own + (replies[used],), used + 1
+            own += replies[-1:]
         else:
             index, own, used, outputs = 0, (), 0, ()
         while index < k:
@@ -79,6 +80,8 @@ def compose(family: StudentFamily, k: int) -> StudentStrategy:
             if row is None or isinstance(row, Output):
                 outputs += (getattr(row, "value", None),)
                 index, own = index + 1, ()
+                if started is not None and index < k and started.get(a, 1) <= index:
+                    started[a] = index + 1
             elif len(own) >= limit:
                 # the stage overruns its own budget
                 return violation
@@ -125,7 +128,8 @@ class HardcoreReport:
             "meets_bound": self.meets_bound,
         }
         if self.size <= self.MEMBER_EMIT_CAP:
-            data["members_hex"] = [bits_to_hex(a) for a in self.members]
+            spec = f"0{(self.n + 3) // 4}x"  # bits_to_hex's width, ceil(n/4) nibbles; n >= ell >= 1
+            data["members_hex"] = [format(int(a, 2), spec) for a in self.members]
         return data
 
 
@@ -135,38 +139,33 @@ def definedness_set(inst: Instance, strategy: StudentStrategy, jobs: int = 1) ->
     return {a for a, trace in zip(inst._inputs[0], column) if trace is None}
 
 
-def _report(inst: Instance, k: int, members: set[str]) -> HardcoreReport:
-    return HardcoreReport(k, inst.n, len(members), failure_bound(inst.ell, inst.m, k * k), tuple(sorted(members)))
+def _report(inst: Instance, k: int, members: tuple[str, ...]) -> HardcoreReport:
+    """The report of D_k, its members in input order."""
+    return HardcoreReport(k, inst.n, len(members), failure_bound(inst.ell, inst.m, k * k), members)
 
 
 def extract_hardcore(inst: Instance, family: StudentFamily, k: int, jobs: int = 1) -> HardcoreReport:
     """Definedness set of the k-stage composite, sized against the ceiling at budget k^2."""
     composite = compose(family, k)
     failure_bound(inst.ell, inst.m, k * k)  # refused before the scan
-    return _report(inst, k, definedness_set(inst, composite, jobs=jobs))
+    return _report(inst, k, tuple(sorted(definedness_set(inst, composite, jobs=jobs))))
 
 
 def sweep(inst: Instance, family: StudentFamily, k_max: int, jobs: int = 1) -> list[HardcoreReport]:
     """extract_hardcore for k = 1..k_max from one witness scan of composite k_max per run of equal may_invert
     (at most two).  Composite k plays composite k_max's game up to stage k+1's first move, and a witness game
-    is defined unless a reply disagrees with b, so D_k is D_{k_max} and the inputs where stage k+1 was asked."""
+    is defined unless a reply disagrees with b, so D_k is D_{k_max} and the inputs where stage k+1 started."""
     if not 1 <= k_max <= len(family.stages):
         raise ValueError(f"k_max must be in 1..{len(family.stages)}, got {k_max}")
     failure_bound(inst.ell, inst.m, k_max * k_max)  # the largest budget, refused before any scan
-    asked: list[set[str]] = [set() for _ in range(k_max + 1)]  # stage i+1's first asks, none yet at i = last
-
-    def recorded(i: int, stage: StudentStrategy) -> StudentStrategy:
-        def move(view: GameView, a: str, replies: tuple[str, ...]):
-            if not replies:
-                asked[i].add(a)
-            return stage.move(view, a, replies)
-
-        return replace(stage, move=move)
-
-    stages = StudentFamily(tuple(map(recorded, range(k_max), family.stages)))
-    unflagged = next((i for i, stage in enumerate(stages.stages) if stage.may_invert), 0)  # composites 1..unflagged
+    unflagged = next((i for i, stage in enumerate(family.stages[:k_max]) if stage.may_invert), 0)  # composites 1..unflagged
     reports: list[HardcoreReport] = []
     for last in filter(None, (unflagged, k_max)):
-        members = definedness_set(inst, compose(stages, last), jobs=jobs)
-        reports += [_report(inst, k, asked[k] | members) for k in range(len(reports) + 1, last + 1)]
+        started: dict[str, int] = {}
+        members = definedness_set(inst, compose(family, last, started), jobs=jobs)
+        # an input's level is the furthest stage started, or past the last where its game is defined
+        started.update(dict.fromkeys(members, last + 1))
+        inputs = inst._inputs[0]  # in sorted order, so each D_k is too
+        levels = list(map(started.get, inputs, repeat(1)))
+        reports += [_report(inst, k, tuple(compress(inputs, map(k.__lt__, levels)))) for k in range(len(reports) + 1, last + 1)]
     return reports

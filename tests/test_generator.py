@@ -388,3 +388,15 @@ def test_row_slots_match_string_reference_across_the_byte_boundary(ell, data, ha
                 find_off_range(inst)
         for y in {*outside[:2], *sorted(outputs)[:2]}:
             assert certify_off_range(inst, y) == (y not in outputs)
+
+
+# n = 1..17 on byte slots: one partial chunk, n not a multiple of 8, and
+# n = 16 (two full chunks); wide slots (ell > 8) on one and two chunks
+@pytest.mark.parametrize("n, ell", [(n, min(n, 3)) for n in range(1, 18)] + [(9, 9), (12, 9), (16, 10)])
+def test_packed_input_column_is_each_inputs_restrictions(n, ell):
+    rng = random.Random(n * 100 + ell)
+    sets = tuple(tuple(sorted(rng.sample(range(n), ell))) for _ in range(5))
+    inst = Instance(Design(n, ell, ell, sets), Permutation(ell, "identity"), HardBit("last-bit"), c=1)
+    inputs, packed = inst._inputs
+    assert len(inputs) == len(packed) == 1 << n
+    assert list(packed) == list(map(inst.restrictions, range(1 << n)))

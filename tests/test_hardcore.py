@@ -25,7 +25,7 @@ from nwgame import (
     table_strategy,
 )
 from nwgame import hardcore
-from nwgame.bits import all_bitstrings
+from nwgame.bits import all_bitstrings, bits_to_hex
 from nwgame.cli import hardcore_section
 from nwgame.design import restrict
 from nwgame.errors import CapabilityError
@@ -319,6 +319,59 @@ def test_composite_calls_match_replay_reference(data, n, calls):
         assert composite.move(*args) == reference.move(*args)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(4, 8),
+    calls=st.lists(
+        st.tuples(
+            st.integers(0, 1),
+            st.integers(0, 1),
+            st.sampled_from(["extend", "extend", "again", "back", "grow"]),
+            st.lists(st.sampled_from(["00", "01", "10", "11"]), min_size=2, max_size=3).map(tuple),
+        ),
+        max_size=30,
+    ),
+)
+def test_composite_resumes_only_on_one_more_reply_and_records_started_stages(data, n, calls):
+    """Each move equals a freshly composed student's, on call sequences that
+    extend a stream by one reply (resumed), repeat a call, skip back, or
+    grow a stream by two or more; `started` holds, per input, the furthest
+    stage any call started, as the stages themselves see it."""
+    inst = DIFFERENTIAL_INSTANCES[n]
+    inputs = data.draw(st.lists(st.sampled_from(list(all_bitstrings(n))), min_size=2, max_size=2, unique=True))
+    family = data.draw(families(inst, inputs))
+    k = data.draw(st.integers(1, len(family.stages)))
+    started, furthest = {}, {}
+    composite = compose(family, k, started)
+    views = (GameView(inst, False), GameView(OTHER_INSTANCES[n], False))
+    streams = [(), ()]
+    args = (views[0], inputs[0], ())
+    for game, view, action, replies in calls:
+        if action != "again":
+            if action == "extend":
+                streams[game] += replies[:1]
+            elif action == "grow":
+                streams[game] += replies
+            else:
+                streams[game] = streams[game][: len(streams[game]) + 1 - len(replies)]
+            args = (views[view], inputs[game], streams[game])
+        handed = []
+        assert composite.move(*args) == compose(_spied(family, handed), k).move(*args)
+        a = args[1]
+        furthest[a] = max(furthest.get(a, 1), *(index + 1 for index, _, own in handed if own == ()))
+        assert started == {a: level for a, level in furthest.items() if level > 1}
+
+
+def test_started_keeps_the_furthest_stage_when_a_call_skips_back():
+    inst, started = DIFFERENTIAL_INSTANCES[4], {}
+    family = StudentFamily((constant_strategy(0, 0), constant_strategy(1, 1), round_robin_strategy(2)))
+    composite, view = compose(family, 3, started), GameView(inst, False)
+    assert composite.move(view, "0000", ("00",)) == 0  # stage 2's one query answered, stage 3 asks
+    assert composite.move(view, "0000", ()) == 1  # stage 2 asks again
+    assert started == {"0000": 3}
+
+
 def test_each_stage_is_asked_once_per_step():
     """Each finished stage costs one move that emits its Output, so the
     stage moves of a game can outnumber its composite moves; what holds is
@@ -405,6 +458,13 @@ def test_report_leaves_out_members_above_the_emit_cap():
     assert "members_hex" not in data
 
 
+def test_members_hex_is_bits_to_hex_at_every_width():
+    for n in range(1, 10):
+        members = tuple(all_bitstrings(n))
+        data = HardcoreReport(1, n, len(members), Fraction(0), members).to_json_dict()
+        assert data["members_hex"] == [bits_to_hex(a) for a in members]
+
+
 def _with_omniscient(family: StudentFamily, at: int) -> StudentFamily:
     """The family with stage `at` (from 0) replaced by the omniscient student
     under that stage's budget, so the budgets stay valid."""
@@ -445,8 +505,8 @@ def test_sweep_plays_each_input_once_per_capability_run(monkeypatch, at, scans):
     inst, games = DIFFERENTIAL_INSTANCES[6], []
     compose = hardcore.compose
 
-    def counted(family, k):
-        composite = compose(family, k)
+    def counted(family, k, started=None):
+        composite = compose(family, k, started)
 
         def move(view, a, replies):
             if not replies:
