@@ -54,10 +54,10 @@ class GameView:
     """What a strategy is allowed to see and do.
 
     Public data: the design, the target string b, the budget c and the hard
-    bit.  The forward permutation is free; invert is gated on the
-    strategy's may_invert flag and every use is counted so reports can
-    attribute oracle calls.  It is the student's own oracle, so it never
-    reads or fills the teacher's memo.
+    bit.  The forward permutation is free; invert, the student's own oracle
+    (it never reads or fills the teacher's memo), is counted per use and
+    gated on the strategy's own may_invert flag: a composite hands each
+    unflagged stage the twin `without_invert`, which refuses it.
     """
 
     def __init__(self, inst: Instance, may_invert: bool) -> None:
@@ -67,6 +67,7 @@ class GameView:
         self.invert_calls = 0
         self._h = inst.h
         self._may_invert = may_invert
+        self.without_invert = GameView(inst, False) if may_invert else self
 
     def apply(self, v: str) -> str:
         return self._h.apply(v)

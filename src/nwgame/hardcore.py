@@ -53,11 +53,18 @@ def compose(family: StudentFamily, k: int, started: dict[str, int] | None = None
     Any other call recomputes from stage 1, so the move is a pure function
     of (view, a, replies).  It stops with the stage outputs, and records in
     `started` (if given) the furthest stage past 1 begun on each input.
+    A stage may call invert only under its own may_invert flag: when some
+    stage may, every other one is handed `view.without_invert`.
     """
     if not 1 <= k <= len(family.stages):
         raise ValueError(f"k must be in 1..{len(family.stages)}, got {k}")
     stages = family.stages[:k]
-    plan = tuple((stage.move, stage.max_queries) for stage in stages)
+    may_invert = any(stage.may_invert for stage in stages)
+    plan = tuple(
+        (stage.move, stage.max_queries) if stage.may_invert or not may_invert
+        else (lambda view, *rest, move=stage.move: move(view.without_invert, *rest), stage.max_queries)
+        for stage in stages
+    )
     violation = ProtocolViolation()
     # (view, a, replies, index, own, outputs): the stage, its own replies and
     # the finished stages' outputs; a game is saved when it has consumed every
@@ -98,7 +105,7 @@ def compose(family: StudentFamily, k: int, started: dict[str, int] | None = None
         name=f"composed[{name}]",
         max_queries=composed_budget(k),
         move=move,
-        may_invert=any(stage.may_invert for stage in stages),
+        may_invert=may_invert,
     )
 
 
@@ -139,33 +146,25 @@ def definedness_set(inst: Instance, strategy: StudentStrategy, jobs: int = 1) ->
     return {a for a, trace in zip(inst._inputs[0], column) if trace is None}
 
 
-def _report(inst: Instance, k: int, members: tuple[str, ...]) -> HardcoreReport:
-    """The report of D_k, its members in input order."""
-    return HardcoreReport(k, inst.n, len(members), failure_bound(inst.ell, inst.m, k * k), members)
-
-
 def extract_hardcore(inst: Instance, family: StudentFamily, k: int, jobs: int = 1) -> HardcoreReport:
-    """Definedness set of the k-stage composite, sized against the ceiling at budget k^2."""
-    composite = compose(family, k)
-    failure_bound(inst.ell, inst.m, k * k)  # refused before the scan
-    return _report(inst, k, tuple(sorted(definedness_set(inst, composite, jobs=jobs))))
+    """Definedness set of composite k, each stage inverting only under its own flag: the sweep to k's last report."""
+    if not 1 <= k <= len(family.stages):
+        raise ValueError(f"k must be in 1..{len(family.stages)}, got {k}")
+    return sweep(inst, family, k, jobs=jobs)[-1]
 
 
 def sweep(inst: Instance, family: StudentFamily, k_max: int, jobs: int = 1) -> list[HardcoreReport]:
-    """extract_hardcore for k = 1..k_max from one witness scan of composite k_max per run of equal may_invert
-    (at most two).  Composite k plays composite k_max's game up to stage k+1's first move, and a witness game
-    is defined unless a reply disagrees with b, so D_k is D_{k_max} and the inputs where stage k+1 started."""
+    """extract_hardcore for k = 1..k_max from one witness scan of composite k_max.  Each stage inverts only
+    under its own flag, so composite k plays composite k_max's game up to stage k+1's first move, and a witness
+    game is defined unless a reply disagrees with b: D_k is D_{k_max} and the inputs where stage k+1 started."""
     if not 1 <= k_max <= len(family.stages):
         raise ValueError(f"k_max must be in 1..{len(family.stages)}, got {k_max}")
-    failure_bound(inst.ell, inst.m, k_max * k_max)  # the largest budget, refused before any scan
-    unflagged = next((i for i, stage in enumerate(family.stages[:k_max]) if stage.may_invert), 0)  # composites 1..unflagged
-    reports: list[HardcoreReport] = []
-    for last in filter(None, (unflagged, k_max)):
-        started: dict[str, int] = {}
-        members = definedness_set(inst, compose(family, last, started), jobs=jobs)
-        # an input's level is the furthest stage started, or past the last where its game is defined
-        started.update(dict.fromkeys(members, last + 1))
-        inputs = inst._inputs[0]  # in sorted order, so each D_k is too
-        levels = list(map(started.get, inputs, repeat(1)))
-        reports += [_report(inst, k, tuple(compress(inputs, map(k.__lt__, levels)))) for k in range(len(reports) + 1, last + 1)]
-    return reports
+    failure_bound(inst.ell, inst.m, k_max * k_max)  # the largest budget, refused before the scan
+    started: dict[str, int] = {}
+    defined = definedness_set(inst, compose(family, k_max, started), jobs=jobs)
+    # an input's level is the furthest stage started, or past k_max where its game is defined
+    started.update(dict.fromkeys(defined, k_max + 1))
+    inputs = inst._inputs[0]  # in sorted order, so each D_k is too
+    levels = list(map(started.get, inputs, repeat(1)))
+    sets = [tuple(compress(inputs, map(k.__lt__, levels))) for k in range(1, k_max + 1)]
+    return [HardcoreReport(k, inst.n, len(d), failure_bound(inst.ell, inst.m, k * k), d) for k, d in enumerate(sets, 1)]

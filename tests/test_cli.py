@@ -171,6 +171,10 @@ def test_hardcore_cli(workspace, capsys, tmp_path):
         ["hardcore", "extract", "--instance", str(instance), "--family", family, "--k", "2"]
     ) == EXIT_OK
     json.loads(capsys.readouterr().out)
+    # the extraction reads the sweep to k, but names k when k is outside the family
+    for k in ("0", "3"):
+        assert main(["hardcore", "extract", "--instance", str(instance), "--family", family, "--k", k]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: k must be in 1..2, got {k}\n"
     csv_path = tmp_path / "sweep.csv"
     assert main(
         [

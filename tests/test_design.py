@@ -95,6 +95,8 @@ def test_extend_greedy_noop_and_bad_target():
     assert extend_greedy(base, 4, seed=0) is base
     with pytest.raises(ValueError):
         extend_greedy(base, 3, seed=0)
+    with pytest.raises(ValueError, match="ell=3 exceeds n=2"):
+        extend_greedy(Design(n=2, ell=3, d=1, sets=()), 1, seed=0)
 
 
 def test_reference_design_is_valid():

@@ -168,6 +168,16 @@ def test_omniscient_always_succeeds_in_one_query(inst_a):
         assert evaluate(inst_a, a)[row] != inst_a.b[row]
 
 
+def test_omniscient_stops_with_nothing_where_every_row_agrees_with_b(inst_a):
+    # an uncertified b in the range: on x no row disagrees, so the student stops without a query
+    x = "0110"
+    inst = dataclasses.replace(inst_a, b=evaluate(inst_a, x), b_certified=False)
+    t = play(inst, omniscient_strategy(), x)
+    assert (t.queries, t.success, t.violation, t.trace) == ((), False, False, None)
+    failures = failure_set(inst, omniscient_strategy()).failures
+    assert x in failures and failures == tuple(a for a in all_bitstrings(4) if evaluate(inst, a) == inst.b)
+
+
 def test_failure_set_constant_row0(inst_a):
     report = failure_set(inst_a, constant_strategy(0))
     assert report.exhaustive

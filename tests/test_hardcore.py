@@ -14,15 +14,18 @@ from nwgame import (
     composed_budget,
     constant_strategy,
     definedness_set,
+    evaluate,
     evaluate_partial,
     extract_hardcore,
     failure_bound,
+    failure_set,
     omniscient_strategy,
     round_robin_strategy,
     seeded_random_strategy,
     strategy_from_spec,
     sweep,
     table_strategy,
+    trace_census,
 )
 from nwgame import hardcore
 from nwgame.bits import all_bitstrings, bits_to_hex
@@ -477,8 +480,9 @@ def _with_omniscient(family: StudentFamily, at: int) -> StudentFamily:
 @given(data=st.data(), n=st.integers(4, 8))
 def test_sweep_matches_each_composite_scanned_alone(data, n):
     """Every report of the one-scan sweep equals the k-stage extraction and
-    the definedness set of the replaying composite, with and without an
-    omniscient stage that makes the later composites may_invert."""
+    the definedness sets of composite k and of the replaying composite, with
+    and without an omniscient stage that makes the later composites
+    may_invert."""
     inst = DIFFERENTIAL_INSTANCES[n]
     family = data.draw(families(inst, list(all_bitstrings(n))))
     at = data.draw(st.none() | st.integers(0, len(family.stages) - 1))
@@ -491,17 +495,17 @@ def test_sweep_matches_each_composite_scanned_alone(data, n):
         for k, report in enumerate(reports, start=1):
             alone = extract_hardcore(inst, family, k)
             assert (report.to_json_dict(), report.members) == (alone.to_json_dict(), alone.members)
+            assert list(report.members) == sorted(definedness_set(inst, compose(family, k)))
             assert set(report.members) == definedness_set(inst, _replay_reference(family, k), jobs=jobs)
 
 
 @pytest.mark.parametrize(
     "at, scans",
-    [(None, [(4, False)]), (0, [(4, True)]), (1, [(1, False), (4, True)]), (3, [(3, False), (4, True)])],
+    [(None, [(4, False)]), (0, [(4, True)]), (1, [(4, True)]), (3, [(4, True)])],
 )
 def test_sweep_plays_each_input_once_per_capability_run(monkeypatch, at, scans):
-    """The composites a sweep scans, one game per input each: composite k_max
-    alone, or first the composite of the stages before the first may_invert
-    stage on a view without invert."""
+    """A sweep scans composite k_max alone, one game per input, wherever its
+    may_invert stage is."""
     inst, games = DIFFERENTIAL_INSTANCES[6], []
     compose = hardcore.compose
 
@@ -521,19 +525,48 @@ def test_sweep_plays_each_input_once_per_capability_run(monkeypatch, at, scans):
     assert games == [(last, flag, a) for last, flag in scans for a in inst._inputs[0]]
 
 
+def _peek(may_invert: bool = False) -> StudentStrategy:
+    """Stops with the preimage of the all-zero restriction, asked of view.invert."""
+    return StudentStrategy("peek", 1, lambda view, a, replies: Output(view.invert("0" * view.ell)), may_invert)
+
+
 def test_sweep_refuses_invert_to_a_stage_before_the_first_flagged_one():
-    """Composite 1 may not invert, so its unflagged stage that calls invert
-    fails the sweep even though composite 2 may."""
-
-    def peek(view, a, replies):
-        return Output(view.invert("0" * view.ell))
-
+    """The unflagged stage that calls invert fails composite 2 as it fails
+    composite 1, though composite 2 may invert."""
     inst = DIFFERENTIAL_INSTANCES[4]
-    family = StudentFamily((StudentStrategy("peek", 1, peek), omniscient_strategy()))
-    assert extract_hardcore(inst, family, 2).size >= 0
+    family = StudentFamily((_peek(), omniscient_strategy()))
+    with pytest.raises(CapabilityError):
+        extract_hardcore(inst, family, 2)
     for k_max in (1, 2):
         with pytest.raises(CapabilityError):
             sweep(inst, family, k_max)
+
+
+def test_a_stage_inverts_only_under_its_own_flag(inst_a):
+    """An unflagged stage that calls invert raises CapabilityError in every
+    composite that reaches it, before or after a flagged stage, on every
+    path to a definedness set; a flagged stage inverts in each.  With b =
+    G(x), omniscient finds no disagreeing row on x and stops, so the stage
+    after it runs there."""
+    x = "0110"
+    inst = dataclasses.replace(inst_a, b=evaluate(inst_a, x), b_certified=False)
+    peek, flagged, omniscient = _peek(), _peek(may_invert=True), omniscient_strategy()
+    for stages, reached in (((peek, omniscient), 1), ((omniscient, peek), 2), ((peek, flagged), 1), ((flagged, peek), 2)):
+        family = StudentFamily(stages)
+        for k in (1, 2):
+            paths = (
+                lambda: definedness_set(inst, compose(family, k)),
+                lambda: extract_hardcore(inst, family, k).members,
+                lambda: sweep(inst, family, k)[-1].members,
+            )
+            for path in paths:
+                if k < reached:
+                    assert set(path()) == definedness_set(inst, compose(family, 1))
+                else:
+                    with pytest.raises(CapabilityError):
+                        path()
+    t = evaluate_partial(inst, compose(StudentFamily((flagged, constant_strategy(0))), 2), x)
+    assert t.defined and t.output == (inst.h.invert("00"), None)
 
 
 def test_hardcore_section_reads_the_extraction_from_the_sweep(monkeypatch):
@@ -550,3 +583,17 @@ def test_hardcore_section_reads_the_extraction_from_the_sweep(monkeypatch):
     assert hardcore_section(inst, family, 2, 3) == expected
     with pytest.raises(AssertionError):
         hardcore_section(inst, family, 4, 3)
+
+
+def test_folds_and_sweep_at_the_scan_cap():
+    """At n = EXHAUSTIVE_MAX_N = 14 the census and the failure set partition
+    the 2^14 inputs, and each report of a 4-stage sweep is composite k's
+    definedness set, with no flagged stage and with omniscient at stage 2."""
+    inst = greedy_instance(14, 4, 2, seed=3, perm="table", c=2)
+    student = strategy_from_spec("seeded-random:2:1")
+    census, failures = trace_census(inst, student), failure_set(inst, student)
+    assert census.w_size + failures.failure_count == failures.success_count + failures.failure_count == 1 << 14
+    for second in ("round-robin:2", "omniscient"):
+        family = StudentFamily(tuple(map(strategy_from_spec, ("constant:0", second, "seeded-random:3:1", "round-robin:4:1"))))
+        for k, report in enumerate(sweep(inst, family, 4), start=1):
+            assert list(report.members) == sorted(definedness_set(inst, compose(family, k)))
