@@ -3,7 +3,7 @@ bit-stretching generators built from designs and invertible permutations.
 
 Everything is exact and exhaustively checkable: counting claims are
 verified by enumeration, probabilities are fractions, and every randomized
-step is seeded.
+step is seeded.  The names imported here are the package's public API.
 """
 
 from .analysis import (
@@ -60,53 +60,3 @@ from .hardcore import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CapabilityError",
-    "Design",
-    "GameView",
-    "HardBit",
-    "Instance",
-    "Output",
-    "Permutation",
-    "ProtocolViolation",
-    "SearchExhausted",
-    "StudentFamily",
-    "StudentStrategy",
-    "TraceCensus",
-    "ValidationError",
-    "best_margin_trace",
-    "best_partial_assignment",
-    "build_polynomial_design",
-    "build_predictor",
-    "build_witness_tables",
-    "certify_off_range",
-    "check_bijection",
-    "compose",
-    "composed_budget",
-    "constant_strategy",
-    "definedness_set",
-    "embed",
-    "evaluate",
-    "evaluate_partial",
-    "extend_greedy",
-    "extract_hardcore",
-    "failure_bound",
-    "failure_set",
-    "find_off_range",
-    "make_instance",
-    "measure_advantage",
-    "omniscient_strategy",
-    "play",
-    "preimage_bit",
-    "restrict",
-    "round_robin_strategy",
-    "run_reduction",
-    "seeded_random_strategy",
-    "strategy_from_spec",
-    "strict_violations",
-    "sweep",
-    "table_strategy",
-    "trace_census",
-    "verify_design",
-]

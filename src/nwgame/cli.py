@@ -155,15 +155,15 @@ def strategy_sections(
 def hardcore_section(
     inst: Instance, family: hardcore.StudentFamily, k: int | None, k_max: int | None, jobs: int = 1
 ) -> dict:
-    """The hardcore report section for a family of students: the k-stage extraction, read from
-    the sweep's report when it covers k, and the sweep over k = 1..k_max, each when asked for."""
-    reports = hardcore.sweep(inst, family, k_max, jobs=jobs) if k_max is not None else []
+    """The hardcore report section for a family of students: the k-stage extraction and the sweep
+    over k = 1..k_max, each when asked for, both read from one sweep to the larger of k and k_max."""
+    asked = [hardcore.stage_count(family, v, name) for v, name in ((k_max, "k_max"), (k, "k")) if v is not None]
+    reports = hardcore.sweep(inst, family, max(asked), jobs=jobs) if asked else []
     section: dict[str, Any] = {}
     if k is not None:
-        report = reports[k - 1] if 1 <= k <= len(reports) else hardcore.extract_hardcore(inst, family, k, jobs=jobs)
-        section["extract"] = report.to_json_dict()
+        section["extract"] = reports[k - 1].to_json_dict()
     if k_max is not None:
-        section["sweep"] = [r.to_json_dict() for r in reports]
+        section["sweep"] = [r.to_json_dict() for r in reports[:k_max]]
     return section
 
 

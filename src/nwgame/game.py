@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, repeat, tee
+from itertools import compress
 from operator import not_
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -234,10 +234,9 @@ def failure_set(
         size, seed = sample
         if size < 1:
             raise ValueError(f"sample size must be at least 1, got {size}")
-        rng, run = random.Random(derive_seed("failure-sample", seed)), _games(inst, strategy, False)
-        draws, again = tee(rng.randrange(1 << inst.n) for _ in range(size))
-        games = run(map(int_to_bits, draws, repeat(inst.n)), map(inst.restrictions, again))
-        failures = tuple(t.a for t in games if not t.success)
+        rng = random.Random(derive_seed("failure-sample", seed))
+        inputs = [int_to_bits(rng.randrange(1 << inst.n), inst.n) for _ in range(size)]
+        failures = tuple(compress(inputs, map(not_, _batch(inst, strategy, inputs, False, column=True))))
         return FailureReport(inst.n, False, failures, size - len(failures), sample_size=size, seed=seed)
 
     column = scan(inst, strategy, jobs=jobs)  # refuses n > EXHAUSTIVE_MAX_N before the input table is built

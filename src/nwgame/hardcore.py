@@ -40,6 +40,13 @@ class StudentFamily:
             previous = stage.max_queries
 
 
+def stage_count(family: StudentFamily, k: int, name: str = "k") -> int:
+    """k when the family has stages 1..k, else a ValueError naming k as `name`."""
+    if not 1 <= k <= len(family.stages):
+        raise ValueError(f"{name} must be in 1..{len(family.stages)}, got {k}")
+    return k
+
+
 def composed_budget(k: int) -> int:
     return k * (k + 1) // 2
 
@@ -56,9 +63,7 @@ def compose(family: StudentFamily, k: int, started: dict[str, int] | None = None
     A stage may call invert only under its own may_invert flag: when some
     stage may, every other one is handed `view.without_invert`.
     """
-    if not 1 <= k <= len(family.stages):
-        raise ValueError(f"k must be in 1..{len(family.stages)}, got {k}")
-    stages = family.stages[:k]
+    stages = family.stages[:stage_count(family, k)]
     may_invert = any(stage.may_invert for stage in stages)
     plan = tuple(
         (stage.move, stage.max_queries) if stage.may_invert or not may_invert
@@ -148,18 +153,14 @@ def definedness_set(inst: Instance, strategy: StudentStrategy, jobs: int = 1) ->
 
 def extract_hardcore(inst: Instance, family: StudentFamily, k: int, jobs: int = 1) -> HardcoreReport:
     """Definedness set of composite k, each stage inverting only under its own flag: the sweep to k's last report."""
-    if not 1 <= k <= len(family.stages):
-        raise ValueError(f"k must be in 1..{len(family.stages)}, got {k}")
-    return sweep(inst, family, k, jobs=jobs)[-1]
+    return sweep(inst, family, stage_count(family, k), jobs=jobs)[-1]
 
 
 def sweep(inst: Instance, family: StudentFamily, k_max: int, jobs: int = 1) -> list[HardcoreReport]:
     """extract_hardcore for k = 1..k_max from one witness scan of composite k_max.  Each stage inverts only
     under its own flag, so composite k plays composite k_max's game up to stage k+1's first move, and a witness
     game is defined unless a reply disagrees with b: D_k is D_{k_max} and the inputs where stage k+1 started."""
-    if not 1 <= k_max <= len(family.stages):
-        raise ValueError(f"k_max must be in 1..{len(family.stages)}, got {k_max}")
-    failure_bound(inst.ell, inst.m, k_max * k_max)  # the largest budget, refused before the scan
+    failure_bound(inst.ell, inst.m, stage_count(family, k_max, "k_max") ** 2)  # the largest budget, refused before the scan
     started: dict[str, int] = {}
     defined = definedness_set(inst, compose(family, k_max, started), jobs=jobs)
     # an input's level is the furthest stage started, or past k_max where its game is defined

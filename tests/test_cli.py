@@ -13,10 +13,13 @@ from nwgame import (
     HardBit,
     Instance,
     Permutation,
+    StudentFamily,
     build_polynomial_design,
     cli,
+    compose,
     extend_greedy,
     make_instance,
+    strategy_from_spec,
 )
 from nwgame.cli import (
     EXIT_CONFIG,
@@ -171,10 +174,14 @@ def test_hardcore_cli(workspace, capsys, tmp_path):
         ["hardcore", "extract", "--instance", str(instance), "--family", family, "--k", "2"]
     ) == EXIT_OK
     json.loads(capsys.readouterr().out)
-    # the extraction reads the sweep to k, but names k when k is outside the family
+    # the extraction reads the sweep to k, but names k when k is outside the family; the sweep names k_max
     for k in ("0", "3"):
         assert main(["hardcore", "extract", "--instance", str(instance), "--family", family, "--k", k]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: k must be in 1..2, got {k}\n"
+        assert main(["hardcore", "sweep", "--instance", str(instance), "--family", family, "--k-max", k]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: k_max must be in 1..2, got {k}\n"
+    with pytest.raises(ValueError, match=r"^k must be in 1\.\.2, got 0$"):
+        compose(StudentFamily(tuple(map(strategy_from_spec, json.loads(family)))), 0)
     csv_path = tmp_path / "sweep.csv"
     assert main(
         [

@@ -570,19 +570,31 @@ def test_a_stage_inverts_only_under_its_own_flag(inst_a):
 
 
 def test_hardcore_section_reads_the_extraction_from_the_sweep(monkeypatch):
+    """Every asked-for (k, k_max) plays one witness scan, a sweep to the larger of the two; both are
+    checked against the family first, k_max before k, and asking for neither plays none."""
     inst, family = DIFFERENTIAL_INSTANCES[8], family4()
-    expected = {
-        "extract": extract_hardcore(inst, family, 2).to_json_dict(),
-        "sweep": [report.to_json_dict() for report in sweep(inst, family, 3)],
-    }
+    extracts = {k: extract_hardcore(inst, family, k).to_json_dict() for k in range(1, 5)}
+    sweeps = {k_max: [report.to_json_dict() for report in sweep(inst, family, k_max)] for k_max in range(1, 5)}
+    scans, definedness = [], hardcore.definedness_set
 
-    def no_extract(*args, **kwargs):
-        raise AssertionError("composite k scanned again")
+    def counted(*args, **kwargs):
+        scans.append(args)
+        return definedness(*args, **kwargs)
 
-    monkeypatch.setattr(hardcore, "extract_hardcore", no_extract)
-    assert hardcore_section(inst, family, 2, 3) == expected
-    with pytest.raises(AssertionError):
-        hardcore_section(inst, family, 4, 3)
+    monkeypatch.setattr(hardcore, "definedness_set", counted)
+    for k in (None, 1, 2, 3, 4):
+        for k_max in (None, 1, 2, 3, 4):
+            expected = {"extract": extracts.get(k), "sweep": sweeps.get(k_max)}
+            scans.clear()
+            assert hardcore_section(inst, family, k, k_max) == {key: v for key, v in expected.items() if v is not None}
+            assert len(scans) == (k is not None or k_max is not None)
+    assert hardcore_section(inst, family, 4, 3) == {"extract": extracts[4], "sweep": sweeps[3]}
+    scans.clear()
+    with pytest.raises(ValueError, match=r"^k must be in 1\.\.4, got 5$"):
+        hardcore_section(inst, family, 5, 3)
+    with pytest.raises(ValueError, match=r"^k_max must be in 1\.\.4, got 0$"):
+        hardcore_section(inst, family, 5, 0)
+    assert scans == []
 
 
 def test_folds_and_sweep_at_the_scan_cap():
