@@ -222,12 +222,7 @@ def scan(inst: Instance, strategy: StudentStrategy, witness: bool = False, jobs:
     return [trace for shard in shards for trace in shard]
 
 
-def failure_set(
-    inst: Instance,
-    strategy: StudentStrategy,
-    jobs: int = 1,
-    sample: tuple[int, int] | None = None,
-) -> FailureReport:
+def failure_set(inst: Instance, strategy: StudentStrategy, jobs: int = 1, sample: tuple[int, int] | None = None) -> FailureReport:
     """All inputs where the solve-mode run fails (exhaustive, n <= EXHAUSTIVE_MAX_N), or
     a seeded sample of them when `sample=(size, seed)` is given."""
     if sample is not None:
@@ -235,13 +230,14 @@ def failure_set(
         if size < 1:
             raise ValueError(f"sample size must be at least 1, got {size}")
         rng = random.Random(derive_seed("failure-sample", seed))
-        inputs = [int_to_bits(rng.randrange(1 << inst.n), inst.n) for _ in range(size)]
-        failures = tuple(compress(inputs, map(not_, _batch(inst, strategy, inputs, False, column=True))))
-        return FailureReport(inst.n, False, failures, size - len(failures), sample_size=size, seed=seed)
-
-    column = scan(inst, strategy, jobs=jobs)  # refuses n > EXHAUSTIVE_MAX_N before the input table is built
-    failed = tuple(compress(inst._inputs[0], map(not_, column)))
-    return FailureReport(inst.n, exhaustive=True, failures=failed, success_count=(1 << inst.n) - len(failed))
+        values = [rng.randrange(1 << inst.n) for _ in range(size)]
+        inputs = [int_to_bits(x, inst.n) for x in values]
+        column = _games(inst, strategy, False, True)(inputs, map(inst.restrictions, values))
+    else:
+        column = scan(inst, strategy, jobs=jobs)  # refuses n > EXHAUSTIVE_MAX_N before the input table is built
+        inputs = inst._inputs[0]
+    failures = tuple(compress(inputs, map(not_, column)))
+    return FailureReport(inst.n, sample is None, failures, len(inputs) - len(failures), *(sample or ()))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +333,7 @@ def _table_from_spec(moves: dict, max_queries: int | None = None, **rest: Any) -
 
 # Each kind's builder and the table of its spec fields.  The shorthand
 # kind[:arg[:arg]] fills the fields before the shared ones, in this order,
-# each with an integer.
+# each with an integer, so a kind with another field there has none.
 _NAMED = {"kind": (str, REQUIRED), "name": (str, ABSENT)}
 _SHARED = {"output": (object, ABSENT), **_NAMED}
 _KINDS: dict[str, tuple[Callable[..., StudentStrategy], dict[str, tuple[type, Any]]]] = {
@@ -362,9 +358,9 @@ def strategy_from_spec(spec: dict | str) -> StudentStrategy:
     """
     if isinstance(spec, str):
         kind, *args = spec.strip().split(":")
-        if kind not in _KINDS:
+        fields = [field for field in _KINDS[kind][1] if field not in _SHARED] if kind in _KINDS else None
+        if fields is None or any(_KINDS[kind][1][field][0] is not int for field in fields):
             raise ValueError(f"cannot parse strategy {spec!r}")
-        fields = [field for field in _KINDS[kind][1] if field not in _SHARED]
         if not min(1, len(fields)) <= len(args) <= len(fields):
             usage = ":".join([kind, *fields[:1]]) + "".join(f"[:{field}]" for field in fields[1:])
             raise ValueError(f"strategy {spec!r} does not match {usage}")

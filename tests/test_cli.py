@@ -432,6 +432,8 @@ BAD_HEX = {"0x1f": "prefix", "1_f": "separator", " 1f\n": "whitespace", "+1f": "
         (["analyze", "census", "--strategy", '{"kind":"table","moves":{"01x":[1],"0101010":[0]}}'], None, "01x"),
         (["analyze", "census", "--strategy", '{"kind":"table","moves":{"0101010":[0]}}'], None, "0101010"),
         (["hardcore", "sweep", "--k-max", "1", "--family", '[{"kind":"table","moves":{"01010":[0]}}]'], None, "01010"),
+        (["game", "failureset", "--strategy", "round-robin:2", "--instance"],
+         _instance_with(design={"n": 15, "ell": 2, "d": 0, "sets": [[0, 1]]}, b_hex="1"), None),
     ],
     ids=[
         "shorthand-missing-row", "negative-sample", "config-is-a-list", "strategies-is-a-string",
@@ -455,6 +457,7 @@ BAD_HEX = {"0x1f": "prefix", "1_f": "separator", " 1f\n": "whitespace", "+1f": "
         "config-hardcore-misspelled", "strategy-misspelled", "family-stage-misspelled", "family-object-misspelled",
         "design-file-misspelled", "instance-file-misspelled", "instance-permutation-misspelled",
         "table-key-not-bits", "table-key-wider-than-n", "family-table-key-wider-than-n",
+        "exhaustive-failureset-past-the-scan-cap",
     ],
 )
 def test_bad_input_exits_config(workspace, capsys, args, config, named):

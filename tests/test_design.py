@@ -121,14 +121,18 @@ def test_polynomial_design_refuses_too_many_rows():
 
 def test_polynomial_design_rows_follow_the_base_q_digits():
     # every (q, degree) the row cap admits: row `index` is the polynomial
-    # whose x^i coefficient is the i-th least significant base-q digit
+    # whose x^i coefficient is the i-th least significant base-q digit; each
+    # degree-1 design, over GF(8), GF(9) and GF(16) too, has q^2 rows and verifies
     built = 0
     for q in range(2, MAX_Q + 1):
         for degree in range(1, q):
             if prime_power_split(q) is None or q ** (degree + 1) > POLYNOMIAL_MAX_ROWS:
                 continue
-            field, rows = Field(q), build_polynomial_design(q, degree).sets
+            field, design = Field(q), build_polynomial_design(q, degree)
+            rows = design.sets
             assert len(rows) == q ** (degree + 1)
+            if degree == 1:
+                assert verify_design(design).ok and design.m == q * q
             for index, row in enumerate(rows):
                 coeffs = [index // q**i % q for i in range(degree + 1)]
                 assert row == tuple(sorted(q * x + field.eval_poly(coeffs, x) for x in range(q)))

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -302,8 +303,19 @@ def test_strategy_from_spec_round_trip(inst_a):
         ("omniscient", {"kind": "omniscient"}),
     ):
         assert strategy_from_spec(shorthand).name == strategy_from_spec(spec).name
-    for bad in ({"kind": "psychic"}, "psychic", "constant", "constant:x", "round-robin:1:2:3", "omniscient:1", 7):
-        with pytest.raises(ValueError):
+    for bad, message in (
+        ({"kind": "psychic"}, "strategy 'kind' must be one of"),
+        ("psychic", "cannot parse strategy 'psychic'"),
+        ("constant", "strategy 'constant' does not match constant:row[:queries]"),
+        ("constant:x", "invalid literal for int()"),
+        ("round-robin:1:2:3", "does not match round-robin:max_queries[:start]"),
+        ("omniscient:1", "strategy 'omniscient:1' does not match omniscient"),
+        (7, "strategy spec must be an object"),
+        # a table's moves are a JSON object, so `table` has no shorthand
+        ("table", "cannot parse strategy 'table'"),
+        ("table:1", "cannot parse strategy 'table:1'"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
             strategy_from_spec(bad)
     # every field has one JSON type: no numeric strings, floats or bools for
     # integers, and no TypeError or AttributeError on the way
@@ -319,7 +331,6 @@ def test_strategy_from_spec_round_trip(inst_a):
         {"kind": "table", "moves": {"0010": 5}},
         {"kind": "table", "moves": {"0010": ["0"]}},
         {"kind": "table", "moves": {"0010": [0]}, "max_queries": None},
-        "table:1",
     ):
         with pytest.raises(ValueError):
             strategy_from_spec(bad)
