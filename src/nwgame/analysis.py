@@ -15,7 +15,6 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import compress
 
 from .bits import all_bitstrings, bits_to_int, int_to_bits
 from .design import embed, restrict
@@ -139,29 +138,35 @@ def best_partial_assignment(
     keep the fixing maximizing the margin; ties go to the lexicographically
     smallest fixing.
 
+    One grouped pass over the scan: each distinct trace is classified once,
+    each input coded by its class (exact 1, proper 2^(ell+1), above any
+    group's exact count), and a fixing's group, its 2^ell inputs fixing |
+    deposit(u) over the row's positions, summed once for both counts.  The
+    first maximum in ascending fixing order is the lex-min fixing.
+
     The best margin is at least ceil(full_margin / 2^(n-ell)) by averaging:
     summing per-fixing margins over all fixings gives the full margin.
     """
     if not trace or not all(0 <= row < inst.m for row in trace):
         raise ValueError(f"trace must be a nonempty list of rows in 0..{inst.m - 1}, got {list(trace)}")
-    row = trace[-1]
+    row, n, unit = trace[-1], inst.n, 2 << inst.ell
     inside = inst.design.sets[row]
-    outside_positions = tuple(p for p in range(inst.n) if p not in inside)
-    # clearing the row's bits keeps the order of the rest, so these keys
-    # sort as the outside strings do
-    row_bits = sum(1 << (inst.n - 1 - p) for p in inside)
+    # both built from the lowest bit up, so `fixings` ascends, and the i-th
+    # fixing's outside bits read as the n - ell bits of i
+    deposits, fixings = [0], [0]
+    for p in reversed(range(n)):
+        group = deposits if p in inside else fixings
+        group += [x | 1 << (n - 1 - p) for x in group]
 
     played = scan(inst, strategy, jobs=jobs)
-    kinds = {seen: _classify(seen, trace) for seen in set(played)}  # each distinct trace once
-    classes = list(map(kinds.__getitem__, played))
-    fixings = list(map((~row_bits).__and__, range(1 << inst.n)))
-    exact, proper = (Counter(compress(fixings, map(kind.__eq__, classes))) for kind in ("exact", "proper"))
-    # input order meets each fixing first at its lexicographic rank, and max
-    # keeps the first of equal margins, so ties go to the lex-min fixing
-    margins = {fixing: exact[fixing] - proper[fixing] for fixing in dict.fromkeys(fixings)}
-    fixing = max(margins, key=margins.__getitem__)
-    outside = restrict(int_to_bits(fixing, inst.n), outside_positions)
-    return PartialAssignment(row, outside, margins[fixing], exact[fixing], proper[fixing])
+    weight = {"exact": 1, "proper": unit, "other": 0}
+    code = {seen: weight[_classify(seen, trace)] for seen in set(played)}
+    codes = list(map(code.__getitem__, played))
+    sums = [sum(map(codes.__getitem__, map(fixing.__or__, deposits))) for fixing in fixings]
+    margins = [total % unit - total // unit for total in sums]
+    best = margins.index(max(margins))
+    exact, proper = sums[best] % unit, sums[best] // unit
+    return PartialAssignment(row, int_to_bits(best, n - inst.ell), margins[best], exact, proper)
 
 
 def build_witness_tables(

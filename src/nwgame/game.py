@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
 from operator import not_
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -269,21 +268,31 @@ def round_robin_strategy(max_queries: int, start: int = 0, output: Any = None, n
 def seeded_random_strategy(max_queries: int, seed: int = 0, output: Any = None, name: str | None = None) -> StudentStrategy:
     """Rows drawn from a per-(input, step) derived stream: row
     derive_seed("srand", seed, a, step) mod m, deterministic as a strategy
-    and uncorrelated with the design's structure."""
+    and uncorrelated with the design's structure.
 
-    # a -> its steps' 64-bit hashes, each made when first asked and reduced mod
-    # m after the lookup, so one strategy serves any m; 2^16 inputs fit n <= 16
+    One dict memoizes the 64-bit hashes, a -> slots for steps 0..k, k the
+    latest step asked on a, each hashed when first asked and reduced mod m
+    after the lookup, so one strategy serves any m.  Its size follows the
+    steps played, not max_queries; it is emptied when it holds 2^16 inputs."""
+
     row_seed, stop = seed_stream("srand", seed), Output(output)
-    hashes = lru_cache(maxsize=1 << 16)(lambda a: [None] * max_queries)
+    hashes: dict[str, list[int | None]] = {}
 
     def move(view: GameView, a: str, replies: tuple[str, ...]) -> Move:
         step = len(replies)
         if step >= max_queries:
             return stop
-        known = hashes(a)
-        if known[step] is None:
-            known[step] = row_seed(a, step)
-        return known[step] % view.m
+        known = hashes.get(a)
+        if known is None:
+            if len(hashes) >= 1 << 16:
+                hashes.clear()
+            known = hashes[a] = []
+        while len(known) <= step:
+            known.append(None)
+        row = known[step]
+        if row is None:
+            row = known[step] = row_seed(a, step)
+        return row % view.m
 
     return StudentStrategy(name or f"seeded-random-{max_queries}s{seed}", max_queries=max_queries, move=move)
 

@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
+import json
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +37,7 @@ from nwgame import (
 )
 from nwgame import game
 from nwgame.bits import all_bitstrings, int_to_bits
+from nwgame.cli import EXIT_OK, main
 from nwgame.design import restrict
 from nwgame.game import FailureReport, GameView, Transcript, _games, scan
 from nwgame.generator import evaluate
@@ -245,6 +248,24 @@ def test_seeded_random_hashes_each_step_of_an_input_once(monkeypatch, inst_a):
         assert len(hashed) == (sum(4 if t is None else len(t) for t in first) if witness else 0)
         hashed.clear()
         assert scan(inst, student, witness) == first and hashed == []
+
+
+def test_seeded_random_memo_follows_the_steps_played(tmp_path):
+    """A solve-mode scan at c = 1 asks one step per input, so a budget of
+    100,000 steps must not cost a row of 100,000 slots per input."""
+    design, instance = tmp_path / "design.json", tmp_path / "instance.json"
+    build = ["design", "build", "--q", "2", "--degree", "1", "--extend-to", "5", "--seed", "0", "--out", str(design)]
+    assert main(build) == EXIT_OK
+    assert main(["instance", "make", "--design", str(design), "--c", "1", "--out", str(instance)]) == EXIT_OK
+    inst = Instance.from_json_dict(json.loads(instance.read_text()))
+    assert (inst.n, inst.c) == (4, 1)
+    tracemalloc.start()
+    try:
+        column = scan(inst, seeded_random_strategy(100_000, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(column) == 16 and peak < 1_000_000
 
 
 def test_table_strategy_missing_input_stops(inst_a):
@@ -617,7 +638,8 @@ def test_scan_folds_match_per_input_reference(n, ell, seed, c, hard, kind, arg, 
     assert definedness_set(inst, student, jobs=jobs) == defined
 
     picked = best_margin_trace(census)
-    for trace in ([picked[0]] if picked else []) + [(arg % inst.m,)]:
+    longest = min(census.counts, key=lambda t: (-len(t), t), default=None)  # lex-min longest
+    for trace in ([picked[0]] if picked else []) + ([longest] if longest else []) + [(arg % inst.m,)]:
         positions = inst.design.sets[trace[-1]]
         best = None
         for outside in all_bitstrings(n - ell):
