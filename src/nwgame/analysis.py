@@ -185,7 +185,7 @@ def build_witness_tables(
     positions = inst.design.sets[row_k]
     inputs = [embed(u, outside, positions, inst.n) for u in all_bitstrings(inst.ell)]
     return {
-        i: {z: inst.answer(bits_to_int(z))[0] for z in (restrict(a, row) for a in inputs)}
+        i: {z: inst._answers[bits_to_int(z)][0] for z in (restrict(a, row) for a in inputs)}
         for i, row in enumerate(inst.design.sets)
         if i != row_k
     }
@@ -260,7 +260,7 @@ def build_predictor(
     for value, played in enumerate(_batch(inst, strategy, inputs, witness=False, column=True)):
         if _classify(played, trace) == "other":
             total += 1
-            ones += int(inst.answer(value)[1])
+            ones += int(inst._answers[value][1])
     default_bit = 1 if 2 * ones > total else 0
     return Predictor(
         inst=inst,
@@ -278,7 +278,7 @@ def measure_advantage(inst: Instance, predictor: Predictor) -> Fraction:
     bit across all 2^ell points, minus one half."""
     agree = 0
     for value, u in enumerate(all_bitstrings(inst.ell)):
-        if predictor.run(u) == int(inst.answer(value)[1]):
+        if predictor.run(u) == int(inst._answers[value][1]):
             agree += 1
     return Fraction(agree, 1 << inst.ell) - Fraction(1, 2)
 

@@ -8,7 +8,7 @@ and the per-game query budget c.
 Both the generator and the game's teacher read an input's m row
 restrictions packed into one int (`Instance.restrictions`), one byte per
 row when ell <= 8, and each restriction's preimage and hard bit from one
-memo dict (`Instance._answers`; `Instance.answer` reads one entry).  For
+memo dict (`Instance._answers`, read directly by teacher and reduction).  For
 ell <= 8 the first `evaluate` fills all 2^ell entries into a byte table and
 translates each output from the packed bytes; wider rows stay one entry per
 restriction met.  The game's batch loop plays each exhaustive scan over one
@@ -40,7 +40,7 @@ INSTANCE_FIELDS = {
 
 
 class _Preimages(dict):
-    """`Instance.answer`'s memo: u -> (h^-1(u), hard bit), filled on lookup."""
+    """The memo: u, an ell-bit restriction's value -> (h^-1(u), its hard bit as '0'/'1'), filled only by h.invert."""
 
     def __init__(self, h: Permutation, hard_bit: HardBit) -> None:
         super().__init__()
@@ -96,12 +96,6 @@ class Instance:
         # `restrictions`.  A slot is one byte for ell <= 8, else ell bits
         slot = max(self.ell, 8)
         return (1 << self.ell) - 1, range(0, slot * self.m, slot)
-
-    def answer(self, u: int) -> tuple[str, str]:
-        """h^-1(u) for the ell-bit row restriction of value u, with its hard bit
-        as '0'/'1'; the memo holds one entry per restriction met, and all
-        2^ell of them once `evaluate` has run with ell <= 8."""
-        return self._answers[u]
 
     @cached_property
     def _chunks(self) -> list[list[int]]:
