@@ -140,8 +140,9 @@ def best_partial_assignment(
 
     One grouped pass over the scan: each distinct trace is classified once,
     each input coded by its class (exact 1, proper 2^(ell+1), above any
-    group's exact count), and a fixing's group, its 2^ell inputs fixing |
-    deposit(u) over the row's positions, summed once for both counts.  The
+    group's exact count), and the inputs listed group by group, a fixing's
+    group being its 2^ell inputs fixing | deposit(u) over the row's
+    positions, so each 2^ell chunk of codes sums once for both counts.  The
     first maximum in ascending fixing order is the lex-min fixing.
 
     The best margin is at least ceil(full_margin / 2^(n-ell)) by averaging:
@@ -161,8 +162,8 @@ def best_partial_assignment(
     played = scan(inst, strategy, jobs=jobs)
     weight = {"exact": 1, "proper": unit, "other": 0}
     code = {seen: weight[_classify(seen, trace)] for seen in set(played)}
-    codes = list(map(code.__getitem__, played))
-    sums = [sum(map(codes.__getitem__, map(fixing.__or__, deposits))) for fixing in fixings]
+    codes = map(code.__getitem__, map(played.__getitem__, [fixing | u for fixing in fixings for u in deposits]))
+    sums = list(map(sum, zip(*[codes] * len(deposits))))
     margins = [total % unit - total // unit for total in sums]
     best = margins.index(max(margins))
     exact, proper = sums[best] % unit, sums[best] // unit

@@ -119,59 +119,104 @@ class Transcript(NamedTuple):
         return {**self._asdict(), "queries": list(self.queries), "replies": list(self.replies)}
 
 
-def _games(inst: Instance, strategy: StudentStrategy, witness: bool, column: bool = False) -> Callable:
-    """The strategy's games on one view: games(inputs, packs) plays each
-    n-bit input a in turn, its row restrictions packed as
-    `inst.restrictions` packs them, until the first of:
+def _setup(inst: Instance, strategy: StudentStrategy, witness: bool) -> tuple:
+    """What both game loops read, built once per strategy and instance: the
+    view, the move, the steps, the memo, the row mask and each row's
+    (bit offset of its slot in `inst.restrictions`, its bit of b).
+
+    A game asks the student once per step until the first of:
     1. the student stops (None or an Output): the run fails;
-    2. the move is not a legal query (a ProtocolViolation, a non-row, or in
-       witness mode a query after max_queries replies): a violation;
+    2. the move is not a legal query (a ProtocolViolation, a non-row, or
+       a query on witness mode's extra ask for the output after the
+       steps): a violation;
     3. a reply's hard bit differs from b at the queried row: success;
     4. solve mode has answered min(max_queries, c) queries: the run fails
        and the student is not asked again.
-    It yields each game's Transcript, or with `column` its trace or None."""
+    The loops look rows up in a dict, so a move must be an int to be one:
+    `rows.get(1.0)` would find row 1."""
     if inst.b is None:
         raise ValueError("instance has no off-range string b; attach one first")
+    mask, offsets = inst._rows
+    budget = strategy.max_queries if witness else min(strategy.max_queries, inst.c)
     view = GameView(inst, strategy.may_invert)
-    move, limit = strategy.move, strategy.max_queries
-    # witness mode asks once more after the last query, for the output
-    steps = range(limit + 1) if witness else range(min(limit, inst.c))
-    answers, (mask, offsets), m = inst._answers, inst._rows, inst.m
-    rows = tuple(zip(offsets, inst.b))  # row -> (its slot's bit offset, its bit of b)
+    return view, strategy.move, range(budget), inst._answers, mask, dict(enumerate(zip(offsets, inst.b)))
 
-    def games(inputs: Iterable[str], packs: Iterable[int]) -> Iterator:
+
+def _games(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callable:
+    """The transcript loop: games(inputs, packs) plays each n-bit input a in
+    turn, its row restrictions packed as `inst.restrictions` packs them, by
+    the stop rules of `_setup`, and yields each game's Transcript."""
+    view, move, steps, answers, mask, rows = _setup(inst, strategy, witness)
+
+    def games(inputs: Iterable[str], packs: Iterable[int]) -> Iterator[Transcript]:
         for a, packed in zip(inputs, packs):
             queries: tuple[int, ...] = ()
             replies: tuple[str, ...] = ()
             success = violation = False
             output = None
-            for step in steps:
+            for _ in steps:
                 row = move(view, a, replies)
-                if not (isinstance(row, int) and 0 <= row < m and step < limit):
-                    if row is None or isinstance(row, Output):
-                        output = getattr(row, "value", None)
-                    else:
-                        violation = True
+                hit = rows.get(row) if isinstance(row, int) else None
+                if hit is None:
                     break
-                queries += (row,)
-                shift, bit = rows[row]
+                shift, bit = hit
                 reply, hard = answers[packed >> shift & mask]
+                queries += (row,)
                 replies += (reply,)
                 if hard != bit:
                     success = True
                     break
-            if column:
-                yield queries if success else None
             else:
-                yield Transcript(a, queries, replies, success, violation, *((not success, output) if witness else ()))
+                row = move(view, a, replies) if witness else None
+            if not success:
+                if row is None or isinstance(row, Output):
+                    output = getattr(row, "value", None)
+                else:
+                    violation = True
+            yield Transcript(a, queries, replies, success, violation, *((not success, output) if witness else ()))
 
     return games
 
 
-def _batch(inst: Instance, strategy: StudentStrategy, inputs: Sequence[str], witness: bool, column: bool = False) -> Iterator:
-    """The games on the given n-bit strings, each checked and packed first."""
+def _column(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callable:
+    """The column loop: column(inputs, packs) plays the same games as
+    `_games` and returns the list of each game's trace or None.  It keeps
+    no flags, and a successful game's last reply is never added to its
+    replies, since no later move reads it."""
+    view, move, steps, answers, mask, rows = _setup(inst, strategy, witness)
+
+    def column(inputs: Iterable[str], packs: Iterable[int]) -> list:
+        traces: list = []
+        for a, packed in zip(inputs, packs):
+            queries: tuple[int, ...] = ()
+            replies: tuple[str, ...] = ()
+            for _ in steps:
+                row = move(view, a, replies)
+                hit = rows.get(row) if isinstance(row, int) else None
+                if hit is None:
+                    traces.append(None)
+                    break
+                shift, bit = hit
+                reply, hard = answers[packed >> shift & mask]
+                queries += (row,)
+                if hard != bit:
+                    traces.append(queries)
+                    break
+                replies += (reply,)
+            else:
+                if witness:
+                    move(view, a, replies)
+                traces.append(None)
+        return traces
+
+    return column
+
+
+def _batch(inst: Instance, strategy: StudentStrategy, inputs: Sequence[str], witness: bool, column: bool = False) -> Iterable:
+    """The games on the given n-bit strings, each checked and packed first:
+    their Transcripts from `_games`, or with `column` the list of `_column`."""
     packs = [inst.restrictions(bits_to_int(check_bits(a, inst.n, "game input"))) for a in inputs]
-    return _games(inst, strategy, witness, column)(inputs, packs)
+    return (_column if column else _games)(inst, strategy, witness)(inputs, packs)
 
 
 def play(inst: Instance, strategy: StudentStrategy, a: str) -> Transcript:
@@ -207,17 +252,18 @@ class FailureReport:
 
 def scan(inst: Instance, strategy: StudentStrategy, witness: bool = False, jobs: int = 1) -> list:
     """Play each of the 2^n inputs once, in input order (n <= EXHAUSTIVE_MAX_N), on one
-    view, reading each from `inst._inputs`, and return the trace column:
-    the trace of each successful run (never empty), or None.
+    view, reading each from `inst._inputs`, and return the trace column of
+    the column loop `_column`: the trace of each successful run (never
+    empty), or None.
 
     Every exhaustive question about a strategy is a fold over this column;
     shards merge in input order, so `jobs` never changes the result.
     """
     if inst.n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"n={inst.n} > {EXHAUSTIVE_MAX_N}: exhaustive scan refused")
-    games = _games(inst, strategy, witness, True)
+    column = _column(inst, strategy, witness)
     inputs, packed = inst._inputs
-    shards = run_sharded(1 << inst.n, jobs, lambda lo, hi: list(games(inputs[lo:hi], packed[lo:hi])))
+    shards = run_sharded(1 << inst.n, jobs, lambda lo, hi: column(inputs[lo:hi], packed[lo:hi]))
     return [trace for shard in shards for trace in shard]
 
 
@@ -231,7 +277,7 @@ def failure_set(inst: Instance, strategy: StudentStrategy, jobs: int = 1, sample
         rng = random.Random(derive_seed("failure-sample", seed))
         values = [rng.randrange(1 << inst.n) for _ in range(size)]
         inputs = [int_to_bits(x, inst.n) for x in values]
-        column = _games(inst, strategy, False, True)(inputs, map(inst.restrictions, values))
+        column = _column(inst, strategy, False)(inputs, map(inst.restrictions, values))
     else:
         column = scan(inst, strategy, jobs=jobs)  # refuses n > EXHAUSTIVE_MAX_N before the input table is built
         inputs = inst._inputs[0]

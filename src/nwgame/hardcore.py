@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
+from operator import not_
 
 from .game import GameView, Output, ProtocolViolation, StudentStrategy, scan
 from .generator import Instance
@@ -148,7 +149,7 @@ class HardcoreReport:
 def definedness_set(inst: Instance, strategy: StudentStrategy, jobs: int = 1) -> set[str]:
     """All inputs whose witness-mode run is defined (n <= EXHAUSTIVE_MAX_N)."""
     column = scan(inst, strategy, witness=True, jobs=jobs)  # refuses n > EXHAUSTIVE_MAX_N before the input table is built
-    return {a for a, trace in zip(inst._inputs[0], column) if trace is None}
+    return set(compress(inst._inputs[0], map(not_, column)))
 
 
 def extract_hardcore(inst: Instance, family: StudentFamily, k: int, jobs: int = 1) -> HardcoreReport:

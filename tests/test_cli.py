@@ -238,6 +238,7 @@ def test_oversized_budgets_exit_config_before_any_game(workspace, capsys, monkey
         raise AssertionError("a game was played")
 
     monkeypatch.setattr(nwgame.game, "_games", no_game)
+    monkeypatch.setattr(nwgame.game, "_column", no_game)
     for argv, budget in (
         (["run", str(config)], "c=5000"),
         (["hardcore", "extract", "--instance", str(instance), "--family", family, "--k", "70"], "c=4900"),

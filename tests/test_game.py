@@ -268,6 +268,35 @@ def test_seeded_random_memo_follows_the_steps_played(tmp_path):
     assert len(column) == 16 and peak < 1_000_000
 
 
+def test_seeded_random_memo_empties_past_two_to_the_sixteen_inputs(monkeypatch, inst_a):
+    """The memo holds 2^16 inputs; the next new input empties it, after
+    which rows still follow derive_seed and the first input, asked again,
+    is hashed again exactly once."""
+    hashed = []
+
+    def counting_stream(*prefix, stream=game.seed_stream):
+        def row_seed(*rest, draw=stream(*prefix)):
+            hashed.append(rest)
+            return draw(*rest)
+
+        return row_seed
+
+    monkeypatch.setattr(game, "seed_stream", counting_stream)
+    student = seeded_random_strategy(2, seed=4)
+    view = GameView(inst_a, False)
+    inputs = [format(x, "017b") for x in range((1 << 16) + 1)]
+    for a in inputs[:-1]:
+        student.move(view, a, ())
+    first = inputs[0]
+    assert len(hashed) == 1 << 16
+    assert student.move(view, first, ()) == derive_seed("srand", 4, first, 0) % view.m
+    assert len(hashed) == 1 << 16  # still memoized: the bound is not yet reached
+    hashed.clear()
+    for a, step in ((inputs[-1], 0), (first, 0), (first, 0), (inputs[-1], 0), (first, 1)):
+        assert student.move(view, a, ("00",) * step) == derive_seed("srand", 4, a, step) % view.m
+    assert hashed == [(inputs[-1], 0), (first, 0), (first, 1)]
+
+
 def test_table_strategy_missing_input_stops(inst_a):
     s = table_strategy({"0010": (0,)}, max_queries=1)
     assert play(inst_a, s, "0010").success
@@ -400,7 +429,7 @@ def test_budget_property(a_value, max_queries, seed):
 STOP_RULE_INSTANCES = [reference_instance(c) for c in (1, 2, 3)] + [greedy_instance(4, 2, 1, seed=5, c=2)]
 SCRIPTED_MOVES = st.one_of(
     st.integers(0, 4),
-    st.sampled_from([-1, 5, 9, "0", 1.0]),
+    st.sampled_from([-1, 5, 9, "0", 1.0, True, False]),
     st.just(ProtocolViolation()),
     st.builds(Output, st.integers(0, 3)),
     st.none(),
@@ -435,9 +464,9 @@ def _stop_rule_reference(inst, strategy, a, witness):
 
 
 def _scan_matches_reference(inst, student, witness):
-    """The batch loop's transcripts, scan's trace column at jobs 1 and 3, and
-    the count of move calls of each equal the reference's; returns the
-    reference's (transcript, moves asked) per input."""
+    """The transcript loop's transcripts, the column loop's trace column
+    (scan at jobs 1 and 3), and the count of move calls of each equal the
+    reference's; returns the reference's (transcript, moves asked) per input."""
     expected = [_stop_rule_reference(inst, student, a, witness) for a in all_bitstrings(inst.n)]
     moves = sum(calls for _, calls in expected)
     asked = []
