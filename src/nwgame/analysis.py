@@ -16,9 +16,9 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .bits import all_bitstrings, bits_to_int, int_to_bits
+from .bits import all_bitstrings, bits_to_int, check_bits, int_to_bits
 from .design import embed, restrict
-from .game import GameView, StudentStrategy, _batch, failure_set, scan
+from .game import GameView, StudentStrategy, _column, failure_set, scan
 from .generator import Instance
 
 Trace = tuple[int, ...]
@@ -257,8 +257,9 @@ def build_predictor(
         tables = build_witness_tables(inst, trace, outside)
     positions = inst.design.sets[trace[-1]]
     inputs = [embed(u, outside, positions, inst.n) for u in all_bitstrings(inst.ell)]
+    packs = [inst.restrictions(bits_to_int(check_bits(a, inst.n, "game input"))) for a in inputs]
     ones = total = 0
-    for value, played in enumerate(_batch(inst, strategy, inputs, witness=False, column=True)):
+    for value, played in enumerate(_column(inst, strategy, False)(inputs, packs)):
         if _classify(played, trace) == "other":
             total += 1
             ones += int(inst._answers[value][1])

@@ -74,7 +74,12 @@ def _load_json(path: str) -> Any:
 
 
 def _load_instance(path: str) -> Instance:
-    return Instance.from_json_dict(_load_json(path))
+    """The instance in the file, whose claim `b_certified` is rechecked at
+    n <= ENUMERATION_MAX_N: a b in the generator's range is a validation failure."""
+    inst = Instance.from_json_dict(_load_json(path))
+    if inst.b_certified and inst.b is not None and inst.n <= ENUMERATION_MAX_N and not certify_off_range(inst, inst.b):
+        raise ValidationError(f"{path} claims b_certified, but its b is in the generator's range")
+    return inst
 
 
 def _json_arg(text: str) -> Any:
@@ -239,7 +244,8 @@ def _cmd_instance_make(args: argparse.Namespace) -> int:
 
 
 def _cmd_instance_check(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)  # an Instance's design is valid, else exit 3
+    # an Instance's design is valid, else exit 3; b is rechecked below, into the report
+    inst = Instance.from_json_dict(_load_json(args.instance))
     checks: dict[str, Any] = {"design_ok": True}
     if inst.ell <= BIJECTION_CHECK_MAX_ELL:
         checks["bijection_ok"] = check_bijection(inst.h)

@@ -15,10 +15,10 @@ input: defined exactly where the solve-mode student fails.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 from operator import not_
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .bits import bits_to_int, check_bits, int_to_bits
 from .design import restrict
@@ -119,10 +119,10 @@ class Transcript(NamedTuple):
         return {**self._asdict(), "queries": list(self.queries), "replies": list(self.replies)}
 
 
-def _setup(inst: Instance, strategy: StudentStrategy, witness: bool) -> tuple:
-    """What both game loops read, built once per strategy and instance: the
-    view, the move, the steps, the memo, the row mask and each row's
-    (bit offset of its slot in `inst.restrictions`, its bit of b).
+def _column(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callable:
+    """The game loop: column(inputs, packs) plays each n-bit input a in
+    turn on one view, its row restrictions packed as `inst.restrictions`
+    packs them, and returns the list of each game's trace or None.
 
     A game asks the student once per step until the first of:
     1. the student stops (None or an Output): the run fails;
@@ -132,58 +132,15 @@ def _setup(inst: Instance, strategy: StudentStrategy, witness: bool) -> tuple:
     3. a reply's hard bit differs from b at the queried row: success;
     4. solve mode has answered min(max_queries, c) queries: the run fails
        and the student is not asked again.
-    The loops look rows up in a dict, so a move must be an int to be one:
-    `rows.get(1.0)` would find row 1."""
+    Each row maps to (bit offset of its slot, its bit of b) in a dict, so a
+    move must be an int to be a row: `rows.get(1.0)` would find row 1.  A
+    successful game's last reply is never added, since no move reads it."""
     if inst.b is None:
         raise ValueError("instance has no off-range string b; attach one first")
     mask, offsets = inst._rows
-    budget = strategy.max_queries if witness else min(strategy.max_queries, inst.c)
-    view = GameView(inst, strategy.may_invert)
-    return view, strategy.move, range(budget), inst._answers, mask, dict(enumerate(zip(offsets, inst.b)))
-
-
-def _games(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callable:
-    """The transcript loop: games(inputs, packs) plays each n-bit input a in
-    turn, its row restrictions packed as `inst.restrictions` packs them, by
-    the stop rules of `_setup`, and yields each game's Transcript."""
-    view, move, steps, answers, mask, rows = _setup(inst, strategy, witness)
-
-    def games(inputs: Iterable[str], packs: Iterable[int]) -> Iterator[Transcript]:
-        for a, packed in zip(inputs, packs):
-            queries: tuple[int, ...] = ()
-            replies: tuple[str, ...] = ()
-            success = violation = False
-            output = None
-            for _ in steps:
-                row = move(view, a, replies)
-                hit = rows.get(row) if isinstance(row, int) else None
-                if hit is None:
-                    break
-                shift, bit = hit
-                reply, hard = answers[packed >> shift & mask]
-                queries += (row,)
-                replies += (reply,)
-                if hard != bit:
-                    success = True
-                    break
-            else:
-                row = move(view, a, replies) if witness else None
-            if not success:
-                if row is None or isinstance(row, Output):
-                    output = getattr(row, "value", None)
-                else:
-                    violation = True
-            yield Transcript(a, queries, replies, success, violation, *((not success, output) if witness else ()))
-
-    return games
-
-
-def _column(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callable:
-    """The column loop: column(inputs, packs) plays the same games as
-    `_games` and returns the list of each game's trace or None.  It keeps
-    no flags, and a successful game's last reply is never added to its
-    replies, since no later move reads it."""
-    view, move, steps, answers, mask, rows = _setup(inst, strategy, witness)
+    steps = range(strategy.max_queries if witness else min(strategy.max_queries, inst.c))
+    view, move, answers = GameView(inst, strategy.may_invert), strategy.move, inst._answers
+    rows = dict(enumerate(zip(offsets, inst.b)))
 
     def column(inputs: Iterable[str], packs: Iterable[int]) -> list:
         traces: list = []
@@ -212,21 +169,38 @@ def _column(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callabl
     return column
 
 
-def _batch(inst: Instance, strategy: StudentStrategy, inputs: Sequence[str], witness: bool, column: bool = False) -> Iterable:
-    """The games on the given n-bit strings, each checked and packed first:
-    their Transcripts from `_games`, or with `column` the list of `_column`."""
-    packs = [inst.restrictions(bits_to_int(check_bits(a, inst.n, "game input"))) for a in inputs]
-    return (_column if column else _games)(inst, strategy, witness)(inputs, packs)
+def _play(inst: Instance, strategy: StudentStrategy, a: str, witness: bool) -> Transcript:
+    """One game on input a, checked and packed first, played by `_column`
+    with a copy of the strategy that records each ask's (replies, row).
+    Every ask but the last was answered, and the last only on a success or,
+    in solve mode, as a legal row (rule 4); else rules 1-2 read its move."""
+    packed = inst.restrictions(bits_to_int(check_bits(a, inst.n, "game input")))
+    asks: list = []
+
+    def move(view: GameView, a: str, replies: tuple[str, ...]) -> Move:
+        asks.append((replies, strategy.move(view, a, replies)))
+        return asks[-1][1]
+
+    [trace] = _column(inst, replace(strategy, move=move), witness)((a,), (packed,))
+    replies, row = asks[-1] if asks else ((), None)  # a solve budget of 0 asks nothing
+    answered = trace is not None or not witness and isinstance(row, int) and 0 <= row < inst.m
+    if answered:
+        mask, offsets = inst._rows
+        replies += (inst._answers[packed >> offsets[row] & mask][0],)
+    violation = not answered and row is not None and not isinstance(row, Output)
+    output = row.value if isinstance(row, Output) else None
+    queries = tuple(r for _, r in asks[:len(replies)])
+    return Transcript(a, queries, replies, trace is not None, violation, *((trace is None, output) if witness else ()))
 
 
 def play(inst: Instance, strategy: StudentStrategy, a: str) -> Transcript:
     """One solve-mode run on input a."""
-    return next(_batch(inst, strategy, (a,), False))
+    return _play(inst, strategy, a, False)
 
 
 def evaluate_partial(inst: Instance, strategy: StudentStrategy, a: str) -> Transcript:
     """One witness-mode run on input a; aborts on any disagreeing reply."""
-    return next(_batch(inst, strategy, (a,), True))
+    return _play(inst, strategy, a, True)
 
 
 @dataclass(frozen=True)
@@ -251,10 +225,9 @@ class FailureReport:
 
 
 def scan(inst: Instance, strategy: StudentStrategy, witness: bool = False, jobs: int = 1) -> list:
-    """Play each of the 2^n inputs once, in input order (n <= EXHAUSTIVE_MAX_N), on one
-    view, reading each from `inst._inputs`, and return the trace column of
-    the column loop `_column`: the trace of each successful run (never
-    empty), or None.
+    """Play each of the 2^n inputs once, in input order (n <= EXHAUSTIVE_MAX_N),
+    through the game loop `_column`, reading each from `inst._inputs`, and
+    return its column: the trace of each successful run (never empty), or None.
 
     Every exhaustive question about a strategy is a fold over this column;
     shards merge in input order, so `jobs` never changes the result.

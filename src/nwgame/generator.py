@@ -11,10 +11,9 @@ row when ell <= 8, and each restriction's preimage and hard bit from one
 memo dict (`Instance._answers`, read directly by teacher and reduction).  For
 ell <= 8 the first `evaluate` fills all 2^ell entries into a byte table and
 translates each output from the packed bytes; wider rows stay one entry per
-restriction met.  The game's two loops, the column loop keeping each game's
-trace or None and the transcript loop its Transcript, play inputs packed
-this way; every exhaustive scan runs the column loop over one table per
-instance of every input's string and packing (`Instance._inputs`).
+restriction met.  The game loop plays inputs packed this way, and every
+exhaustive scan reads them from one table per instance of every input's
+string and packing (`Instance._inputs`).
 """
 
 from __future__ import annotations

@@ -11,12 +11,14 @@ from nwgame import (
     build_predictor,
     build_witness_tables,
     constant_strategy,
+    evaluate,
     extend_greedy,
     failure_bound,
     measure_advantage,
     omniscient_strategy,
     round_robin_strategy,
     run_reduction,
+    table_strategy,
     trace_census,
 )
 from nwgame.analysis import MAX_BOUND_DIGITS, TraceCensus, _classify, _score_key
@@ -89,6 +91,18 @@ def test_one_pass_margins_match_definition(counts):
 def test_best_margin_trace_frozen(inst_a):
     census = trace_census(inst_a, omniscient_strategy())
     assert best_margin_trace(census) == ((0,), 8)
+
+
+def test_margin_score_ties_go_to_the_shorter_trace():
+    # at m = 7 the margins 21 of (0,) and 1 of (0, 1) both score 21 * 21 = 1 * 21^2
+    assert best_margin_trace(TraceCensus(7, 23, {(0,): 22, (0, 1): 1}, None, 0)) == ((0,), 21)
+
+
+def test_bound_ok_holds_at_equality():
+    # built directly, since no census met here reaches equality:
+    # best_count * (3m)^len is 1 * 6, against 2 * w_size
+    assert TraceCensus(2, 3, {(0,): 1, (1,): 2}, (0,), 1).bound_ok is True
+    assert TraceCensus(2, 4, {(0,): 1, (1,): 3}, (0,), 1).bound_ok is False
 
 
 def test_assignment_frozen(inst_a):
@@ -220,6 +234,22 @@ def test_predictor_falls_back_on_a_tampered_witness_table(tamper, counter):
     assert hit and all(guesses[u] == predictor.default_bit for u in hit)
     counts = {key: getattr(predictor, key) for key in ("missing_witness", "forward_check_failures")}
     assert counts == {key: len(hit) if key == counter else 0 for key in counts}
+
+
+def test_default_bit_is_0_when_every_input_follows_the_trace():
+    # each input of the fixing asks row 0, then a row that disagrees with b
+    # if row 0 agrees: every run is an exact or proper (0,), so none is "other"
+    inst = greedy_instance(6, 2, 1, seed=0, c=2)
+    outside = "0" * (inst.n - inst.ell)
+    moves = {}
+    for u in all_bitstrings(inst.ell):
+        a = embed(u, outside, inst.design.sets[0], inst.n)
+        out = evaluate(inst, a)
+        first = next(i for i in range(inst.m) if out[i] != inst.b[i])
+        moves[a] = (0,) if first == 0 else (0, first)
+    student = table_strategy(moves, 2)
+    assert {_classify(play(inst, student, a).trace, (0,)) for a in moves} == {"exact", "proper"}
+    assert build_predictor(inst, student, (0,), outside).default_bit == 0
 
 
 def test_predictor_constant_student_is_coin(inst_a):

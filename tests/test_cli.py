@@ -17,10 +17,12 @@ from nwgame import (
     build_polynomial_design,
     cli,
     compose,
+    evaluate,
     extend_greedy,
     make_instance,
     strategy_from_spec,
 )
+from nwgame.bits import bits_to_hex
 from nwgame.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -103,6 +105,43 @@ def test_instance_check_exits_validation_on_a_broken_permutation(workspace, caps
     assert main(["instance", "check", str(instance)]) == EXIT_VALIDATION
     checks = json.loads(capsys.readouterr().out)
     assert checks["bijection_ok"] is False and checks["ok"] is False
+
+
+@pytest.fixture
+def forged(tmp_path):
+    """An n = m = 9 instance whose b is g(0^9), in the range, that still
+    claims b_certified."""
+    design, instance = tmp_path / "design.json", tmp_path / "forged.json"
+    assert main(["design", "build", "--q", "3", "--degree", "1", "--out", str(design)]) == EXIT_OK
+    assert main(["instance", "make", "--design", str(design), "--out", str(instance)]) == EXIT_OK
+    data = json.loads(instance.read_text())
+    data["b_hex"] = bits_to_hex(evaluate(Instance.from_json_dict(data), "0" * 9))
+    instance.write_text(json.dumps(data))
+    assert data["b_certified"] is True and len(data["design"]["sets"]) == 9
+    return instance
+
+
+def test_instance_check_reports_a_forged_certificate(forged, capsys):
+    assert main(["instance", "check", str(forged)]) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().out)["b_off_range"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["game", "play", "--strategy", "round-robin:1", "--input", "0" * 9],
+        ["analyze", "census", "--strategy", "round-robin:1"],
+        ["hardcore", "extract", "--family", '["constant:0"]', "--k", "1"],
+    ],
+    ids=["game", "analyze", "hardcore"],
+)
+def test_loading_an_instance_rechecks_its_claimed_certificate(forged, capsys, monkeypatch, argv):
+    def no_game(*args):
+        raise AssertionError("a game was played")
+
+    monkeypatch.setattr(nwgame.game, "_column", no_game)
+    assert main([*argv, "--instance", str(forged)]) == EXIT_VALIDATION
+    assert str(forged) in capsys.readouterr().err
 
 
 def test_instance_make_rejects_in_range_b(workspace):
@@ -237,7 +276,6 @@ def test_oversized_budgets_exit_config_before_any_game(workspace, capsys, monkey
     def no_game(*args):
         raise AssertionError("a game was played")
 
-    monkeypatch.setattr(nwgame.game, "_games", no_game)
     monkeypatch.setattr(nwgame.game, "_column", no_game)
     for argv, budget in (
         (["run", str(config)], "c=5000"),
@@ -434,7 +472,7 @@ BAD_HEX = {"0x1f": "prefix", "1_f": "separator", " 1f\n": "whitespace", "+1f": "
         (["analyze", "census", "--strategy", '{"kind":"table","moves":{"0101010":[0]}}'], None, "0101010"),
         (["hardcore", "sweep", "--k-max", "1", "--family", '[{"kind":"table","moves":{"01010":[0]}}]'], None, "01010"),
         (["game", "failureset", "--strategy", "round-robin:2", "--instance"],
-         _instance_with(design={"n": 15, "ell": 2, "d": 0, "sets": [[0, 1]]}, b_hex="1"), None),
+         _instance_with(design={"n": 15, "ell": 2, "d": 0, "sets": [[0, 1]]}, b_hex="1", b_certified=False), None),
     ],
     ids=[
         "shorthand-missing-row", "negative-sample", "config-is-a-list", "strategies-is-a-string",

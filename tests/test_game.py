@@ -39,7 +39,7 @@ from nwgame import game
 from nwgame.bits import all_bitstrings, int_to_bits
 from nwgame.cli import EXIT_OK, main
 from nwgame.design import restrict
-from nwgame.game import FailureReport, GameView, Transcript, _games, scan
+from nwgame.game import FailureReport, GameView, Transcript, scan
 from nwgame.generator import evaluate
 from nwgame.seeds import derive_seed
 
@@ -141,7 +141,7 @@ def test_games_refuse_an_instance_without_b_or_past_the_scan_cap(inst_a):
 def test_the_one_input_of_a_zero_bit_instance_is_the_empty_string():
     empty = Instance(Design(n=0, ell=1, d=0, sets=()), Permutation(ell=1, kind="identity"), HardBit(), c=1, b="")
     student = constant_strategy(0, queries=0)
-    assert list(_games(empty, student, False)(*empty._inputs)) == [play(empty, student, "")]
+    assert play(empty, student, "") == Transcript("", (), (), False)
     assert scan(empty, student) == [None]
     assert failure_set(empty, student, sample=(3, 0)).failures == ("", "", "")
 
@@ -464,9 +464,10 @@ def _stop_rule_reference(inst, strategy, a, witness):
 
 
 def _scan_matches_reference(inst, student, witness):
-    """The transcript loop's transcripts, the column loop's trace column
-    (scan at jobs 1 and 3), and the count of move calls of each equal the
-    reference's; returns the reference's (transcript, moves asked) per input."""
+    """The game loop's transcripts (through play or evaluate_partial) and
+    trace column (scan at jobs 1 and 3), and the count of move calls of
+    each, equal the reference's; returns the reference's (transcript, moves
+    asked) per input."""
     expected = [_stop_rule_reference(inst, student, a, witness) for a in all_bitstrings(inst.n)]
     moves = sum(calls for _, calls in expected)
     asked = []
@@ -476,7 +477,8 @@ def _scan_matches_reference(inst, student, witness):
         return student.move(view, a, replies)
 
     counting = dataclasses.replace(student, move=counted)
-    assert list(_games(inst, counting, witness)(*inst._inputs)) == [t for t, _ in expected]
+    run = evaluate_partial if witness else play
+    assert [run(inst, counting, a) for a in all_bitstrings(inst.n)] == [t for t, _ in expected]
     assert len(asked) == moves
     for jobs in (1, 3):
         asked.clear()
@@ -649,7 +651,6 @@ def test_scan_folds_match_per_input_reference(n, ell, seed, c, hard, kind, arg, 
     }[kind]()
     inputs = list(all_bitstrings(n))
     solve = [play(inst, student, a) for a in inputs]
-    assert list(_games(inst, student, False)(*inst._inputs)) == solve
     assert scan(inst, student, jobs=jobs) == [t.trace for t in solve]
 
     counts: dict = {}

@@ -20,6 +20,7 @@ from nwgame import (
     failure_bound,
     failure_set,
     omniscient_strategy,
+    play,
     round_robin_strategy,
     seeded_random_strategy,
     strategy_from_spec,
@@ -32,7 +33,7 @@ from nwgame.bits import all_bitstrings, bits_to_hex
 from nwgame.cli import hardcore_section
 from nwgame.design import restrict
 from nwgame.errors import CapabilityError
-from nwgame.game import GameView, _games, scan
+from nwgame.game import GameView, scan
 from nwgame.hardcore import HardcoreReport
 
 from helpers import greedy_instance, reference_instance
@@ -271,9 +272,10 @@ def test_composite_scans_match_replay_reference(data, n):
     for k in range(1, len(family.stages) + 1):
         for witness in (False, True):
             asked = Counter()
-            composite = compose(_counted(family, asked), k)
-            expected = list(_games(inst, _replay_reference(family, k), witness)(*inst._inputs))
-            assert list(_games(inst, composite, witness)(*inst._inputs)) == expected
+            composite, reference = compose(_counted(family, asked), k), _replay_reference(family, k)
+            run = evaluate_partial if witness else play
+            expected = [run(inst, reference, a) for a in all_bitstrings(n)]
+            assert [run(inst, composite, a) for a in all_bitstrings(n)] == expected
             # each input is one game, in which each stage is asked once per step
             assert set(asked.values()) <= {1}
             assert scan(inst, compose(family, k), witness) == [t.trace for t in expected]
@@ -440,7 +442,9 @@ def test_each_stage_is_handed_its_own_replies_when_resumed():
 
 def test_each_stage_is_handed_its_own_replies_when_recomputed():
     inst, family, handed = DIFFERENTIAL_INSTANCES[8], family4(), []
-    longest = sorted(_games(inst, compose(family, 4), True)(*inst._inputs), key=lambda t: -len(t.replies))[:2]
+    played = compose(family, 4)
+    games = [evaluate_partial(inst, played, a) for a in all_bitstrings(8)]
+    longest = sorted(games, key=lambda t: -len(t.replies))[:2]
     composite, view = compose(_spied(family, handed), 4), GameView(inst, False)
     # the two games in turn, each on a stream no longer than its last one: every call recomputes
     calls = [(t.a, t.replies[:j]) for j in range(len(longest[0].replies), -1, -1) for t in longest]
