@@ -2,9 +2,11 @@
 
 Subcommands build designs and instances, play single games, run the
 census/assignment/reduction analyses, extract hardcore sets, and execute a
-whole experiment config reproducibly.  All reports are JSON with sorted
-keys; rationals appear as {"num", "den"} pairs.  Exit codes: 0 ok, 2 bad
-config or arguments, 3 validation failure, 4 infeasible search.
+whole experiment config reproducibly.  Each handler returns its report,
+which `main` writes as JSON with sorted keys; rationals appear as
+{"num", "den"} pairs.  Exit codes: 0 ok, 2 bad config or arguments, 3
+validation failure (a report whose "ok" is false, as `design verify` and
+`instance check` write), 4 infeasible search.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from typing import Any
 
 from . import analysis, hardcore
@@ -21,14 +24,7 @@ from .crypto import DEFAULT_ROUNDS, HARD_BIT_KINDS, PERMUTATION_KINDS, HardBit, 
 from .design import Design, build_polynomial_design, extend_greedy, require_valid, verify_design
 from .errors import ABSENT, REQUIRED, SearchExhausted, ValidationError, json_object, json_value
 from .game import EXHAUSTIVE_MAX_N, StudentStrategy, evaluate_partial, failure_set, play, strategy_from_spec
-from .generator import (
-    ENUMERATION_MAX_N,
-    OFF_RANGE_MODES,
-    Instance,
-    certify_off_range,
-    make_instance,
-    strict_violations,
-)
+from .generator import ENUMERATION_MAX_N, OFF_RANGE_MODES, Instance, certify_off_range, make_instance, strict_violations
 from .seeds import derive_seed
 
 EXIT_OK = 0
@@ -73,13 +69,28 @@ def _load_json(path: str) -> Any:
         return _parse_json(handle.read(), path)
 
 
+def _bijection_ok(h: Permutation) -> bool | None:
+    """Whether h is a bijection, checked at ell <= BIJECTION_CHECK_MAX_ELL; else None."""
+    return check_bijection(h) if h.ell <= BIJECTION_CHECK_MAX_ELL else None
+
+
+def _b_off_range(inst: Instance) -> bool | None:
+    """Whether the instance's b is off the generator's range, checked when b
+    is present and n <= ENUMERATION_MAX_N; else None."""
+    return certify_off_range(inst, inst.b) if inst.b is not None and inst.n <= ENUMERATION_MAX_N else None
+
+
 def _load_instance(path: str) -> Instance:
-    """The instance in the file, whose claim `b_certified` is rechecked at
-    n <= ENUMERATION_MAX_N: a b in the generator's range is a validation failure."""
+    """The instance in the file, its claim `b_certified` rechecked: a b in the
+    generator's range is a validation failure, and a claim that cannot be
+    rechecked (n > ENUMERATION_MAX_N) is dropped."""
     inst = Instance.from_json_dict(_load_json(path))
-    if inst.b_certified and inst.b is not None and inst.n <= ENUMERATION_MAX_N and not certify_off_range(inst, inst.b):
+    if not inst.b_certified:
+        return inst
+    off_range = _b_off_range(inst)
+    if off_range is False:
         raise ValidationError(f"{path} claims b_certified, but its b is in the generator's range")
-    return inst
+    return inst if off_range else replace(inst, b_certified=False)
 
 
 def _json_arg(text: str) -> Any:
@@ -95,7 +106,16 @@ def _json_arg(text: str) -> Any:
 
 
 def _parse_trace(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip() != "")
+    """--trace: comma-separated rows; other text fails naming the flag."""
+    try:
+        return tuple(int(part) for part in text.split(",") if part.strip() != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid row list: {text!r}") from None
+
+
+def _family(stages: Any) -> hardcore.StudentFamily:
+    """The StudentFamily of a JSON list of stage specs."""
+    return hardcore.StudentFamily(tuple(map(strategy_from_spec, json_value(stages, list, "family stages"))))
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +138,7 @@ def _build_instance(
     """The instance `instance make` and `nwgame run` emit, with its strict
     warnings: h is checked to be a bijection (ell <= 12), b is searched for
     or, when given, certified off range, and strict mode refuses warnings."""
-    if h.ell <= BIJECTION_CHECK_MAX_ELL and not check_bijection(h):
+    if _bijection_ok(h) is False:
         raise ValidationError(f"permutation {h.kind} on ell={h.ell} is not a bijection")
     inst = make_instance(design, h, HardBit(hard_bit), c, b=b, b_mode=b_mode, seed=seed)
     warnings = strict_violations(inst)
@@ -183,7 +203,7 @@ def run_experiment(config: dict, jobs: int = 1) -> dict:
     value_hex = {"value_hex": (str, REQUIRED)} if resolved["b"].get("mode") == "explicit" else {}
     b_cfg = json_object(resolved["b"], {"mode": (str, "lex-min"), **value_hex}, "b")
     hc = json_object(resolved["hardcore"], HARDCORE_FIELDS, "hardcore") if "hardcore" in resolved else None
-    family = None if hc is None else hardcore.StudentFamily(tuple(map(strategy_from_spec, hc["stages"])))
+    family = None if hc is None else _family(hc["stages"])
     strategies = [(spec, strategy_from_spec(spec)) for spec in resolved["strategies"]]
 
     seed = resolved["seed"]
@@ -219,71 +239,48 @@ def run_experiment(config: dict, jobs: int = 1) -> dict:
 # Subcommand handlers
 
 
-def _cmd_design_build(args: argparse.Namespace) -> int:
-    cfg = {"q": args.q, "degree": args.degree}
-    if args.extend_to is not None:
-        cfg["extend_to"] = args.extend_to
-    _dump(_design_from_config(cfg, args.seed).to_json_dict(), args.out)
-    return EXIT_OK
+def _cmd_design_build(args: argparse.Namespace) -> dict:
+    extend = {} if args.extend_to is None else {"extend_to": args.extend_to}
+    return _design_from_config({"q": args.q, "degree": args.degree, **extend}, args.seed).to_json_dict()
 
 
-def _cmd_design_verify(args: argparse.Namespace) -> int:
-    report = verify_design(Design.from_json_dict(_load_json(args.design)))
-    _dump(report.to_json_dict(), args.out)
-    return EXIT_OK if report.ok else EXIT_VALIDATION
+def _cmd_design_verify(args: argparse.Namespace) -> dict:
+    return verify_design(Design.from_json_dict(_load_json(args.design))).to_json_dict()
 
 
-def _cmd_instance_make(args: argparse.Namespace) -> int:
+def _cmd_instance_make(args: argparse.Namespace) -> dict:
     design = Design.from_json_dict(_load_json(args.design))
     h = Permutation(ell=design.ell, kind=args.perm, seed=args.perm_seed, rounds=args.rounds)
     inst, warnings = _build_instance(
         design, h, args.hard_bit, args.c, args.seed, args.b, args.b_mode, args.strict
     )
-    _dump({**inst.to_json_dict(), "strict_warnings": warnings}, args.out)
-    return EXIT_OK
+    return {**inst.to_json_dict(), "strict_warnings": warnings}
 
 
-def _cmd_instance_check(args: argparse.Namespace) -> int:
-    # an Instance's design is valid, else exit 3; b is rechecked below, into the report
+def _cmd_instance_check(args: argparse.Namespace) -> dict:
+    # an Instance's design is valid, else exit 3; b is rechecked here, into the report
     inst = Instance.from_json_dict(_load_json(args.instance))
-    checks: dict[str, Any] = {"design_ok": True}
-    if inst.ell <= BIJECTION_CHECK_MAX_ELL:
-        checks["bijection_ok"] = check_bijection(inst.h)
-    else:
-        checks["bijection_ok"] = None
-    if inst.b is not None and inst.n <= ENUMERATION_MAX_N:
-        checks["b_off_range"] = certify_off_range(inst, inst.b)
-    else:
-        checks["b_off_range"] = None
+    checks = {"design_ok": True, "bijection_ok": _bijection_ok(inst.h), "b_off_range": _b_off_range(inst)}
     warnings = strict_violations(inst)
-    checks["strict_warnings"] = warnings
-    hard_failures = (
-        checks["bijection_ok"] is False
-        or checks["b_off_range"] is False
-        or (args.strict and bool(warnings))
-    )
-    checks["ok"] = not hard_failures
-    _dump(checks, args.out)
-    return EXIT_VALIDATION if hard_failures else EXIT_OK
+    checks["ok"] = False not in (checks["bijection_ok"], checks["b_off_range"]) and not (args.strict and warnings)
+    return {**checks, "strict_warnings": warnings}
 
 
-def _cmd_game_play(args: argparse.Namespace) -> int:
+def _cmd_game_play(args: argparse.Namespace) -> dict:
     inst = _load_instance(args.instance)
     strategy = strategy_from_spec(_json_arg(args.strategy))
     a = check_bits(args.input, inst.n, "--input")
-    transcript = evaluate_partial(inst, strategy, a) if args.witness else play(inst, strategy, a)
-    _dump(transcript.to_json_dict(), args.out)
-    return EXIT_OK
+    return (evaluate_partial(inst, strategy, a) if args.witness else play(inst, strategy, a)).to_json_dict()
 
 
-def _cmd_strategy_section(args: argparse.Namespace) -> int:
+def _cmd_strategy_section(args: argparse.Namespace) -> dict:
     """`analyze *` and `game failureset`: the strategy's section of the run
     report for the one analysis the subcommand names."""
     inst = _load_instance(args.instance)
     strategy = strategy_from_spec(_json_arg(args.strategy))
     name = args.subcommand
     if name == "assignment" and args.trace is not None:
-        payload = _assignment(inst, strategy, _parse_trace(args.trace), args.jobs)
+        payload = _assignment(inst, strategy, args.trace, args.jobs)
     elif name == "failureset" and args.sample is not None:
         payload = failure_set(inst, strategy, sample=(args.sample, args.sample_seed)).to_json_dict()
     else:
@@ -293,41 +290,32 @@ def _cmd_strategy_section(args: argparse.Namespace) -> int:
         payload = {"assignment": None, "reason": "no successful runs"}
     elif name == "advantage":
         payload = {key: payload[key] for key in ("advantage", "target", "met", "diagnostics")}
-    _dump(payload, args.out)
-    return EXIT_OK
+    return payload
 
 
-def _cmd_hardcore(args: argparse.Namespace) -> int:
+def _cmd_hardcore(args: argparse.Namespace) -> dict:
     """`hardcore extract|sweep`: the run report's hardcore section."""
     inst = _load_instance(args.instance)
     family = _json_arg(args.family)
     if isinstance(family, dict):
         family = json_object(family, {"stages": (list, REQUIRED)}, "family")["stages"]
-    family = hardcore.StudentFamily(tuple(map(strategy_from_spec, json_value(family, list, "family stages"))))
-    section = hardcore_section(inst, family, args.k, args.k_max, jobs=args.jobs)
+    section = hardcore_section(inst, _family(family), args.k, args.k_max, jobs=args.jobs)
     if args.subcommand == "extract":
-        _dump(section["extract"], args.out)
-        return EXIT_OK
+        return section["extract"]
     if args.csv is not None:
+        rows = [[r["k"], r["size"], "{num}/{den}".format(**r["bound"]), r["meets_bound"]] for r in section["sweep"]]
         with open(args.csv, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["k", "size", "bound", "meets_bound"])
-            for r in section["sweep"]:
-                bound = f"{r['bound']['num']}/{r['bound']['den']}"
-                writer.writerow([r["k"], r["size"], bound, r["meets_bound"]])
-    _dump(section, args.out)
-    return EXIT_OK
+            csv.writer(handle).writerows([["k", "size", "bound", "meets_bound"], *rows])
+    return section
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> dict:
     config = json_value(_load_json(args.config), dict, "config")
     if args.seed is not None:
         config["seed"] = args.seed
     if args.strict:
         config["strict"] = True
-    report = run_experiment(config, jobs=args.jobs)
-    _dump(report, args.out)
-    return EXIT_OK
+    return run_experiment(config, jobs=args.jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -348,29 +336,31 @@ def _jobs(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nwgame", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # parent parsers: each shared option is declared once, and the subcommands inherit it
+    out, jobs, instance, strategy, family, strict = (argparse.ArgumentParser(add_help=False) for _ in range(6))
+    out.add_argument("--out", default=None, help="write JSON here instead of stdout")
+    jobs.add_argument("--jobs", type=_jobs, default=1, help="worker shards, at least 1; never changes results")
+    instance.add_argument("--instance", required=True)
+    strategy.add_argument("--strategy", required=True)
+    family.add_argument("--family", required=True, help="JSON list of stage specs, inline or a path")
+    strict.add_argument("--strict", action="store_true")
 
-    def common(p: argparse.ArgumentParser, jobs: bool = True) -> None:
-        p.add_argument("--out", default=None, help="write JSON here instead of stdout")
-        if jobs:
-            p.add_argument("--jobs", type=_jobs, default=1, help="worker shards, at least 1; never changes results")
+    def group(name: str, text: str) -> Any:
+        return sub.add_parser(name, help=text).add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("design", help="build or verify designs")
-    dsub = p.add_subparsers(dest="subcommand", required=True)
-    d = dsub.add_parser("build", help="polynomial family, optionally greedily extended")
+    dsub = group("design", "build or verify designs")
+    d = dsub.add_parser("build", parents=[out], help="polynomial family, optionally greedily extended")
     d.add_argument("--q", type=int, required=True)
     d.add_argument("--degree", type=int, required=True)
     d.add_argument("--extend-to", type=int, default=None)
     d.add_argument("--seed", type=int, default=0)
-    common(d, jobs=False)
     d.set_defaults(func=_cmd_design_build)
-    d = dsub.add_parser("verify", help="exhaustive invariant check")
+    d = dsub.add_parser("verify", parents=[out], help="exhaustive invariant check")
     d.add_argument("design")
-    common(d, jobs=False)
     d.set_defaults(func=_cmd_design_verify)
 
-    p = sub.add_parser("instance", help="assemble or check full instances")
-    isub = p.add_subparsers(dest="subcommand", required=True)
-    i = isub.add_parser("make")
+    isub = group("instance", "assemble or check full instances")
+    i = isub.add_parser("make", parents=[out, strict])
     i.add_argument("--design", required=True)
     i.add_argument("--perm", default="identity", choices=PERMUTATION_KINDS)
     i.add_argument("--perm-seed", type=int, default=0)
@@ -380,64 +370,40 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--b", default=None, help=f"explicit off-range bits; certifying them needs n <= {ENUMERATION_MAX_N}")
     i.add_argument("--b-mode", default="lex-min", choices=OFF_RANGE_MODES)
     i.add_argument("--seed", type=int, default=0)
-    i.add_argument("--strict", action="store_true")
-    common(i, jobs=False)
     i.set_defaults(func=_cmd_instance_make)
-    i = isub.add_parser("check")
+    i = isub.add_parser("check", parents=[out, strict])
     i.add_argument("instance")
-    i.add_argument("--strict", action="store_true")
-    common(i, jobs=False)
     i.set_defaults(func=_cmd_instance_check)
 
-    p = sub.add_parser("game", help="single runs and failure sets")
-    gsub = p.add_subparsers(dest="subcommand", required=True)
-    g = gsub.add_parser("play")
-    g.add_argument("--instance", required=True)
-    g.add_argument("--strategy", required=True)
+    gsub = group("game", "single runs and failure sets")
+    g = gsub.add_parser("play", parents=[instance, strategy, out])
     g.add_argument("--input", required=True)
     g.add_argument("--witness", action="store_true", help="abort on disagreeing replies")
-    common(g, jobs=False)
     g.set_defaults(func=_cmd_game_play)
-    g = gsub.add_parser("failureset")
-    g.add_argument("--instance", required=True)
-    g.add_argument("--strategy", required=True)
+    g = gsub.add_parser("failureset", parents=[instance, strategy, out, jobs])
     g.add_argument("--sample", type=int, default=None, help=f"Monte-Carlo size for n > {EXHAUSTIVE_MAX_N}")
     g.add_argument("--sample-seed", type=int, default=0)
-    common(g)
     g.set_defaults(func=_cmd_strategy_section)
 
-    p = sub.add_parser("analyze", help="census, assignments, reductions")
-    asub = p.add_subparsers(dest="subcommand", required=True)
+    asub = group("analyze", "census, assignments, reductions")
     for name in ("census", "assignment", "reduce", "advantage"):
-        a = asub.add_parser(name)
-        a.add_argument("--instance", required=True)
-        a.add_argument("--strategy", required=True)
+        a = asub.add_parser(name, parents=[instance, strategy, out, jobs])
         if name == "assignment":
-            a.add_argument("--trace", default=None, help="comma-separated rows; default: margin-best")
-        common(a)
+            a.add_argument("--trace", type=_parse_trace, help="comma-separated rows; default: margin-best")
         a.set_defaults(func=_cmd_strategy_section)
 
-    p = sub.add_parser("hardcore", help="composed students and definedness sets")
-    hsub = p.add_subparsers(dest="subcommand", required=True)
-    h = hsub.add_parser("extract")
-    h.add_argument("--instance", required=True)
-    h.add_argument("--family", required=True, help="JSON list of stage specs, inline or a path")
+    hsub = group("hardcore", "composed students and definedness sets")
+    h = hsub.add_parser("extract", parents=[instance, family, out, jobs])
     h.add_argument("--k", type=int, required=True)
-    common(h)
     h.set_defaults(func=_cmd_hardcore, k_max=None)
-    h = hsub.add_parser("sweep")
-    h.add_argument("--instance", required=True)
-    h.add_argument("--family", required=True)
+    h = hsub.add_parser("sweep", parents=[instance, family, out, jobs])
     h.add_argument("--k-max", type=int, required=True)
     h.add_argument("--csv", default=None, help="also write k,size,bound rows here")
-    common(h)
     h.set_defaults(func=_cmd_hardcore, k=None)
 
-    p = sub.add_parser("run", help="execute an experiment config")
+    p = sub.add_parser("run", parents=[out, jobs, strict], help="execute an experiment config")
     p.add_argument("config")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--strict", action="store_true")
-    common(p)
     p.set_defaults(func=_cmd_run)
 
     return parser
@@ -446,12 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args)
+        _dump(report, args.out)
     except (ValueError, KeyError, OSError, SearchExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, SearchExhausted):
             return EXIT_SEARCH
         return EXIT_VALIDATION if isinstance(exc, ValidationError) else EXIT_CONFIG
+    return EXIT_VALIDATION if report.get("ok") is False else EXIT_OK
 
 
 def entrypoint() -> None:

@@ -72,6 +72,8 @@ class Instance:
             raise ValueError(f"query budget c must be >= 1, got {self.c}")
         if self.b is not None:
             check_bits(self.b, self.design.m, "off-range string b")
+        elif self.b_certified:
+            raise ValueError("b_certified claims a certificate, but the instance has no b")
 
     @property
     def n(self) -> int:

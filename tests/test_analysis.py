@@ -98,6 +98,11 @@ def test_margin_score_ties_go_to_the_shorter_trace():
     assert best_margin_trace(TraceCensus(7, 23, {(0,): 22, (0, 1): 1}, None, 0)) == ((0,), 21)
 
 
+def test_margin_score_ties_of_one_length_go_to_the_lex_min_trace():
+    # (0, 1) and (1, 0) have margin 2 each, and the same length
+    assert best_margin_trace(TraceCensus(3, 4, {(1, 0): 2, (0, 1): 2}, None, 0)) == ((0, 1), 2)
+
+
 def test_bound_ok_holds_at_equality():
     # built directly, since no census met here reaches equality:
     # best_count * (3m)^len is 1 * 6, against 2 * w_size

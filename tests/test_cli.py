@@ -59,7 +59,9 @@ def test_design_build_and_verify(workspace):
 def test_design_verify_rejects_broken(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 4, "ell": 2, "d": 0, "sets": [[0, 1], [0, 2]]}))
-    assert main(["design", "verify", str(bad)]) == EXIT_VALIDATION
+    out = tmp_path / "report.json"
+    assert main(["design", "verify", str(bad), "--out", str(out)]) == EXIT_VALIDATION
+    assert json.loads(out.read_text())["ok"] is False
 
 
 def test_instance_make_and_check(workspace):
@@ -68,26 +70,31 @@ def test_instance_make_and_check(workspace):
     assert data["b_certified"] is True
     assert main(["instance", "check", str(instance)]) == EXIT_OK
     # strict mode trips on the relaxed d
-    assert main(["instance", "check", str(instance), "--strict"]) == EXIT_VALIDATION
+    out = tmp / "checks.json"
+    assert main(["instance", "check", str(instance), "--strict", "--out", str(out)]) == EXIT_VALIDATION
+    assert json.loads(out.read_text())["ok"] is False
 
 
 @pytest.mark.parametrize(
-    "design, b, expected",
+    "design, b, claimed, expected",
     [
         # ell past the bijection check's cap, and no b to certify
-        (Design(n=14, ell=13, d=0, sets=(tuple(range(13)),)), None, {"bijection_ok": None, "b_off_range": None}),
-        # n past the enumeration cap: b is left uncertified
-        (Design(n=21, ell=2, d=0, sets=((0, 1),)), "1", {"bijection_ok": True, "b_off_range": None}),
+        (Design(n=14, ell=13, d=0, sets=(tuple(range(13)),)), None, False, {"bijection_ok": None, "b_off_range": None}),
+        # n past the enumeration cap: b is left uncertified, and a claimed certificate is not trusted
+        (Design(n=21, ell=2, d=0, sets=((0, 1),)), "1", False, {"bijection_ok": True, "b_off_range": None}),
+        (Design(n=21, ell=2, d=0, sets=((0, 1),)), "1", True, {"bijection_ok": True, "b_off_range": None}),
     ],
-    ids=["ell-13-without-b", "n-21"],
+    ids=["ell-13-without-b", "n-21", "n-21-claiming-a-certificate"],
 )
-def test_instance_check_skips_checks_past_their_caps(tmp_path, capsys, design, b, expected):
+def test_instance_check_skips_checks_past_their_caps(tmp_path, capsys, design, b, claimed, expected):
     path = tmp_path / "instance.json"
-    inst = Instance(design, Permutation(ell=design.ell, kind="identity"), HardBit(), c=1, b=b)
+    inst = Instance(design, Permutation(ell=design.ell, kind="identity"), HardBit(), c=1, b=b, b_certified=claimed)
     path.write_text(json.dumps(inst.to_json_dict()))
     assert main(["instance", "check", str(path)]) == EXIT_OK
     checks = json.loads(capsys.readouterr().out)
     assert {key: checks[key] for key in expected} == expected and checks["ok"] is True
+    # the loading subcommands read the file with no certificate
+    assert cli._load_instance(str(path)).b_certified is False
 
 
 def test_instance_check_exits_validation_on_a_broken_permutation(workspace, capsys, monkeypatch):
@@ -473,6 +480,9 @@ BAD_HEX = {"0x1f": "prefix", "1_f": "separator", " 1f\n": "whitespace", "+1f": "
         (["hardcore", "sweep", "--k-max", "1", "--family", '[{"kind":"table","moves":{"01010":[0]}}]'], None, "01010"),
         (["game", "failureset", "--strategy", "round-robin:2", "--instance"],
          _instance_with(design={"n": 15, "ell": 2, "d": 0, "sets": [[0, 1]]}, b_hex="1", b_certified=False), None),
+        (["instance", "check"], _instance_with(b_hex=None), None),
+        (["game", "play", "--strategy", "round-robin:2", "--input", "0000", "--instance"],
+         _instance_with(b_hex=None), None),
     ],
     ids=[
         "shorthand-missing-row", "negative-sample", "config-is-a-list", "strategies-is-a-string",
@@ -497,6 +507,7 @@ BAD_HEX = {"0x1f": "prefix", "1_f": "separator", " 1f\n": "whitespace", "+1f": "
         "design-file-misspelled", "instance-file-misspelled", "instance-permutation-misspelled",
         "table-key-not-bits", "table-key-wider-than-n", "family-table-key-wider-than-n",
         "exhaustive-failureset-past-the-scan-cap",
+        "instance-check-certified-without-b", "game-play-certified-without-b",
     ],
 )
 def test_bad_input_exits_config(workspace, capsys, args, config, named):
@@ -740,7 +751,9 @@ def test_every_subcommand_argv_is_valid(tmp_path, monkeypatch):
     for name, data in ARGV_FILES.items():
         (tmp_path / name).write_text(json.dumps(data))
     for argv in SUBCOMMAND_ARGVS:
+        (tmp_path / "out.json").unlink(missing_ok=True)
         assert _exit_code(argv) == EXIT_OK, argv
+        json.loads((tmp_path / "out.json").read_text())
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -755,6 +768,14 @@ def test_jobs_below_one_exits_config(tmp_path, monkeypatch, capsys, jobs):
         assert _exit_code([*argv, "--jobs", jobs]) == EXIT_CONFIG, argv
         assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
+
+
+def test_trace_that_is_not_rows_exits_config(workspace, capsys):
+    # --trace is read by argparse, so an error names the flag
+    tmp, _, instance = workspace
+    argv = ["analyze", "assignment", "--instance", str(instance), "--strategy", "round-robin:2", "--trace", "1,x"]
+    assert _exit_code(argv) == EXIT_CONFIG
+    assert "argument --trace: invalid row list: '1,x'" in capsys.readouterr().err
 
 
 @settings(max_examples=300, deadline=None)

@@ -127,7 +127,7 @@ def test_invert_capability_is_gated(inst_a):
 
 
 def test_games_refuse_an_instance_without_b_or_past_the_scan_cap(inst_a):
-    unplayable = dataclasses.replace(inst_a, b=None)
+    unplayable = dataclasses.replace(inst_a, b=None, b_certified=False)
     for game in (play, evaluate_partial):
         with pytest.raises(ValueError, match="no off-range string b"):
             game(unplayable, constant_strategy(0), "0000")
