@@ -63,7 +63,7 @@ MUTANTS = [
            "the solve budget ignores c"),
     Mutant("m08", "analysis.py", "margins[prefix] -= count", "margins[prefix] -= 0",
            "margins ignore proper extensions"),
-    Mutant("m09", "analysis.py", "return 1 - int(inst.b[expected])", "return int(inst.b[expected])",
+    Mutant("m09", "analysis.py", "return 1 - int(inst.b[trace[-1]])", "return int(inst.b[trace[-1]])",
            "the predictor bets b's bit instead of its complement"),
     Mutant("m10", "analysis.py", ">= 2 * self.w_size", "> 2 * self.w_size",
            "TraceCensus.bound_ok uses >, not README's >="),
@@ -74,6 +74,8 @@ MUTANTS = [
            "the predictor flips its default bit"),
     Mutant("m13", "cli.py", 'return EXIT_VALIDATION if report.get("ok") is False else EXIT_OK', "return EXIT_OK",
            'main ignores a report\'s "ok"'),
+    Mutant("m14", "analysis.py", "if isinstance(move, int) and move == trace[-1]:", "if False:",
+           "the predictor never bets, even when the student asks the final row"),
 ]
 
 

@@ -196,11 +196,11 @@ def build_witness_tables(
 class Predictor:
     """Compiled guesser for the hard bit of the preimage of an ell-bit u.
 
-    run(u) places u on the final trace row, replays the student, answers
-    earlier trace queries from the witness tables (checked by the forward
-    permutation only), and guesses against the target bit if the run
-    follows the whole trace; any deviation falls back to the default bit.
-    No inverse-permutation calls happen here; the tables were built before.
+    run(u) places u on the final trace row and replays the student on the
+    earlier rows, answering each from the prebuilt witness tables (checked
+    by the forward permutation only, never inverted); any deviation, or a
+    reply whose hard bit disagrees with b, returns the default bit.  It then
+    asks the final move once and bets against b's bit only if it is that row.
     """
 
     inst: Instance
@@ -219,14 +219,10 @@ class Predictor:
         positions = inst.design.sets[trace[-1]]
         a = embed(u, self.outside, positions, inst.n)
         replies: tuple[str, ...] = ()
-        last = len(trace) - 1
-        for step, expected in enumerate(trace):
+        for expected in trace[:-1]:
             move = self.strategy.move(self.view, a, replies)
             if not isinstance(move, int) or move != expected:
                 return self.default_bit
-            if step == last:
-                # the live run reached the final query; bet that it succeeded
-                return 1 - int(inst.b[expected])
             z = restrict(a, inst.design.sets[expected])
             witness = self.tables.get(expected, {}).get(z)
             if witness is None:
@@ -239,7 +235,11 @@ class Predictor:
                 # live game would have stopped here, short of the full trace
                 return self.default_bit
             replies += (witness,)
-        raise AssertionError("unreachable: loop returns at the final step")
+        move = self.strategy.move(self.view, a, replies)
+        if isinstance(move, int) and move == trace[-1]:
+            # the live run reached the final query; bet that it succeeded
+            return 1 - int(inst.b[trace[-1]])
+        return self.default_bit
 
 
 def build_predictor(

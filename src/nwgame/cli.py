@@ -300,13 +300,7 @@ def _cmd_hardcore(args: argparse.Namespace) -> dict:
     if isinstance(family, dict):
         family = json_object(family, {"stages": (list, REQUIRED)}, "family")["stages"]
     section = hardcore_section(inst, _family(family), args.k, args.k_max, jobs=args.jobs)
-    if args.subcommand == "extract":
-        return section["extract"]
-    if args.csv is not None:
-        rows = [[r["k"], r["size"], "{num}/{den}".format(**r["bound"]), r["meets_bound"]] for r in section["sweep"]]
-        with open(args.csv, "w", newline="") as handle:
-            csv.writer(handle).writerows([["k", "size", "bound", "meets_bound"], *rows])
-    return section
+    return section["extract"] if args.subcommand == "extract" else section
 
 
 def _cmd_run(args: argparse.Namespace) -> dict:
@@ -398,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.set_defaults(func=_cmd_hardcore, k_max=None)
     h = hsub.add_parser("sweep", parents=[instance, family, out, jobs])
     h.add_argument("--k-max", type=int, required=True)
-    h.add_argument("--csv", default=None, help="also write k,size,bound rows here")
+    h.add_argument("--csv", default=None, help="also write k,size,bound,meets_bound rows here, after the report")
     h.set_defaults(func=_cmd_hardcore, k=None)
 
     p = sub.add_parser("run", parents=[out, jobs, strict], help="execute an experiment config")
@@ -414,6 +408,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = args.func(args)
         _dump(report, args.out)
+        if getattr(args, "csv", None) is not None:
+            rows = [[r["k"], r["size"], "{num}/{den}".format(**r["bound"]), r["meets_bound"]] for r in report["sweep"]]
+            with open(args.csv, "w", newline="") as handle:
+                csv.writer(handle).writerows([["k", "size", "bound", "meets_bound"], *rows])
     except (ValueError, KeyError, OSError, SearchExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, SearchExhausted):

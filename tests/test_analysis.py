@@ -348,22 +348,49 @@ def test_failure_bound_refuses_exactly_the_unprintable_budgets(m):
 
 def test_early_stop_falls_back_to_default_bit():
     # a student that follows the trace prefix but would have stopped early
-    # (disagreeing reply before the final row) must get the default bit
+    # (disagreeing reply before the final row) must get the default bit; a
+    # run that reaches the final row, exactly or on the way to a longer
+    # trace, gets the bet.  The best trace's one-row prefix has proper runs.
     inst = reference_instance(c=2)
     s = near_omniscient(inst, seed=5)
     census = trace_census(inst, s)
     trace, _ = best_margin_trace(census)
     if len(trace) < 2:
         pytest.skip("margin-best trace has one query; no prefix to stop at")
-    best = best_partial_assignment(inst, s, trace)
-    predictor = build_predictor(inst, s, trace, best.outside)
-    positions = inst.design.sets[trace[-1]]
-    for u in all_bitstrings(inst.ell):
-        a = embed(u, best.outside, positions, inst.n)
-        live = play(inst, s, a).trace
-        kind = _classify(live, trace)
-        guess = predictor.run(u)
-        if kind == "exact":
-            assert guess == 1 - int(inst.b[trace[-1]])
-        elif kind == "other":
-            assert guess == predictor.default_bit
+    seen = set()
+    for chosen in (trace, trace[:1]):
+        positions = inst.design.sets[chosen[-1]]
+        for outside in all_bitstrings(inst.n - inst.ell):
+            predictor = build_predictor(inst, s, chosen, outside)
+            for u in all_bitstrings(inst.ell):
+                a = embed(u, outside, positions, inst.n)
+                kind = _classify(play(inst, s, a).trace, chosen)
+                seen.add(kind)
+                guess = predictor.run(u)
+                if kind in ("exact", "proper"):
+                    assert guess == 1 - int(inst.b[chosen[-1]])
+                else:
+                    assert guess == predictor.default_bit
+    assert seen == {"exact", "proper", "other"}
+
+
+@pytest.mark.parametrize("n, seed", [(10, 0), (11, 1), (12, 2)])
+def test_reduction_meets_the_target_below_a_ceiling_of_at_least_one(n, seed):
+    # ell = 8 and c = 1 lift the failure ceiling 2^ell/(2 * 3m) above 1
+    # (3.88, 3.56 and 3.28 here), so the paper's implication is checked
+    # with failures: a student failing on k inputs, 0 < k < ceiling, meets
+    # the target.  It queries a row disagreeing with b, except on the first
+    # k inputs, where it queries an agreeing row and so fails.
+    inst = greedy_instance(n, 8, 7, seed=seed, perm="table", perm_seed=seed, c=1)
+    bound = failure_bound(inst.ell, inst.m, inst.c)
+    assert 3 < bound < 4
+    outputs = {a: evaluate(inst, a) for a in all_bitstrings(inst.n)}
+
+    def first_row(a: str, agree: bool) -> int:
+        return next(i for i in range(inst.m) if (outputs[a][i] == inst.b[i]) == agree)
+
+    for k in (1, 2, 3):
+        moves = {a: (first_row(a, i < k),) for i, a in enumerate(outputs)}
+        report = run_reduction(inst, table_strategy(moves, max_queries=1))
+        assert report.failure_count == k < bound
+        assert report.met is True

@@ -240,6 +240,16 @@ def test_hardcore_cli(workspace, capsys, tmp_path):
     assert rows[0] == "k,size,bound,meets_bound"
     assert len(rows) == 3
     assert "/" in rows[1].split(",")[2]  # rationals stay exact in CSV
+    # the report is written first, so a report that cannot be written leaves no CSV
+    late_csv = tmp_path / "late.csv"
+    assert main(
+        [
+            "hardcore", "sweep", "--instance", str(instance), "--family", family,
+            "--k-max", "2", "--csv", str(late_csv), "--out", str(tmp_path / "missing" / "out.json"),
+        ]
+    ) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not late_csv.exists()
 
 
 def test_exit_code_config_error(tmp_path):
