@@ -76,6 +76,8 @@ MUTANTS = [
            'main ignores a report\'s "ok"'),
     Mutant("m14", "analysis.py", "if isinstance(move, int) and move == trace[-1]:", "if False:",
            "the predictor never bets, even when the student asks the final row"),
+    Mutant("m15", "game.py", "known.append(row_seed(a, len(known)))", "known.append(row_seed(a, step))",
+           "the seeded-random memo gives a skipped step the asked step's hash"),
 ]
 
 

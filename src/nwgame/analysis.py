@@ -131,6 +131,13 @@ def _classify(trace: Trace | None, target: Trace) -> str:
     return "other"
 
 
+def _final_row(inst: Instance, trace: Trace) -> int:
+    """Check the one trace rule of the reduction's entry points; return trace[-1]."""
+    if not trace or trace[-1] in trace[:-1] or not all(0 <= row < inst.m for row in trace):
+        raise ValueError(f"trace must be nonempty rows in 0..{inst.m - 1}, its final row not queried before: {list(trace)}")
+    return trace[-1]
+
+
 def best_partial_assignment(
     inst: Instance, strategy: StudentStrategy, trace: Trace, jobs: int = 1
 ) -> PartialAssignment:
@@ -148,9 +155,7 @@ def best_partial_assignment(
     The best margin is at least ceil(full_margin / 2^(n-ell)) by averaging:
     summing per-fixing margins over all fixings gives the full margin.
     """
-    if not trace or not all(0 <= row < inst.m for row in trace):
-        raise ValueError(f"trace must be a nonempty list of rows in 0..{inst.m - 1}, got {list(trace)}")
-    row, n, unit = trace[-1], inst.n, 2 << inst.ell
+    row, n, unit = _final_row(inst, trace), inst.n, 2 << inst.ell
     inside = inst.design.sets[row]
     # both built from the lowest bit up, so `fixings` ascends, and the i-th
     # fixing's outside bits read as the n - ell bits of i
@@ -180,9 +185,7 @@ def build_witness_tables(
     bits it shares with that row, so each table has at most 2^d entries:
     the map from the row's restriction z to its preimage.
     """
-    if not trace or trace[-1] in trace[:-1] or not all(0 <= row < inst.m for row in trace):
-        raise ValueError(f"trace must be nonempty rows in 0..{inst.m - 1}, its final row not queried before: {trace}")
-    row_k = trace[-1]
+    row_k = _final_row(inst, trace)
     positions = inst.design.sets[row_k]
     inputs = [embed(u, outside, positions, inst.n) for u in all_bitstrings(inst.ell)]
     return {
@@ -255,7 +258,7 @@ def build_predictor(
     Inversion is confined to this build step."""
     if tables is None:
         tables = build_witness_tables(inst, trace, outside)
-    positions = inst.design.sets[trace[-1]]
+    positions = inst.design.sets[_final_row(inst, trace)]
     inputs = [embed(u, outside, positions, inst.n) for u in all_bitstrings(inst.ell)]
     packs = [inst.restrictions(bits_to_int(check_bits(a, inst.n, "game input"))) for a in inputs]
     ones = total = 0

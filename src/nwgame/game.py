@@ -289,13 +289,13 @@ def seeded_random_strategy(max_queries: int, seed: int = 0, output: Any = None, 
     derive_seed("srand", seed, a, step) mod m, deterministic as a strategy
     and uncorrelated with the design's structure.
 
-    One dict memoizes the 64-bit hashes, a -> slots for steps 0..k, k the
-    latest step asked on a, each hashed when first asked and reduced mod m
-    after the lookup, so one strategy serves any m.  Its size follows the
-    steps played, not max_queries; it is emptied when it holds 2^16 inputs."""
+    One dict memoizes the 64-bit hashes, a -> those of steps 0..k in step
+    order (k the furthest step asked on a, each step hashed once), reduced
+    mod m after the lookup so one strategy serves any m.  Its size follows
+    the steps played, not max_queries; it is emptied when it holds 2^16 inputs."""
 
     row_seed, stop = seed_stream("srand", seed), Output(output)
-    hashes: dict[str, list[int | None]] = {}
+    hashes: dict[str, list[int]] = {}
 
     def move(view: GameView, a: str, replies: tuple[str, ...]) -> Move:
         step = len(replies)
@@ -307,11 +307,8 @@ def seeded_random_strategy(max_queries: int, seed: int = 0, output: Any = None, 
                 hashes.clear()
             known = hashes[a] = []
         while len(known) <= step:
-            known.append(None)
-        row = known[step]
-        if row is None:
-            row = known[step] = row_seed(a, step)
-        return row % view.m
+            known.append(row_seed(a, len(known)))
+        return known[step] % view.m
 
     return StudentStrategy(name or f"seeded-random-{max_queries}s{seed}", max_queries=max_queries, move=move)
 

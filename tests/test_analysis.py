@@ -169,6 +169,22 @@ def test_witness_tables_reject_rows_outside_the_design(inst_a):
             build_witness_tables(inst_a, trace, "00")
 
 
+@pytest.mark.parametrize("trace", [(), (9,), (0, 1, 0)], ids=["empty", "row-past-m", "final-row-repeated"])
+def test_reduction_entry_points_share_one_trace_rule(inst_a_c2, trace):
+    # a final row queried twice ends no successful run: its second reply
+    # equals its first, which agreed with b
+    s = round_robin_strategy(2)
+    entry_points = (
+        lambda: best_partial_assignment(inst_a_c2, s, trace),
+        lambda: build_witness_tables(inst_a_c2, trace, "00"),
+        lambda: build_predictor(inst_a_c2, s, trace, "00"),
+        lambda: build_predictor(inst_a_c2, s, trace, "00", tables={}),
+    )
+    for call in entry_points:
+        with pytest.raises(ValueError, match=r"rows in 0\.\.4, its final row not queried before"):
+            call()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(5, 8), st.integers(0, 50), st.data())
 def test_witness_tables_match_the_shared_bit_projection(n, seed, data):

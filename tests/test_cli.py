@@ -451,6 +451,7 @@ BAD_HEX = {"0x1f": "prefix", "1_f": "separator", " 1f\n": "whitespace", "+1f": "
         (["run"], dict(CONFIG, seed="7"), None),
         (["analyze", "assignment", "--strategy", "round-robin:2", "--trace", "99"], None, None),
         (["analyze", "assignment", "--strategy", "round-robin:2", "--trace", "-1"], None, None),
+        (["analyze", "assignment", "--strategy", "round-robin:2", "--trace", "0,1,0"], None, None),
         (["instance", "check"], _instance_with(b_certified="no"), None),
         (["instance", "check"], _instance_with(c="2"), None),
         (["instance", "check"], _instance_with(c=2.5), None),
@@ -501,7 +502,8 @@ BAD_HEX = {"0x1f": "prefix", "1_f": "separator", " 1f\n": "whitespace", "+1f": "
         "design-sets-is-a-number", "census-on-bad-instance", "family-stages-is-a-number",
         "strategy-row-is-a-list", "config-strategy-row-is-a-list", "family-stage-row-is-a-list",
         "table-moves-is-a-number", "value-hex-is-a-number", "strict-is-a-string", "seed-is-a-string",
-        "trace-row-past-m", "trace-row-negative", "b-certified-is-a-string", "instance-c-is-a-string",
+        "trace-row-past-m", "trace-row-negative", "trace-final-row-repeated",
+        "b-certified-is-a-string", "instance-c-is-a-string",
         "instance-c-is-a-float", "permutation-seed-is-a-string", "design-n-is-infinity",
         "explicit-design-ell-is-a-string",
         *[f"b-hex-{name}" for name in BAD_HEX.values()],

@@ -223,8 +223,9 @@ def test_seeded_random_strategy_is_reproducible(inst_a):
 
 
 def test_seeded_random_hashes_each_step_of_an_input_once(monkeypatch, inst_a):
-    """Each input's steps are hashed when first asked, in any order, and
-    reduced mod the asking instance's m; a second scan hashes nothing."""
+    """Each input's steps 0..k are hashed once each, in step order, when
+    step k is first asked, whatever the ask order, and reduced mod the
+    asking instance's m; a second scan hashes nothing."""
     hashed = []
 
     def counting_stream(*prefix, stream=game.seed_stream):
@@ -241,7 +242,7 @@ def test_seeded_random_hashes_each_step_of_an_input_once(monkeypatch, inst_a):
         for step in (2, 0, 3, 1, 2, 4):
             want = derive_seed("srand", 9, "0101", step) % view.m if step < 4 else Output("s")
             assert student.move(view, "0101", ("00",) * step) == want
-    assert hashed == [("0101", 2), ("0101", 0), ("0101", 3), ("0101", 1)]
+    assert hashed == [("0101", 0), ("0101", 1), ("0101", 2), ("0101", 3)]
     for witness in (True, False):
         hashed.clear()
         first = scan(inst, student, witness)

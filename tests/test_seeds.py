@@ -1,6 +1,7 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from nwgame import seeded_random_strategy
+from nwgame import game, seeded_random_strategy
 from nwgame.game import GameView
 from nwgame.seeds import derive_seed, seed_stream
 
@@ -59,3 +60,42 @@ def test_seeded_random_rows_survive_a_shared_strategy_and_eviction():
     for value in range(1 << 16 | 1000):
         student.move(flood, format(value, "017b"), ())
     rows_match()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    max_queries=st.integers(1, 4),
+    seed=st.integers(-5, 2**40),
+    values=st.lists(st.integers(0, 15), min_size=1, max_size=3, unique=True),
+    asks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 4)), max_size=24),
+)
+def test_seeded_random_memo_hashes_each_inputs_steps_once_in_step_order(max_queries, seed, values, asks):
+    # random ask orders over up to 3 inputs and two instances, m = 5 and m = 10
+    hashed = []
+
+    def counting_stream(*prefix):
+        draw = seed_stream(*prefix)
+
+        def row_seed(*rest):
+            hashed.append(rest)
+            return draw(*rest)
+
+        return row_seed
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(game, "seed_stream", counting_stream)
+        student = seeded_random_strategy(max_queries, seed)
+    views = [(GameView(inst, False), inst) for inst in (INSTANCES[0], INSTANCES[2])]
+    inputs = [format(value, "04b") for value in values]
+    furthest = {a: -1 for a in inputs}
+    for which, side, step in asks:
+        (view, inst), a = views[side], inputs[which % len(inputs)]
+        move = student.move(view, a, ("0" * inst.ell,) * step)
+        if step < max_queries:
+            assert move == derive_seed("srand", seed, a, step) % inst.m
+            furthest[a] = max(furthest[a], step)
+        else:
+            assert move.value is None
+    for a in inputs:
+        assert [step for asked, step in hashed if asked == a] == list(range(furthest[a] + 1))
+    assert len(hashed) == sum(k + 1 for k in furthest.values())
