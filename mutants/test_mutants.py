@@ -78,6 +78,12 @@ MUTANTS = [
            "the predictor never bets, even when the student asks the final row"),
     Mutant("m15", "game.py", "known.append(row_seed(a, len(known)))", "known.append(row_seed(a, step))",
            "the seeded-random memo gives a skipped step the asked step's hash"),
+    Mutant("m16", "game.py", "for step, row in reversed(list(enumerate(firsts))):", "for step, row in enumerate(firsts):",
+           "a plan column keeps each input's last success, not its first"),
+    Mutant("m17", "game.py", "translate(_DIFFERS[b[row]])", 'translate(_DIFFERS[ord("0")])',
+           "a plan column ignores b's bit and succeeds on every hard bit 1"),
+    Mutant("m18", "game.py", "strategy.plan(m)[: len(steps)]", "strategy.plan(m)",
+           "a plan column is not cut to the solve budget min(max_queries, c)"),
 ]
 
 

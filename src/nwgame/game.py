@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from itertools import compress
+from itertools import compress, takewhile
 from operator import not_
 from typing import Any, Callable, Iterable, NamedTuple
 
@@ -28,6 +28,7 @@ from .seeds import derive_seed, seed_stream
 from .sharding import run_sharded
 
 EXHAUSTIVE_MAX_N = 14
+_DIFFERS = {ord("0"): bytes.maketrans(b"01", b"\0\xff"), ord("1"): bytes.maketrans(b"01", b"\xff\0")}
 
 
 @dataclass(frozen=True)
@@ -84,13 +85,16 @@ class StudentStrategy:
 
     move(view, a, replies) sees the shared input and all teacher replies so
     far and returns the next row to query, an Output to stop with a value,
-    or None to give up.
+    or None to give up.  plan, set when those rows depend on neither a nor the
+    replies, maps m to them in order; scans then ask no move, so a copy that
+    changes move must clear plan, as play does.
     """
 
     name: str
     max_queries: int
     move: Callable[[GameView, str, tuple[str, ...]], Move]
     may_invert: bool = False
+    plan: Callable[[int], tuple[int, ...]] | None = None
 
     def __post_init__(self) -> None:
         if self.max_queries < 0:
@@ -134,11 +138,31 @@ def _column(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callabl
        and the student is not asked again.
     Each row maps to (bit offset of its slot, its bit of b) in a dict, so a
     move must be an int to be a row: `rows.get(1.0)` would find row 1.  A
-    successful game's last reply is never added, since no move reads it."""
+    successful game's last reply is never added, since no move reads it.
+
+    A plan on byte slots (ell <= 8, m < 256) plays no game: cut at the step
+    budget and at its first non-row (rule 2), it ends at the first row whose
+    hard bit, read off one byte matrix of the packs, differs from b's (rule 3)."""
     if inst.b is None:
         raise ValueError("instance has no off-range string b; attach one first")
     mask, offsets = inst._rows
     steps = range(strategy.max_queries if witness else min(strategy.max_queries, inst.c))
+    if strategy.plan is not None and offsets.step == 8 and inst.m < 256:
+        m, b = inst.m, inst.b.encode()
+        plan = tuple(takewhile(range(m).__contains__, strategy.plan(m)[: len(steps)]))
+        firsts = tuple(dict.fromkeys(plan))  # a row asked again repeats its bit
+        ends = [plan[: plan.index(row) + 1] for row in firsts] + [None]
+
+        def plan_column(inputs: Iterable[str], packs: Iterable[int]) -> list:
+            slots = [p.to_bytes(m, "little") for p in packs]
+            hard, ones = b"".join(slots).translate(inst._hard_bits), int.from_bytes(b"\1" * len(slots), "little")
+            first = ones * len(firsts)  # one byte per input: its index in ends, below 256 as m is
+            for step, row in reversed(list(enumerate(firsts))):  # so the first success is written last
+                hit = int.from_bytes(hard[row::m].translate(_DIFFERS[b[row]]), "little")  # 0xff where b's bit differs
+                first = first & ~hit | ones * step & hit
+            return list(map(ends.__getitem__, first.to_bytes(len(slots), "little")))
+
+        return plan_column
     view, move, answers = GameView(inst, strategy.may_invert), strategy.move, inst._answers
     rows = dict(enumerate(zip(offsets, inst.b)))
 
@@ -181,7 +205,7 @@ def _play(inst: Instance, strategy: StudentStrategy, a: str, witness: bool) -> T
         asks.append((replies, strategy.move(view, a, replies)))
         return asks[-1][1]
 
-    [trace] = _column(inst, replace(strategy, move=move), witness)((a,), (packed,))
+    [trace] = _column(inst, replace(strategy, move=move, plan=None), witness)((a,), (packed,))
     replies, row = asks[-1] if asks else ((), None)  # a solve budget of 0 asks nothing
     answered = trace is not None or not witness and isinstance(row, int) and 0 <= row < inst.m
     if answered:
@@ -226,7 +250,7 @@ class FailureReport:
 
 def scan(inst: Instance, strategy: StudentStrategy, witness: bool = False, jobs: int = 1) -> list:
     """Play each of the 2^n inputs once, in input order (n <= EXHAUSTIVE_MAX_N),
-    through the game loop `_column`, reading each from `inst._inputs`, and
+    through `_column` (a plan's rows, else the game loop), reading each from `inst._inputs`, and
     return its column: the trace of each successful run (never empty), or None.
 
     Every exhaustive question about a strategy is a fold over this column;
@@ -270,7 +294,7 @@ def constant_strategy(row: int, queries: int = 1, output: Any = None, name: str 
     def move(view: GameView, a: str, replies: tuple[str, ...]) -> Move:
         return row if len(replies) < queries else stop
 
-    return StudentStrategy(name or f"constant-{row}x{queries}", max_queries=queries, move=move)
+    return StudentStrategy(name or f"constant-{row}x{queries}", max_queries=queries, move=move, plan=lambda m: (row,) * queries)
 
 
 def round_robin_strategy(max_queries: int, start: int = 0, output: Any = None, name: str | None = None) -> StudentStrategy:
@@ -281,7 +305,8 @@ def round_robin_strategy(max_queries: int, start: int = 0, output: Any = None, n
         step = len(replies)
         return (start + step) % view.m if step < max_queries else stop
 
-    return StudentStrategy(name or f"round-robin-{max_queries}@{start}", max_queries=max_queries, move=move)
+    plan = lambda m: tuple((start + s) % m for s in range(max_queries))  # noqa: E731
+    return StudentStrategy(name or f"round-robin-{max_queries}@{start}", max_queries=max_queries, move=move, plan=plan)
 
 
 def seeded_random_strategy(max_queries: int, seed: int = 0, output: Any = None, name: str | None = None) -> StudentStrategy:

@@ -133,11 +133,11 @@ class Instance:
     @cached_property
     def _output(self) -> Callable[[int], str]:
         # not a field: `evaluate` on an input's value.  Byte slots (ell <= 8) go
-        # through a translate table of all 2^ell hard bits (bytes past 2^ell
-        # never occur in a slot); wider rows fill one memo entry per restriction met
+        # through the translate table `_hard_bits` (bytes past 2^ell never occur
+        # in a slot); wider rows fill one memo entry per restriction met
         pack, answers, (mask, shifts) = self.restrictions, self._answers, self._rows
         if shifts.step == 8:
-            m, table = self.m, "".join([answers[u][1] for u in range(1 << self.ell)]).ljust(256).encode()
+            m, table = self.m, self._hard_bits
             return lambda x: pack(x).to_bytes(m, "little").translate(table).decode()
 
         def wide(x: int) -> str:
@@ -145,6 +145,11 @@ class Instance:
             return "".join([answers[packed >> shift & mask][1] for shift in shifts])
 
         return wide
+
+    @cached_property
+    def _hard_bits(self) -> bytes:
+        # not a field: byte slots' (ell <= 8) translate table to b"0"/b"1" hard bits
+        return "".join([self._answers[u][1] for u in range(1 << self.ell)]).ljust(256).encode()
 
     @cached_property
     def _inputs(self) -> tuple[tuple[str, ...], tuple[int, ...]]:

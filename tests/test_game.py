@@ -20,6 +20,7 @@ from nwgame import (
     StudentStrategy,
     best_margin_trace,
     best_partial_assignment,
+    build_predictor,
     compose,
     constant_strategy,
     definedness_set,
@@ -35,7 +36,7 @@ from nwgame import (
     table_strategy,
     trace_census,
 )
-from nwgame import game
+from nwgame import cli, game
 from nwgame.bits import all_bitstrings, int_to_bits
 from nwgame.cli import EXIT_OK, main
 from nwgame.design import restrict
@@ -467,9 +468,11 @@ def _stop_rule_reference(inst, strategy, a, witness):
 def _scan_matches_reference(inst, student, witness):
     """The game loop's transcripts (through play or evaluate_partial) and
     trace column (scan at jobs 1 and 3), and the count of move calls of
-    each, equal the reference's; returns the reference's (transcript, moves
-    asked) per input."""
+    each, equal the reference's; so does the column of `scan` on the
+    student as built, which skips the game loop when it has a plan.
+    Returns the reference's (transcript, moves asked) per input."""
     expected = [_stop_rule_reference(inst, student, a, witness) for a in all_bitstrings(inst.n)]
+    column = [t.trace for t, _ in expected]
     moves = sum(calls for _, calls in expected)
     asked = []
 
@@ -477,14 +480,15 @@ def _scan_matches_reference(inst, student, witness):
         asked.append(a)
         return student.move(view, a, replies)
 
-    counting = dataclasses.replace(student, move=counted)
+    counting = dataclasses.replace(student, move=counted, plan=None)
     run = evaluate_partial if witness else play
     assert [run(inst, counting, a) for a in all_bitstrings(inst.n)] == [t for t, _ in expected]
     assert len(asked) == moves
     for jobs in (1, 3):
         asked.clear()
-        assert scan(inst, counting, witness, jobs) == [t.trace for t, _ in expected]
+        assert scan(inst, counting, witness, jobs) == column
         assert len(asked) == moves
+        assert scan(inst, student, witness, jobs) == column
     return expected
 
 
@@ -579,7 +583,95 @@ def test_library_student_stops_with_one_output_object(which):
             return out
 
         for witness in (False, True):
-            scan(inst, dataclasses.replace(student, move=recorded), witness=witness)
+            scan(inst, dataclasses.replace(student, move=recorded, plan=None), witness=witness)
+
+
+# rows of ell = 9 bits take two bytes each, so every student there plays the game loop
+PLAN_INSTANCES = STOP_RULE_INSTANCES + [
+    Instance(extend_greedy(Design(n=10, ell=9, d=8, sets=()), 3, 1), Permutation(ell=9, kind="table"), HardBit("last-bit"), 2, "010")
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    which=st.integers(0, len(PLAN_INSTANCES) - 1),
+    kind=st.sampled_from(["constant", "round-robin"]),
+    row=st.integers(-3, 12),
+    queries=st.integers(0, 5),
+    output=st.one_of(st.none(), st.integers(0, 3)),
+    sample_seed=st.integers(0, 99),
+    outside=st.integers(0, 255),
+)
+def test_plan_columns_match_the_game_loop_and_the_reference(which, kind, row, queries, output, sample_seed, outside):
+    inst = PLAN_INSTANCES[which]
+    if kind == "constant":
+        built = constant_strategy(row, queries=queries, output=output)
+    else:
+        built = round_robin_strategy(queries, start=row, output=output)
+    looped = dataclasses.replace(built, plan=None)
+    inputs = list(all_bitstrings(inst.n))
+    for witness in (True, False):  # the solve column is the one kept
+        reference = [_stop_rule_reference(inst, built, a, witness)[0].trace for a in inputs]
+        assert scan(inst, built, witness) == scan(inst, looped, witness) == reference
+
+    rng = random.Random(derive_seed("failure-sample", sample_seed))
+    failures = tuple(inputs[x] for x in [rng.randrange(1 << inst.n) for _ in range(30)] if reference[x] is None)
+    for student in (built, looped):
+        assert failure_set(inst, student, sample=(30, sample_seed)).failures == failures
+
+    trace = next(filter(None, reference), (0,))
+    fixed = int_to_bits(outside % (1 << (inst.n - inst.ell)), inst.n - inst.ell)
+    ones = total = 0
+    for u in all_bitstrings(inst.ell):
+        played = reference[int(embed(u, fixed, inst.design.sets[trace[-1]], inst.n), 2)]
+        if played != trace and not (played and len(played) > len(trace) and played[: len(trace)] == trace):
+            total += 1
+            ones += inst.hard_bit.value(inst.h.invert(u))
+    for student in (built, looped):
+        assert build_predictor(inst, student, trace, fixed, tables={}).default_bit == int(2 * ones > total)
+
+
+@pytest.mark.parametrize("c", [1, 2])
+def test_reports_are_the_same_bytes_with_every_plan_cleared(monkeypatch, c):
+    config = {
+        "seed": 7,
+        "c": c,
+        "design": {"q": 3, "degree": 1, "extend_to": 10},
+        "permutation": {"kind": "table"},
+        "hard_bit": "last-bit",
+        "b": {"mode": "lex-min"},
+        "strategies": [
+            {"kind": "constant", "row": 0},
+            {"kind": "constant", "row": 4, "queries": 3, "output": 1},
+            {"kind": "constant", "row": 12},
+            {"kind": "round-robin", "max_queries": 2, "start": 3},
+            {"kind": "round-robin", "max_queries": 3, "start": 7},
+        ],
+        "analyses": ["census", "assignment", "reduce", "failureset"],
+    }
+    built = json.dumps(cli.run_experiment(config), sort_keys=True)
+    assert all(game.strategy_from_spec(spec).plan is not None for spec in config["strategies"])
+    monkeypatch.setattr(cli, "strategy_from_spec", lambda spec: dataclasses.replace(game.strategy_from_spec(spec), plan=None))
+    assert json.dumps(cli.run_experiment(config), sort_keys=True) == built
+
+
+def test_instances_of_256_rows_keep_the_game_loop():
+    wide = greedy_instance(13, 3, 2, seed=1, c=300, m=256)
+    design = dataclasses.replace(wide.design, sets=wide.design.sets[:255])
+    rng = random.Random(derive_seed("failure-sample", 5))
+    drawn = [int_to_bits(rng.randrange(1 << 13), 13) for _ in range(20)]
+    for inst, loops in ((dataclasses.replace(wide, design=design, b=wide.b[:255], b_certified=False), False), (wide, True)):
+        student, asked = round_robin_strategy(inst.m, start=1), []
+
+        # this copy keeps the plan, which still names the rows its move asks,
+        # so the moves asked tell the game loop from the plan column
+        def counted(view, a, replies, move=student.move):
+            asked.append(a)
+            return move(view, a, replies)
+
+        report = failure_set(inst, dataclasses.replace(student, move=counted), sample=(20, 5))
+        assert report.failures == tuple(a for a in drawn if not play(inst, student, a).success)
+        assert bool(asked) == loops
 
 
 @pytest.fixture(scope="module")
