@@ -84,6 +84,15 @@ MUTANTS = [
            "a plan column ignores b's bit and succeeds on every hard bit 1"),
     Mutant("m18", "game.py", "strategy.plan(m)[: len(steps)]", "strategy.plan(m)",
            "a plan column is not cut to the solve budget min(max_queries, c)"),
+    Mutant("m19", "analysis.py", '"proper": -1', '"proper": 0',
+           "the assignment search scores a proper extension 0, so its margin is the exact count alone"),
+    Mutant("m20", "game.py", "takewhile(lambda row: isinstance(row, int) and 0 <= row < m, ",
+           "takewhile(range(m).__contains__, ",
+           "a plan column takes 1.0 as row 1, where the game loop takes it for no row"),
+    Mutant("r1", "analysis.py", "if inst.hard_bit.value(witness) != int(inst.b[expected]):", "if False:",
+           "the predictor's replay goes on past a reply that disagrees with b, so it bets where the live game already stopped"),
+    Mutant("r2", "analysis.py", "replies += (witness,)", "replies += (z,)",
+           "the predictor replays the row's restriction as the reply, not its preimage"),
 ]
 
 

@@ -133,7 +133,7 @@ def _classify(trace: Trace | None, target: Trace) -> str:
 
 def _final_row(inst: Instance, trace: Trace) -> int:
     """Check the one trace rule of the reduction's entry points; return trace[-1]."""
-    if not trace or trace[-1] in trace[:-1] or not all(0 <= row < inst.m for row in trace):
+    if not trace or trace[-1] in trace[:-1] or not all(isinstance(row, int) and 0 <= row < inst.m for row in trace):
         raise ValueError(f"trace must be nonempty rows in 0..{inst.m - 1}, its final row not queried before: {list(trace)}")
     return trace[-1]
 
@@ -145,17 +145,15 @@ def best_partial_assignment(
     keep the fixing maximizing the margin; ties go to the lexicographically
     smallest fixing.
 
-    One grouped pass over the scan: each distinct trace is classified once,
-    each input coded by its class (exact 1, proper 2^(ell+1), above any
-    group's exact count), and the inputs listed group by group, a fixing's
-    group being its 2^ell inputs fixing | deposit(u) over the row's
-    positions, so each 2^ell chunk of codes sums once for both counts.  The
-    first maximum in ascending fixing order is the lex-min fixing.
+    Each distinct trace of the scan is scored once: exact +1, proper -1,
+    other 0.  A fixing's group is its 2^ell inputs fixing | deposit(u) over
+    the row's positions, so its margin is the sum of its group's scores,
+    and the first maximum in ascending fixing order is the lex-min fixing.
 
     The best margin is at least ceil(full_margin / 2^(n-ell)) by averaging:
     summing per-fixing margins over all fixings gives the full margin.
     """
-    row, n, unit = _final_row(inst, trace), inst.n, 2 << inst.ell
+    row, n = _final_row(inst, trace), inst.n
     inside = inst.design.sets[row]
     # both built from the lowest bit up, so `fixings` ascends, and the i-th
     # fixing's outside bits read as the n - ell bits of i
@@ -164,15 +162,14 @@ def best_partial_assignment(
         group = deposits if p in inside else fixings
         group += [x | 1 << (n - 1 - p) for x in group]
 
-    played = scan(inst, strategy, jobs=jobs)
-    weight = {"exact": 1, "proper": unit, "other": 0}
-    code = {seen: weight[_classify(seen, trace)] for seen in set(played)}
-    codes = map(code.__getitem__, map(played.__getitem__, [fixing | u for fixing in fixings for u in deposits]))
-    sums = list(map(sum, zip(*[codes] * len(deposits))))
-    margins = [total % unit - total // unit for total in sums]
+    played, size = scan(inst, strategy, jobs=jobs), len(deposits)
+    score = {"exact": 1, "proper": -1, "other": 0}
+    scored = {seen: score[_classify(seen, trace)] for seen in set(played)}
+    scores = [scored[played[fixing | u]] for fixing in fixings for u in deposits]
+    margins = list(map(sum, zip(*[iter(scores)] * size)))
     best = margins.index(max(margins))
-    exact, proper = sums[best] % unit, sums[best] // unit
-    return PartialAssignment(row, int_to_bits(best, n - inst.ell), margins[best], exact, proper)
+    won = scores[best * size : (best + 1) * size]
+    return PartialAssignment(row, int_to_bits(best, n - inst.ell), margins[best], won.count(1), won.count(-1))
 
 
 def build_witness_tables(

@@ -81,10 +81,12 @@ def _b_off_range(inst: Instance) -> bool | None:
 
 
 def _load_instance(path: str) -> Instance:
-    """The instance in the file, its claim `b_certified` rechecked: a b in the
-    generator's range is a validation failure, and a claim that cannot be
-    rechecked (n > ENUMERATION_MAX_N) is dropped."""
+    """The instance in the file, its b rechecked: a b in the generator's range
+    is a validation failure (with no rows, so is any b, claimed or not), and
+    a `b_certified` claim that cannot be rechecked (n > ENUMERATION_MAX_N) is dropped."""
     inst = Instance.from_json_dict(_load_json(path))
+    if inst.b is not None and inst.m == 0:
+        raise ValidationError(f"{path} has a design with no rows, so its b is in the generator's range")
     if not inst.b_certified:
         return inst
     off_range = _b_off_range(inst)

@@ -149,7 +149,7 @@ def _column(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callabl
     steps = range(strategy.max_queries if witness else min(strategy.max_queries, inst.c))
     if strategy.plan is not None and offsets.step == 8 and inst.m < 256:
         m, b = inst.m, inst.b.encode()
-        plan = tuple(takewhile(range(m).__contains__, strategy.plan(m)[: len(steps)]))
+        plan = tuple(takewhile(lambda row: isinstance(row, int) and 0 <= row < m, strategy.plan(m)[: len(steps)]))
         firsts = tuple(dict.fromkeys(plan))  # a row asked again repeats its bit
         ends = [plan[: plan.index(row) + 1] for row in firsts] + [None]
 

@@ -18,6 +18,7 @@ from nwgame import (
     omniscient_strategy,
     round_robin_strategy,
     run_reduction,
+    seeded_random_strategy,
     table_strategy,
     trace_census,
 )
@@ -25,7 +26,7 @@ from nwgame.analysis import MAX_BOUND_DIGITS, TraceCensus, _classify, _score_key
 from nwgame.bits import all_bitstrings
 from nwgame.crypto import HardBit, Permutation, preimage_bit
 from nwgame.design import Design, embed, restrict
-from nwgame.game import play
+from nwgame.game import StudentStrategy, play
 from nwgame.generator import Instance
 
 from helpers import greedy_instance, near_omniscient, reference_instance
@@ -169,7 +170,9 @@ def test_witness_tables_reject_rows_outside_the_design(inst_a):
             build_witness_tables(inst_a, trace, "00")
 
 
-@pytest.mark.parametrize("trace", [(), (9,), (0, 1, 0)], ids=["empty", "row-past-m", "final-row-repeated"])
+@pytest.mark.parametrize(
+    "trace", [(), (9,), (0, 1, 0), (1.0,), (0, 1.0)], ids=["empty", "row-past-m", "final-row-repeated", "float-row", "float-final-row"]
+)
 def test_reduction_entry_points_share_one_trace_rule(inst_a_c2, trace):
     # a final row queried twice ends no successful run: its second reply
     # equals its first, which agreed with b
@@ -255,6 +258,40 @@ def test_predictor_falls_back_on_a_tampered_witness_table(tamper, counter):
     assert hit and all(guesses[u] == predictor.default_bit for u in hit)
     counts = {key: getattr(predictor, key) for key in ("missing_witness", "forward_check_failures")}
     assert counts == {key: len(hit) if key == counter else 0 for key in counts}
+
+
+def _reply_reader() -> StudentStrategy:
+    """Asks row 0, then row 1 or 2 by the first bit of row 0's reply: the
+    one student here whose rows read what a reply holds."""
+
+    def move(view, a, replies):
+        if not replies:
+            return 0
+        return 1 + int(replies[0][0]) if len(replies) == 1 else None
+
+    return StudentStrategy("reply-reader", 2, move)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(6, 9), seed=st.integers(0, 20), c=st.sampled_from([2, 3]), data=st.data())
+def test_predictor_bets_exactly_where_the_live_game_reaches_the_final_row(n, seed, c, data):
+    # the bet from the definition, for each u on the final row of a forced
+    # multi-row trace: 1 - b[trace[-1]] when the live game's queries start
+    # with the trace (every earlier reply agreed with b), else the default bit
+    inst = greedy_instance(n, 3, 2, seed, c=c)
+    start = data.draw(st.integers(0, inst.m - 1))
+    for student in (round_robin_strategy(c, start=start), seeded_random_strategy(c, seed=seed), _reply_reader()):
+        traces = sorted((t for t in trace_census(inst, student).counts if len(t) > 1), key=lambda t: (len(t), t))
+        if not traces:
+            continue
+        trace = data.draw(st.sampled_from(traces))
+        outside = best_partial_assignment(inst, student, trace).outside
+        predictor = build_predictor(inst, student, trace, outside)
+        positions = inst.design.sets[trace[-1]]
+        for u in all_bitstrings(inst.ell):
+            queries = play(inst, student, embed(u, outside, positions, inst.n)).queries
+            bet = 1 - int(inst.b[trace[-1]]) if queries[: len(trace)] == trace else predictor.default_bit
+            assert predictor.run(u) == bet, (student.name, trace, u)
 
 
 def test_default_bit_is_0_when_every_input_follows_the_trace():
@@ -410,3 +447,21 @@ def test_reduction_meets_the_target_below_a_ceiling_of_at_least_one(n, seed):
         report = run_reduction(inst, table_strategy(moves, max_queries=1))
         assert report.failure_count == k < bound
         assert report.met is True
+
+
+def test_reduction_meets_the_target_on_two_rows_below_a_c2_ceiling_of_at_least_one():
+    # ell = 12 lifts the c = 2 ceiling 2^ell / (2 * (3m)^2) to 1.011 at
+    # m = 15.  Each input asks an agreeing row, if it has one, and then a
+    # disagreeing one, except input 0, which asks the agreeing row alone
+    inst = greedy_instance(14, 12, 11, seed=0, c=2)
+    assert 1 < failure_bound(inst.ell, inst.m, inst.c) < 2
+    moves = {}
+    for a in all_bitstrings(inst.n):
+        agrees = [out == bit for out, bit in zip(evaluate(inst, a), inst.b)]
+        won = (agrees.index(False),)
+        moves[a] = (agrees.index(True),) + won if True in agrees else won
+    moves["0" * inst.n] = moves["0" * inst.n][:1]
+    report = run_reduction(inst, table_strategy(moves, max_queries=2))
+    assert len(report.trace) == 2
+    assert report.failure_count == 1
+    assert report.met is True

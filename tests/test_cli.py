@@ -283,6 +283,33 @@ def test_zero_row_design_has_no_off_range_b(tmp_path, capsys, mode, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("claimed", [False, True], ids=["unclaimed", "claimed"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["game", "failureset", "--strategy", "round-robin:1"],
+        ["game", "play", "--strategy", "round-robin:1", "--input", "000"],
+        ["analyze", "census", "--strategy", "seeded-random:1"],
+        ["hardcore", "sweep", "--family", '["round-robin:1"]', "--k-max", "1"],
+    ],
+    ids=["game-failureset", "game-play", "analyze-census", "hardcore-sweep"],
+)
+def test_a_loaded_b_on_a_design_with_no_rows_is_in_range(tmp_path, capsys, monkeypatch, argv, claimed):
+    # the generator's one output is the empty string, which is the only b
+    instance = tmp_path / "empty.json"
+    instance.write_text(json.dumps({
+        "design": {"n": 3, "ell": 2, "d": 1, "sets": []}, "permutation": {"ell": 2, "kind": "identity"},
+        "c": 1, "b_hex": "", "b_certified": claimed,
+    }))
+
+    def no_game(*args):
+        raise AssertionError("a game was played")
+
+    monkeypatch.setattr(nwgame.game, "_column", no_game)
+    assert main([*argv, "--instance", str(instance)]) == EXIT_VALIDATION
+    assert str(instance) in capsys.readouterr().err
+
+
 def test_oversized_budgets_exit_config_before_any_game(workspace, capsys, monkeypatch):
     # a failure ceiling too long to print is refused before the first game
     tmp, _, instance = workspace

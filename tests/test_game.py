@@ -6,7 +6,7 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nwgame import (
     CapabilityError,
@@ -596,12 +596,13 @@ PLAN_INSTANCES = STOP_RULE_INSTANCES + [
 @given(
     which=st.integers(0, len(PLAN_INSTANCES) - 1),
     kind=st.sampled_from(["constant", "round-robin"]),
-    row=st.integers(-3, 12),
+    row=st.one_of(st.integers(-3, 12), st.sampled_from([1.0, True])),  # the game loop takes True as row 1, 1.0 as no row
     queries=st.integers(0, 5),
     output=st.one_of(st.none(), st.integers(0, 3)),
     sample_seed=st.integers(0, 99),
     outside=st.integers(0, 255),
 )
+@example(which=0, kind="constant", row=1.0, queries=1, output=None, sample_seed=0, outside=0)
 def test_plan_columns_match_the_game_loop_and_the_reference(which, kind, row, queries, output, sample_seed, outside):
     inst = PLAN_INSTANCES[which]
     if kind == "constant":
