@@ -17,6 +17,7 @@ row instead of counting as a kill.  The rows run two at a time.
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -89,6 +90,11 @@ MUTANTS = [
     Mutant("m20", "game.py", "takewhile(lambda row: isinstance(row, int) and 0 <= row < m, ",
            "takewhile(range(m).__contains__, ",
            "a plan column takes 1.0 as row 1, where the game loop takes it for no row"),
+    Mutant("m21", "hardcore.py", "row = stage_move(view if own_view else view.without_invert, a, own)",
+           "row = stage_move(view, a, own)",
+           "the composite hands every stage its own view, so an unflagged stage may invert in a flagged composite"),
+    Mutant("m22", "analysis.py", "min(strategy.max_queries, inst.c)", "strategy.max_queries",
+           "build_predictor's budget check ignores c, so it accepts a trace the live game never finishes"),
     Mutant("r1", "analysis.py", "if inst.hard_bit.value(witness) != int(inst.b[expected]):", "if False:",
            "the predictor's replay goes on past a reply that disagrees with b, so it bets where the live game already stopped"),
     Mutant("r2", "analysis.py", "replies += (witness,)", "replies += (z,)",
@@ -133,3 +139,8 @@ def test_tier1_kills_the_mutant(outcomes, mutant):
         assert mutant.equivalent.strip(), f"{mutant.id}: marked equivalent with no reason"
         return
     assert result.returncode == 1, f"{mutant.id} survived: {mutant.why}\n{tail}"
+
+
+def test_readme_counts_the_faults():
+    match = re.search(r"Its (\d+) faults", " ".join((ROOT / "README.md").read_text().split()))
+    assert match and int(match.group(1)) == len(MUTANTS), "README's mutant sentence must name len(MUTANTS)"

@@ -253,9 +253,12 @@ def build_predictor(
     the exact majority of the true hard bit over the inputs whose live trace
     neither equals nor extends the chosen trace (ties and empty sets to 0).
     Inversion is confined to this build step."""
+    positions = inst.design.sets[_final_row(inst, trace)]
+    budget = min(strategy.max_queries, inst.c)  # the live game never asks the final row of a longer trace
+    if len(trace) > budget:
+        raise ValueError(f"trace has {len(trace)} rows, more than the solve budget min(max_queries, c) = {budget}")
     if tables is None:
         tables = build_witness_tables(inst, trace, outside)
-    positions = inst.design.sets[_final_row(inst, trace)]
     inputs = [embed(u, outside, positions, inst.n) for u in all_bitstrings(inst.ell)]
     packs = [inst.restrictions(bits_to_int(check_bits(a, inst.n, "game input"))) for a in inputs]
     ones = total = 0

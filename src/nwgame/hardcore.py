@@ -66,11 +66,7 @@ def compose(family: StudentFamily, k: int, started: dict[str, int] | None = None
     """
     stages = family.stages[:stage_count(family, k)]
     may_invert = any(stage.may_invert for stage in stages)
-    plan = tuple(
-        (stage.move, stage.max_queries) if stage.may_invert or not may_invert
-        else (lambda view, *rest, move=stage.move: move(view.without_invert, *rest), stage.max_queries)
-        for stage in stages
-    )
+    table = tuple((stage.move, stage.max_queries, stage.may_invert or not may_invert) for stage in stages)
     violation = ProtocolViolation()
     # (view, a, replies, index, own, outputs): the stage, its own replies and
     # the finished stages' outputs; a game is saved when it has consumed every
@@ -88,10 +84,10 @@ def compose(family: StudentFamily, k: int, started: dict[str, int] | None = None
         else:
             index, own, used, outputs = 0, (), 0, ()
         while index < k:
-            stage_move, limit = plan[index]
-            row = stage_move(view, a, own)
+            stage_move, limit, own_view = table[index]
+            row = stage_move(view if own_view else view.without_invert, a, own)
             if row is None or isinstance(row, Output):
-                outputs += (getattr(row, "value", None),)
+                outputs += (None if row is None else row.value,)
                 index, own = index + 1, ()
                 if started is not None and index < k and started.get(a, 1) <= index:
                     started[a] = index + 1

@@ -22,6 +22,7 @@ from nwgame import (
     table_strategy,
     trace_census,
 )
+from nwgame import analysis
 from nwgame.analysis import MAX_BOUND_DIGITS, TraceCensus, _classify, _score_key
 from nwgame.bits import all_bitstrings
 from nwgame.crypto import HardBit, Permutation, preimage_bit
@@ -292,6 +293,23 @@ def test_predictor_bets_exactly_where_the_live_game_reaches_the_final_row(n, see
             queries = play(inst, student, embed(u, outside, positions, inst.n)).queries
             bet = 1 - int(inst.b[trace[-1]]) if queries[: len(trace)] == trace else predictor.default_bit
             assert predictor.run(u) == bet, (student.name, trace, u)
+
+
+def test_predictor_refuses_a_trace_longer_than_the_solve_budget(monkeypatch):
+    # the live game asks at most min(max_queries, c) rows, so it never asks
+    # the final row of a longer trace: no bet there matches the definition's.
+    # The refusal comes before any witness table is built
+    monkeypatch.setattr(analysis, "build_witness_tables", None)
+    for seed in range(6):
+        inst = greedy_instance(8, 3, 2, seed, c=2)
+        for outside in all_bitstrings(inst.n - inst.ell):
+            for tables in (None, {}):
+                with pytest.raises(ValueError, match=r"min\(max_queries, c\) = 2"):
+                    build_predictor(inst, round_robin_strategy(3), (0, 1, 2), outside, tables)
+    inst, outside = greedy_instance(8, 3, 2, 0, c=2), "00000"
+    with pytest.raises(ValueError, match=r"min\(max_queries, c\) = 1"):
+        build_predictor(inst, round_robin_strategy(1), (0, 1), outside, {})
+    assert build_predictor(inst, round_robin_strategy(3), (0, 1), outside, {}).trace == (0, 1)
 
 
 def test_default_bit_is_0_when_every_input_follows_the_trace():

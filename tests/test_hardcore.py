@@ -162,7 +162,9 @@ def test_stage_overrun_is_a_violation(inst_a):
 
 def _replay_reference(family: StudentFamily, k: int) -> StudentStrategy:
     """The composite that replays every stage from the start of the reply
-    stream on each move: the definition the incremental composite keeps."""
+    stream on each move: the definition the incremental composite keeps.
+    Each stage is handed a view that may invert only if it is flagged
+    may_invert itself."""
     stages = family.stages[:k]
 
     def move(view, a, replies):
@@ -170,8 +172,9 @@ def _replay_reference(family: StudentFamily, k: int) -> StudentStrategy:
         outputs = []
         for stage in stages:
             consumed = 0
+            stage_view = view if stage.may_invert else view.without_invert
             while True:
-                stage_move = stage.move(view, a, replies[cursor : cursor + consumed])
+                stage_move = stage.move(stage_view, a, replies[cursor : cursor + consumed])
                 if isinstance(stage_move, Output) or stage_move is None:
                     value = stage_move.value if isinstance(stage_move, Output) else None
                     outputs.append(value)
@@ -193,7 +196,7 @@ def _replay_reference(family: StudentFamily, k: int) -> StudentStrategy:
 # with one more row, whose view the call sequences switch to
 DIFFERENTIAL_INSTANCES = {n: greedy_instance(n, 2, 1, seed=n, c=2) for n in range(4, 9)}
 OTHER_INSTANCES = {n: greedy_instance(n, 2, 1, seed=n + 1, c=2, m=n + 2) for n in range(4, 9)}
-STAGE_KINDS = ("constant", "round-robin", "seeded-random", "table", "overrun", "non-row", "adaptive")
+STAGE_KINDS = ("constant", "round-robin", "seeded-random", "table", "overrun", "non-row", "adaptive", "inverting")
 
 
 def _overrun(budget: int) -> StudentStrategy:
@@ -220,11 +223,23 @@ def _adaptive(budget: int, output: str) -> StudentStrategy:
     return StudentStrategy(f"adaptive-{budget}", budget, move)
 
 
+def _inverting(budget: int) -> StudentStrategy:
+    """Flagged may_invert: picks its rows, and when to stop, from the bits of
+    the preimage of the input's first ell bits; its composite hands every
+    other stage `view.without_invert`."""
+
+    def move(view, a, replies):
+        pick = int(view.invert(a[: view.ell]), 2) + len(replies)
+        return pick % view.m if len(replies) < budget and pick % 4 else Output(pick)
+
+    return StudentStrategy(f"inverting-{budget}", budget, move, may_invert=True)
+
+
 @st.composite
 def families(draw, inst, keys) -> StudentFamily:
     """1 to 4 stages of the library kinds and of students that overrun
-    their budget, name a non-row or read the replies' bits; table stages
-    draw their inputs from `keys`."""
+    their budget, name a non-row, read the replies' bits or invert under
+    their own flag; table stages draw their inputs from `keys`."""
     stages, budget = [], 0
     for k in range(1, draw(st.integers(1, 4)) + 1):
         budget = draw(st.integers(budget, k))
@@ -244,6 +259,8 @@ def families(draw, inst, keys) -> StudentFamily:
             stage = _overrun(budget)
         elif kind == "non-row":
             stage = _non_row(budget, draw(st.integers(0, budget)))
+        elif kind == "inverting":
+            stage = _inverting(budget)
         else:
             stage = _adaptive(budget, output)
         stages.append(stage)
@@ -305,7 +322,7 @@ def test_composite_calls_match_replay_reference(data, n, calls):
     family = data.draw(families(inst, inputs))
     k = data.draw(st.integers(1, len(family.stages)))
     composite, reference = compose(family, k), _replay_reference(family, k)
-    views = (GameView(inst, False), GameView(OTHER_INSTANCES[n], False))
+    views = (GameView(inst, composite.may_invert), GameView(OTHER_INSTANCES[n], composite.may_invert))
     streams = [(), ()]
     args = (views[0], inputs[0], ())
     for game, view, action, reply in calls:
@@ -349,7 +366,7 @@ def test_composite_resumes_only_on_one_more_reply_and_records_started_stages(dat
     k = data.draw(st.integers(1, len(family.stages)))
     started, furthest = {}, {}
     composite = compose(family, k, started)
-    views = (GameView(inst, False), GameView(OTHER_INSTANCES[n], False))
+    views = (GameView(inst, composite.may_invert), GameView(OTHER_INSTANCES[n], composite.may_invert))
     streams = [(), ()]
     args = (views[0], inputs[0], ())
     for game, view, action, replies in calls:
