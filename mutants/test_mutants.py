@@ -83,8 +83,8 @@ MUTANTS = [
            "a plan column keeps each input's last success, not its first"),
     Mutant("m17", "game.py", "translate(_DIFFERS[b[row]])", 'translate(_DIFFERS[ord("0")])',
            "a plan column ignores b's bit and succeeds on every hard bit 1"),
-    Mutant("m18", "game.py", "strategy.plan(m)[: len(steps)]", "strategy.plan(m)",
-           "a plan column is not cut to the solve budget min(max_queries, c)"),
+    Mutant("m18", "game.py", "islice(strategy.plan(m), len(steps))", "strategy.plan(m)",
+           "a plan is drawn past the step budget, so its column is not cut to the solve budget min(max_queries, c)"),
     Mutant("m19", "analysis.py", '"proper": -1', '"proper": 0',
            "the assignment search scores a proper extension 0, so its margin is the exact count alone"),
     Mutant("m20", "game.py", "takewhile(lambda row: isinstance(row, int) and 0 <= row < m, ",
@@ -95,6 +95,14 @@ MUTANTS = [
            "the composite hands every stage its own view, so an unflagged stage may invert in a flagged composite"),
     Mutant("m22", "analysis.py", "min(strategy.max_queries, inst.c)", "strategy.max_queries",
            "build_predictor's budget check ignores c, so it accepts a trace the live game never finishes"),
+    Mutant("m23", "generator.py", "self.inst._rows[1][row]", "self.inst._rows[1][row - 1]",
+           "a hard-bit column reads its inputs at the previous row's slot"),
+    Mutant("m24", "game.py", "columns.of(row, packs) if span is None", "columns[row][: len(packs)] if span is None",
+           "a sampled plan column reads the scan's cached column by sample position, not by the input drawn"),
+    Mutant("m25", "game.py", "inst.m < 256 and inst.ell <= EXHAUSTIVE_MAX_N:", "inst.m < 256:",
+           "a plan on rows wider than the scan cap fills all 2^ell hard bits, where the game loop meets one per ask"),
+    Mutant("m26", "generator.py", "self.inst = weakref.proxy(inst)", "self.inst = inst",
+           "the columns hold their instance strongly, a cycle that keeps every dropped instance alive until a collection"),
     Mutant("r1", "analysis.py", "if inst.hard_bit.value(witness) != int(inst.b[expected]):", "if False:",
            "the predictor's replay goes on past a reply that disagrees with b, so it bets where the live game already stopped"),
     Mutant("r2", "analysis.py", "replies += (witness,)", "replies += (z,)",

@@ -16,18 +16,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from itertools import compress, takewhile
+from itertools import compress, islice, repeat, takewhile
 from operator import not_
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .bits import bits_to_int, check_bits, int_to_bits
 from .design import restrict
 from .errors import ABSENT, REQUIRED, CapabilityError, json_object, json_value
-from .generator import Instance
+from .generator import EXHAUSTIVE_MAX_N, Instance
 from .seeds import derive_seed, seed_stream
 from .sharding import run_sharded
 
-EXHAUSTIVE_MAX_N = 14
 _DIFFERS = {ord("0"): bytes.maketrans(b"01", b"\0\xff"), ord("1"): bytes.maketrans(b"01", b"\xff\0")}
 
 
@@ -86,15 +85,16 @@ class StudentStrategy:
     move(view, a, replies) sees the shared input and all teacher replies so
     far and returns the next row to query, an Output to stop with a value,
     or None to give up.  plan, set when those rows depend on neither a nor the
-    replies, maps m to them in order; scans then ask no move, so a copy that
-    changes move must clear plan, as play does.
+    replies, maps m to an iterable of them in order, drawn no further than the
+    step budget; scans then ask no move, so a copy that changes move must clear
+    plan, as play does.
     """
 
     name: str
     max_queries: int
     move: Callable[[GameView, str, tuple[str, ...]], Move]
     may_invert: bool = False
-    plan: Callable[[int], tuple[int, ...]] | None = None
+    plan: Callable[[int], Iterable[int]] | None = None
 
     def __post_init__(self) -> None:
         if self.max_queries < 0:
@@ -124,8 +124,8 @@ class Transcript(NamedTuple):
 
 
 def _column(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callable:
-    """The game loop: column(inputs, packs) plays each n-bit input a in
-    turn on one view, its row restrictions packed as `inst.restrictions`
+    """The game loop: column(inputs, packs, span=None) plays each n-bit input
+    a in turn on one view, its row restrictions packed as `inst.restrictions`
     packs them, and returns the list of each game's trace or None.
 
     A game asks the student once per step until the first of:
@@ -140,33 +140,33 @@ def _column(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callabl
     move must be an int to be a row: `rows.get(1.0)` would find row 1.  A
     successful game's last reply is never added, since no move reads it.
 
-    A plan on byte slots (ell <= 8, m < 256) plays no game: cut at the step
-    budget and at its first non-row (rule 2), it ends at the first row whose
-    hard bit, read off one byte matrix of the packs, differs from b's (rule 3)."""
+    A plan (m < 256, ell <= EXHAUSTIVE_MAX_N) plays no game: drawn up to the
+    step budget and cut at its first non-row (rule 2), it ends at the first row
+    whose hard bit differs from b's (rule 3), read off `inst._columns` at a
+    scan's `span` of the inputs, else off the packs themselves."""
     if inst.b is None:
         raise ValueError("instance has no off-range string b; attach one first")
-    mask, offsets = inst._rows
     steps = range(strategy.max_queries if witness else min(strategy.max_queries, inst.c))
-    if strategy.plan is not None and offsets.step == 8 and inst.m < 256:
-        m, b = inst.m, inst.b.encode()
-        plan = tuple(takewhile(lambda row: isinstance(row, int) and 0 <= row < m, strategy.plan(m)[: len(steps)]))
+    if strategy.plan is not None and inst.m < 256 and inst.ell <= EXHAUSTIVE_MAX_N:
+        m, b, columns = inst.m, inst.b.encode(), inst._columns
+        plan = tuple(takewhile(lambda row: isinstance(row, int) and 0 <= row < m, islice(strategy.plan(m), len(steps))))
         firsts = tuple(dict.fromkeys(plan))  # a row asked again repeats its bit
         ends = [plan[: plan.index(row) + 1] for row in firsts] + [None]
 
-        def plan_column(inputs: Iterable[str], packs: Iterable[int]) -> list:
-            slots = [p.to_bytes(m, "little") for p in packs]
-            hard, ones = b"".join(slots).translate(inst._hard_bits), int.from_bytes(b"\1" * len(slots), "little")
+        def plan_column(inputs: Sequence[str], packs: Sequence[int], span: slice | None = None) -> list:
+            ones = int.from_bytes(b"\1" * len(inputs), "little")
             first = ones * len(firsts)  # one byte per input: its index in ends, below 256 as m is
             for step, row in reversed(list(enumerate(firsts))):  # so the first success is written last
-                hit = int.from_bytes(hard[row::m].translate(_DIFFERS[b[row]]), "little")  # 0xff where b's bit differs
+                hard = columns.of(row, packs) if span is None else columns[row][span]
+                hit = int.from_bytes(hard.translate(_DIFFERS[b[row]]), "little")  # 0xff where b's bit differs
                 first = first & ~hit | ones * step & hit
-            return list(map(ends.__getitem__, first.to_bytes(len(slots), "little")))
+            return list(map(ends.__getitem__, first.to_bytes(len(inputs), "little")))
 
         return plan_column
-    view, move, answers = GameView(inst, strategy.may_invert), strategy.move, inst._answers
+    view, move, answers, (mask, offsets) = GameView(inst, strategy.may_invert), strategy.move, inst._answers, inst._rows
     rows = dict(enumerate(zip(offsets, inst.b)))
 
-    def column(inputs: Iterable[str], packs: Iterable[int]) -> list:
+    def column(inputs: Iterable[str], packs: Iterable[int], span: slice | None = None) -> list:
         traces: list = []
         for a, packed in zip(inputs, packs):
             queries: tuple[int, ...] = ()
@@ -250,7 +250,7 @@ class FailureReport:
 
 def scan(inst: Instance, strategy: StudentStrategy, witness: bool = False, jobs: int = 1) -> list:
     """Play each of the 2^n inputs once, in input order (n <= EXHAUSTIVE_MAX_N),
-    through `_column` (a plan's rows, else the game loop), reading each from `inst._inputs`, and
+    through `_column` (a plan's cached row columns, else the game loop on `inst._inputs`), and
     return its column: the trace of each successful run (never empty), or None.
 
     Every exhaustive question about a strategy is a fold over this column;
@@ -260,7 +260,7 @@ def scan(inst: Instance, strategy: StudentStrategy, witness: bool = False, jobs:
         raise ValueError(f"n={inst.n} > {EXHAUSTIVE_MAX_N}: exhaustive scan refused")
     column = _column(inst, strategy, witness)
     inputs, packed = inst._inputs
-    shards = run_sharded(1 << inst.n, jobs, lambda lo, hi: column(inputs[lo:hi], packed[lo:hi]))
+    shards = run_sharded(1 << inst.n, jobs, lambda lo, hi: column(inputs[lo:hi], packed[lo:hi], slice(lo, hi)))
     return [trace for shard in shards for trace in shard]
 
 
@@ -274,7 +274,7 @@ def failure_set(inst: Instance, strategy: StudentStrategy, jobs: int = 1, sample
         rng = random.Random(derive_seed("failure-sample", seed))
         values = [rng.randrange(1 << inst.n) for _ in range(size)]
         inputs = [int_to_bits(x, inst.n) for x in values]
-        column = _column(inst, strategy, False)(inputs, map(inst.restrictions, values))
+        column = _column(inst, strategy, False)(inputs, list(map(inst.restrictions, values)))
     else:
         column = scan(inst, strategy, jobs=jobs)  # refuses n > EXHAUSTIVE_MAX_N before the input table is built
         inputs = inst._inputs[0]
@@ -294,7 +294,7 @@ def constant_strategy(row: int, queries: int = 1, output: Any = None, name: str 
     def move(view: GameView, a: str, replies: tuple[str, ...]) -> Move:
         return row if len(replies) < queries else stop
 
-    return StudentStrategy(name or f"constant-{row}x{queries}", max_queries=queries, move=move, plan=lambda m: (row,) * queries)
+    return StudentStrategy(name or f"constant-{row}x{queries}", max_queries=queries, move=move, plan=lambda m: repeat(row, queries))
 
 
 def round_robin_strategy(max_queries: int, start: int = 0, output: Any = None, name: str | None = None) -> StudentStrategy:
@@ -305,7 +305,7 @@ def round_robin_strategy(max_queries: int, start: int = 0, output: Any = None, n
         step = len(replies)
         return (start + step) % view.m if step < max_queries else stop
 
-    plan = lambda m: tuple((start + s) % m for s in range(max_queries))  # noqa: E731
+    plan = lambda m: ((start + s) % m for s in range(max_queries))  # noqa: E731
     return StudentStrategy(name or f"round-robin-{max_queries}@{start}", max_queries=max_queries, move=move, plan=plan)
 
 

@@ -586,7 +586,8 @@ def test_library_student_stops_with_one_output_object(which):
             scan(inst, dataclasses.replace(student, move=recorded, plan=None), witness=witness)
 
 
-# rows of ell = 9 bits take two bytes each, so every student there plays the game loop
+# rows of ell = 9 bits take two bytes each, so a plan there reads its columns
+# off the hard bits of every 9-bit restriction (`Instance._hard_bits`)
 PLAN_INSTANCES = STOP_RULE_INSTANCES + [
     Instance(extend_greedy(Design(n=10, ell=9, d=8, sets=()), 3, 1), Permutation(ell=9, kind="table"), HardBit("last-bit"), 2, "010")
 ]
@@ -701,14 +702,51 @@ def test_sampled_failure_set_matches_per_draw_play(inst_n15, spec, sample_seed):
 
 
 def test_games_past_the_scan_cap_build_no_input_table(inst_n15):
-    student = strategy_from_spec("seeded-random:2:1")
-    failure_set(inst_n15, student, sample=(50, 7))
-    play(inst_n15, student, "0" * 15)
-    evaluate_partial(inst_n15, student, "1" * 15)
-    for scan_past_the_cap in (failure_set, definedness_set, trace_census):
-        with pytest.raises(ValueError, match="n=15 > 14"):
-            scan_past_the_cap(inst_n15, student)
-    assert "_inputs" not in vars(inst_n15)
+    for student in map(strategy_from_spec, ("seeded-random:2:1", "round-robin:2")):
+        failure_set(inst_n15, student, sample=(50, 7))
+        play(inst_n15, student, "0" * 15)
+        evaluate_partial(inst_n15, student, "1" * 15)
+        for scan_past_the_cap in (failure_set, definedness_set, trace_census):
+            with pytest.raises(ValueError, match="n=15 > 14"):
+                scan_past_the_cap(inst_n15, student)
+    # a plan student's sample reads its own draws: no column is cached
+    assert "_inputs" not in vars(inst_n15) and not vars(inst_n15).get("_columns")
+
+
+def test_a_plan_is_drawn_no_further_than_the_step_budget(inst_a_c2):
+    rows = (2, 0, 3)
+
+    def plan(m):
+        yield from rows
+        raise AssertionError("the plan was drawn past the step budget")
+
+    def move(view, a, replies):
+        return rows[len(replies)] if len(replies) < len(rows) else Output()
+
+    for budget in (1, 2, 3):  # solve mode draws min(budget, c = 2) rows, witness mode budget
+        student = StudentStrategy("drawn", budget, move, plan=plan)
+        looped = dataclasses.replace(student, plan=None)
+        for witness in (False, True):
+            assert scan(inst_a_c2, student, witness) == scan(inst_a_c2, looped, witness)
+        assert failure_set(inst_a_c2, student, sample=(40, 1)) == failure_set(inst_a_c2, looped, sample=(40, 1))
+    # the library's plans are drawn lazily, so a budget builds no tuple of its size
+    for student in (constant_strategy(1, queries=3), round_robin_strategy(3, start=2)):
+        plan = student.plan(inst_a_c2.m)
+        assert iter(plan) is plan and len(list(plan)) == 3
+
+
+def test_plans_on_rows_wider_than_the_scan_cap_keep_the_game_loop():
+    # a plan student's sample meets only the restrictions it asks, as the game
+    # loop does, not all 2^ell of them (past 2^26 they would not fit)
+    n, ell = 18, 15
+    sets = (tuple(range(0, 15)), tuple(range(1, 16)), tuple(range(3, 18)))
+    inst = Instance(Design(n, ell, 14, sets), Permutation(ell, "identity"), HardBit("parity"), c=3, b="010")
+    student = round_robin_strategy(3)
+    report = failure_set(inst, student, sample=(8, 2))
+    rng = random.Random(derive_seed("failure-sample", 2))
+    drawn = [int_to_bits(rng.randrange(1 << n), n) for _ in range(8)]
+    assert report.failures == tuple(a for a in drawn if not play(inst, student, a).success)
+    assert len(inst._answers) <= 3 * 8 and "_columns" not in vars(inst)
 
 
 def test_transcript_is_an_immutable_value(inst_a):
