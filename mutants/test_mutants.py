@@ -103,6 +103,12 @@ MUTANTS = [
            "a plan on rows wider than the scan cap fills all 2^ell hard bits, where the game loop meets one per ask"),
     Mutant("m26", "generator.py", "self.inst = weakref.proxy(inst)", "self.inst = inst",
            "the columns hold their instance strongly, a cycle that keeps every dropped instance alive until a collection"),
+    Mutant("m27", "game.py", "kept.get(plan)", "kept.get(tuple(strategy.plan(m)))",
+           "a scan looks its kept column up by the plan drawn without the step budget's cut, so a solve scan reads a witness scan's column"),
+    Mutant("m28", "analysis.py", "p >> shift & mask for p in packs", "p >> shifts[i - 1] & mask for p in packs",
+           "a witness table reads its row's restrictions at the previous row's slot"),
+    Mutant("m29", "analysis.py", 'check_bits(u, inst.ell, "predictor input"))]', 'check_bits(u, inst.ell, "predictor input")[::-1])]',
+           "the predictor reads its group at the reversed u, so it replays another input of the fixing"),
     Mutant("r1", "analysis.py", "if inst.hard_bit.value(witness) != int(inst.b[expected]):", "if False:",
            "the predictor's replay goes on past a reply that disagrees with b, so it bets where the live game already stopped"),
     Mutant("r2", "analysis.py", "replies += (witness,)", "replies += (z,)",

@@ -172,22 +172,31 @@ def best_partial_assignment(
     return PartialAssignment(row, int_to_bits(best, n - inst.ell), margins[best], won.count(1), won.count(-1))
 
 
+def _group(inst: Instance, row: int, outside: str) -> tuple[list[str], list[int]]:
+    """The 2^ell inputs fixing `outside` off design row `row`, the one at
+    index v placing u of value v on the row, and their `restrictions` packs."""
+    check_bits(outside, inst.n - inst.ell, "outside bits")
+    inputs = [embed(u, outside, inst.design.sets[row], inst.n) for u in all_bitstrings(inst.ell)]
+    return inputs, list(map(inst.restrictions, map(bits_to_int, inputs)))
+
+
 def build_witness_tables(
-    inst: Instance, trace: Trace, outside: str
+    inst: Instance, trace: Trace, outside: str, group: tuple[list[str], list[int]] | None = None
 ) -> dict[int, dict[str, str]]:
     """Precompute teacher replies for every row other than the trace's last.
 
     With the outside bits fixed, the inputs are the embeddings of every
-    ell-bit u on the final row, and a row's restriction depends only on the
-    bits it shares with that row, so each table has at most 2^d entries:
-    the map from the row's restriction z to its preimage.
+    ell-bit u on the final row (`group`, built here when not given), and a
+    row's restriction depends only on the bits it shares with that row, so
+    each table has at most 2^d entries: the map from the row's restriction z
+    to its preimage, read off the inputs' packs in order of first meeting.
     """
     row_k = _final_row(inst, trace)
-    positions = inst.design.sets[row_k]
-    inputs = [embed(u, outside, positions, inst.n) for u in all_bitstrings(inst.ell)]
+    packs = (group or _group(inst, row_k, outside))[1]
+    (mask, shifts), answers, names = inst._rows, inst._answers, list(all_bitstrings(inst.ell))
     return {
-        i: {z: inst._answers[bits_to_int(z)][0] for z in (restrict(a, row) for a in inputs)}
-        for i, row in enumerate(inst.design.sets)
+        i: {names[z]: answers[z][0] for z in dict.fromkeys([p >> shift & mask for p in packs])}
+        for i, shift in enumerate(shifts)
         if i != row_k
     }
 
@@ -196,11 +205,13 @@ def build_witness_tables(
 class Predictor:
     """Compiled guesser for the hard bit of the preimage of an ell-bit u.
 
-    run(u) places u on the final trace row and replays the student on the
-    earlier rows, answering each from the prebuilt witness tables (checked
-    by the forward permutation only, never inverted); any deviation, or a
-    reply whose hard bit disagrees with b, returns the default bit.  It then
-    asks the final move once and bets against b's bit only if it is that row.
+    run(u) takes the input placing u on the final trace row from `inputs`
+    (the fixing's 2^ell inputs, indexed by u's value) and replays the student
+    on the earlier rows, answering each from the prebuilt witness tables
+    (checked by the forward permutation only, never inverted); any deviation,
+    or a reply whose hard bit disagrees with b, returns the default bit.  It
+    then asks the final move once and bets against b's bit only if it is that
+    row.  A u that is not ell bits is a ValueError.
     """
 
     inst: Instance
@@ -210,14 +221,14 @@ class Predictor:
     tables: dict[int, dict[str, str]]
     default_bit: int
     view: GameView
+    inputs: list[str]
     missing_witness: int = 0
     forward_check_failures: int = 0
 
     def run(self, u: str) -> int:
         inst = self.inst
         trace = self.trace
-        positions = inst.design.sets[trace[-1]]
-        a = embed(u, self.outside, positions, inst.n)
+        a = self.inputs[bits_to_int(check_bits(u, inst.ell, "predictor input"))]
         replies: tuple[str, ...] = ()
         for expected in trace[:-1]:
             move = self.strategy.move(self.view, a, replies)
@@ -252,17 +263,17 @@ def build_predictor(
     """Assemble the advice: witness tables plus the default bit, computed as
     the exact majority of the true hard bit over the inputs whose live trace
     neither equals nor extends the chosen trace (ties and empty sets to 0).
-    Inversion is confined to this build step."""
-    positions = inst.design.sets[_final_row(inst, trace)]
+    The tables, the default bit's batch and `Predictor.run` share one group
+    of the fixing's inputs.  Inversion is confined to this build step."""
+    row = _final_row(inst, trace)
     budget = min(strategy.max_queries, inst.c)  # the live game never asks the final row of a longer trace
     if len(trace) > budget:
         raise ValueError(f"trace has {len(trace)} rows, more than the solve budget min(max_queries, c) = {budget}")
+    group = _group(inst, row, outside)
     if tables is None:
-        tables = build_witness_tables(inst, trace, outside)
-    inputs = [embed(u, outside, positions, inst.n) for u in all_bitstrings(inst.ell)]
-    packs = [inst.restrictions(bits_to_int(check_bits(a, inst.n, "game input"))) for a in inputs]
+        tables = build_witness_tables(inst, trace, outside, group)
     ones = total = 0
-    for value, played in enumerate(_column(inst, strategy, False)(inputs, packs)):
+    for value, played in enumerate(_column(inst, strategy, False)(*group)):
         if _classify(played, trace) == "other":
             total += 1
             ones += int(inst._answers[value][1])
@@ -275,6 +286,7 @@ def build_predictor(
         tables=tables,
         default_bit=default_bit,
         view=GameView(inst, strategy.may_invert),
+        inputs=group[0],
     )
 
 

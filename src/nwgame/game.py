@@ -142,25 +142,30 @@ def _column(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callabl
 
     A plan (m < 256, ell <= EXHAUSTIVE_MAX_N) plays no game: drawn up to the
     step budget and cut at its first non-row (rule 2), it ends at the first row
-    whose hard bit differs from b's (rule 3), read off `inst._columns` at a
-    scan's `span` of the inputs, else off the packs themselves."""
+    whose hard bit differs from b's (rule 3), read off the packs themselves, or,
+    in a scan, off `inst._columns`: the scan keeps the whole column in
+    `inst._plan_columns` under the drawn plan and returns its `span`."""
     if inst.b is None:
         raise ValueError("instance has no off-range string b; attach one first")
     steps = range(strategy.max_queries if witness else min(strategy.max_queries, inst.c))
     if strategy.plan is not None and inst.m < 256 and inst.ell <= EXHAUSTIVE_MAX_N:
-        m, b, columns = inst.m, inst.b.encode(), inst._columns
+        m, b, columns, kept = inst.m, inst.b.encode(), inst._columns, inst._plan_columns
         plan = tuple(takewhile(lambda row: isinstance(row, int) and 0 <= row < m, islice(strategy.plan(m), len(steps))))
         firsts = tuple(dict.fromkeys(plan))  # a row asked again repeats its bit
         ends = [plan[: plan.index(row) + 1] for row in firsts] + [None]
 
         def plan_column(inputs: Sequence[str], packs: Sequence[int], span: slice | None = None) -> list:
-            ones = int.from_bytes(b"\1" * len(inputs), "little")
+            if span is not None and (whole := kept.get(plan)):  # a later scan of the plan slices its kept column
+                return whole[span]
+            size = len(packs) if span is None else 1 << inst.n  # a plan's first scan builds all of it
+            ones = int.from_bytes(b"\1" * size, "little")
             first = ones * len(firsts)  # one byte per input: its index in ends, below 256 as m is
             for step, row in reversed(list(enumerate(firsts))):  # so the first success is written last
-                hard = columns.of(row, packs) if span is None else columns[row][span]
+                hard = columns.of(row, packs) if span is None else columns[row]
                 hit = int.from_bytes(hard.translate(_DIFFERS[b[row]]), "little")  # 0xff where b's bit differs
                 first = first & ~hit | ones * step & hit
-            return list(map(ends.__getitem__, first.to_bytes(len(inputs), "little")))
+            column = list(map(ends.__getitem__, first.to_bytes(size, "little")))
+            return column if span is None else kept.setdefault(plan, column)[span]
 
         return plan_column
     view, move, answers, (mask, offsets) = GameView(inst, strategy.may_invert), strategy.move, inst._answers, inst._rows
@@ -250,7 +255,7 @@ class FailureReport:
 
 def scan(inst: Instance, strategy: StudentStrategy, witness: bool = False, jobs: int = 1) -> list:
     """Play each of the 2^n inputs once, in input order (n <= EXHAUSTIVE_MAX_N),
-    through `_column` (a plan's cached row columns, else the game loop on `inst._inputs`), and
+    through `_column` (a plan's kept column, else the game loop on `inst._inputs`), and
     return its column: the trace of each successful run (never empty), or None.
 
     Every exhaustive question about a strategy is a fold over this column;
@@ -261,7 +266,7 @@ def scan(inst: Instance, strategy: StudentStrategy, witness: bool = False, jobs:
     column = _column(inst, strategy, witness)
     inputs, packed = inst._inputs
     shards = run_sharded(1 << inst.n, jobs, lambda lo, hi: column(inputs[lo:hi], packed[lo:hi], slice(lo, hi)))
-    return [trace for shard in shards for trace in shard]
+    return shards[0] if len(shards) == 1 else [trace for shard in shards for trace in shard]
 
 
 def failure_set(inst: Instance, strategy: StudentStrategy, jobs: int = 1, sample: tuple[int, int] | None = None) -> FailureReport:

@@ -14,7 +14,8 @@ translates each output from the packed bytes; wider rows stay one entry per
 restriction met.  The game loop plays inputs packed this way, and every
 exhaustive scan reads them from one table per instance of every input's
 string and packing (`Instance._inputs`), and every plan scan from one hard-bit
-column per row asked (`Instance._columns`).
+column per row asked (`Instance._columns`), keeping each drawn plan's whole
+trace column (`Instance._plan_columns`).
 """
 
 from __future__ import annotations
@@ -170,6 +171,7 @@ class Instance:
         return wide
 
     _columns = cached_property(_Columns)  # not a field, like `_answers`: out of __eq__, repr, pickles and JSON
+    _plan_columns = cached_property(lambda self: {})  # not a field: a drawn plan -> its scans' trace column
 
     @cached_property
     def _hard_bits(self) -> bytes:

@@ -48,6 +48,13 @@ def greedy_instance(
     return make_instance(design, Permutation(ell=ell, kind=perm, seed=perm_seed), HardBit(hard), c=c)
 
 
+def two_byte_slot_instance() -> Instance:
+    """An n = 10 instance whose rows of ell = 9 bits take two bytes each in
+    an input's packed restrictions; its b = "010" is not certified."""
+    design = extend_greedy(Design(n=10, ell=9, d=8, sets=()), 3, 1)
+    return Instance(design, Permutation(ell=9, kind="table"), HardBit("last-bit"), 2, "010")
+
+
 def near_omniscient(inst: Instance, seed: int, waste_prob: float = 0.5) -> StudentStrategy:
     """Scripted student that always succeeds: for each input it queries a
     disagreeing row, sometimes after one wasted agreeing query.  Needs

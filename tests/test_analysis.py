@@ -30,7 +30,7 @@ from nwgame.design import Design, embed, restrict
 from nwgame.game import StudentStrategy, play
 from nwgame.generator import Instance
 
-from helpers import greedy_instance, near_omniscient, reference_instance
+from helpers import greedy_instance, near_omniscient, reference_instance, two_byte_slot_instance
 
 
 def test_census_omniscient_frozen(inst_a):
@@ -293,6 +293,59 @@ def test_predictor_bets_exactly_where_the_live_game_reaches_the_final_row(n, see
             queries = play(inst, student, embed(u, outside, positions, inst.n)).queries
             bet = 1 - int(inst.b[trace[-1]]) if queries[: len(trace)] == trace else predictor.default_bit
             assert predictor.run(u) == bet, (student.name, trace, u)
+
+
+def _advice_students(seed: int, m: int) -> list[StudentStrategy]:
+    return [round_robin_strategy(2, start=seed), constant_strategy(seed % m), seeded_random_strategy(2, seed=seed), _reply_reader()]
+
+
+def _check_advice_against_strings(inst: Instance, student: StudentStrategy, trace: tuple, outside: str) -> None:
+    """The witness tables and every bet, from restrict/embed on each u's
+    string: a table maps each restriction met, in order of first meeting, to
+    its preimage; a bet is 1 - b[trace[-1]] where the live game's queries
+    start with the trace, else the default bit, the majority hard bit of the
+    inputs whose trace neither equals nor extends it."""
+    inputs = [embed(u, outside, inst.design.sets[trace[-1]], inst.n) for u in all_bitstrings(inst.ell)]
+    reference: dict = {i: {} for i in range(inst.m) if i != trace[-1]}
+    for a in inputs:
+        for i, table in reference.items():
+            z = restrict(a, inst.design.sets[i])
+            table.setdefault(z, inst.h.invert(z))
+    tables = build_witness_tables(inst, trace, outside)
+    assert tables == reference and all(list(tables[i]) == list(reference[i]) for i in tables)
+    if len(trace) > min(student.max_queries, inst.c):
+        return
+    played = [play(inst, student, a) for a in inputs]
+    other = [u for u, t in zip(all_bitstrings(inst.ell), played) if _classify(t.trace, trace) == "other"]
+    default_bit = int(2 * sum(preimage_bit(inst.h, inst.hard_bit, u) for u in other) > len(other))
+    predictor = build_predictor(inst, student, trace, outside)
+    assert predictor.default_bit == default_bit
+    for u, t in zip(all_bitstrings(inst.ell), played):
+        bet = 1 - int(inst.b[trace[-1]]) if t.queries[: len(trace)] == trace else default_bit
+        assert predictor.run(u) == bet, (student.name, trace, u)
+
+
+TWO_BYTE_SLOTS = two_byte_slot_instance()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(6, 10), seed=st.integers(0, 20), wide=st.booleans(), data=st.data())
+def test_advice_matches_the_string_definition(n, seed, wide, data):
+    inst = TWO_BYTE_SLOTS if wide else greedy_instance(n, 3, 2, seed, c=2)
+    student = data.draw(st.sampled_from(_advice_students(seed, inst.m)))
+    traces = sorted(trace_census(inst, student).counts, key=lambda t: (len(t), t)) or [(seed % inst.m,)]
+    trace = data.draw(st.sampled_from(traces))
+    outside = data.draw(st.text("01", min_size=inst.n - inst.ell, max_size=inst.n - inst.ell))
+    _check_advice_against_strings(inst, student, trace, outside)
+
+
+def test_predictor_refuses_an_input_that_is_not_ell_bits(inst_a):
+    # the predictor reads its input by u's value, so a u of another width
+    # would silently pick some other input of the fixing
+    predictor = build_predictor(inst_a, omniscient_strategy(), (0,), "00")
+    for u in ("", "0", "101", "0001", "0b", "2", 1):
+        with pytest.raises(ValueError, match="predictor input"):
+            predictor.run(u)
 
 
 def test_predictor_refuses_a_trace_longer_than_the_solve_budget(monkeypatch):

@@ -44,7 +44,7 @@ from nwgame.game import FailureReport, GameView, Transcript, scan
 from nwgame.generator import evaluate
 from nwgame.seeds import derive_seed
 
-from helpers import bad_index_strategy, greedy_instance, near_omniscient, reference_instance
+from helpers import bad_index_strategy, greedy_instance, near_omniscient, reference_instance, two_byte_slot_instance
 
 
 def test_play_constant_row0_semantics(inst_a):
@@ -588,9 +588,7 @@ def test_library_student_stops_with_one_output_object(which):
 
 # rows of ell = 9 bits take two bytes each, so a plan there reads its columns
 # off the hard bits of every 9-bit restriction (`Instance._hard_bits`)
-PLAN_INSTANCES = STOP_RULE_INSTANCES + [
-    Instance(extend_greedy(Design(n=10, ell=9, d=8, sets=()), 3, 1), Permutation(ell=9, kind="table"), HardBit("last-bit"), 2, "010")
-]
+PLAN_INSTANCES = STOP_RULE_INSTANCES + [two_byte_slot_instance()]
 
 
 @settings(max_examples=60, deadline=None)
@@ -637,6 +635,46 @@ def test_plan_columns_match_the_game_loop_and_the_reference(which, kind, row, qu
                 build_predictor(inst, student, trace, fixed, tables={})
         else:
             assert build_predictor(inst, student, trace, fixed, tables={}).default_bit == int(2 * ones > total)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    which=st.integers(0, len(PLAN_INSTANCES) - 1),
+    rows=st.lists(st.one_of(st.integers(-1, 5), st.sampled_from([1.0, "0"])), max_size=5),
+    max_queries=st.integers(0, 5),
+    witness_first=st.booleans(),
+    jobs=st.sampled_from([1, 2]),
+)
+@example(which=0, rows=[0, 1, 2], max_queries=3, witness_first=True, jobs=1)  # c = 1: the solve plan is (0,)
+@example(which=1, rows=[3, 4, 9, 0], max_queries=4, witness_first=False, jobs=2)  # a non-row cuts both plans
+def test_kept_plan_columns_match_the_uncached_path_and_the_reference(which, rows, max_queries, witness_first, jobs):
+    # a fresh instance keeps no column; each mode is scanned twice, so the
+    # second scan of each reads the column kept by the first
+    inst = dataclasses.replace(PLAN_INSTANCES[which])
+    student = StudentStrategy(
+        "planned", max_queries, lambda view, a, replies: rows[len(replies)] if len(replies) < len(rows) else Output(),
+        plan=lambda m: iter(rows),
+    )
+    inputs = list(all_bitstrings(inst.n))
+    for witness in (witness_first, not witness_first) * 2:
+        reference = [_stop_rule_reference(inst, student, a, witness)[0].trace for a in inputs]
+        uncached = game._column(inst, student, witness)(*inst._inputs)  # no span: read off the packs, kept nowhere
+        assert scan(inst, student, witness, jobs) == uncached == reference
+    # one entry per drawn plan: cut to the step budget, then at the first non-row
+    drawn = [tuple(itertools.takewhile(lambda r: isinstance(r, int) and 0 <= r < inst.m, rows[:budget]))
+             for budget in (max_queries, min(max_queries, inst.c))]
+    assert set(inst._plan_columns) == set(drawn)
+    assert all(trace is None or type(trace) is tuple for column in inst._plan_columns.values() for trace in column)
+
+
+def test_a_scan_returns_a_list_of_its_own(inst_a_c2):
+    for student in (round_robin_strategy(2), constant_strategy(1), seeded_random_strategy(2, seed=1)):
+        for jobs in (1, 2):
+            column = scan(inst_a_c2, student, jobs=jobs)
+            expected = list(column)
+            column[0] = "changed"
+            column.append((9,))
+            assert scan(inst_a_c2, student, jobs=jobs) == expected
 
 
 @pytest.mark.parametrize("c", [1, 2])
@@ -709,8 +747,9 @@ def test_games_past_the_scan_cap_build_no_input_table(inst_n15):
         for scan_past_the_cap in (failure_set, definedness_set, trace_census):
             with pytest.raises(ValueError, match="n=15 > 14"):
                 scan_past_the_cap(inst_n15, student)
-    # a plan student's sample reads its own draws: no column is cached
+    # a plan student's sample reads its own draws: no row or plan column is cached
     assert "_inputs" not in vars(inst_n15) and not vars(inst_n15).get("_columns")
+    assert not vars(inst_n15).get("_plan_columns")
 
 
 def test_a_plan_is_drawn_no_further_than_the_step_budget(inst_a_c2):
