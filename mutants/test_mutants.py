@@ -95,20 +95,24 @@ MUTANTS = [
            "the composite hands every stage its own view, so an unflagged stage may invert in a flagged composite"),
     Mutant("m22", "analysis.py", "min(strategy.max_queries, inst.c)", "strategy.max_queries",
            "build_predictor's budget check ignores c, so it accepts a trace the live game never finishes"),
-    Mutant("m23", "generator.py", "self.inst._rows[1][row]", "self.inst._rows[1][row - 1]",
-           "a hard-bit column reads its inputs at the previous row's slot"),
-    Mutant("m24", "game.py", "columns.of(row, packs) if span is None", "columns[row][: len(packs)] if span is None",
-           "a sampled plan column reads the scan's cached column by sample position, not by the input drawn"),
+    Mutant("m23", "game.py", "shift = offsets[row]", "shift = offsets[row - 1]",
+           "a plan column reads its inputs at the previous row's slot"),
+    Mutant("m24", "game.py", "packs = packs if span is None", "packs = inst._inputs[1][: len(packs)] if span is None",
+           "a sample or predictor batch reads the first inputs' packs by position, not the packs of its own inputs"),
     Mutant("m25", "game.py", "inst.m < 256 and inst.ell <= EXHAUSTIVE_MAX_N:", "inst.m < 256:",
            "a plan on rows wider than the scan cap fills all 2^ell hard bits, where the game loop meets one per ask"),
-    Mutant("m26", "generator.py", "self.inst = weakref.proxy(inst)", "self.inst = inst",
-           "the columns hold their instance strongly, a cycle that keeps every dropped instance alive until a collection"),
+    Mutant("m26", "generator.py", "cached_property(lambda self: {})", "cached_property(lambda self: {None: [self]})",
+           "the plan-column cache holds its instance, a cycle that keeps every dropped instance alive until a collection"),
     Mutant("m27", "game.py", "kept.get(plan)", "kept.get(tuple(strategy.plan(m)))",
            "a scan looks its kept column up by the plan drawn without the step budget's cut, so a solve scan reads a witness scan's column"),
     Mutant("m28", "analysis.py", "p >> shift & mask for p in packs", "p >> shifts[i - 1] & mask for p in packs",
            "a witness table reads its row's restrictions at the previous row's slot"),
     Mutant("m29", "analysis.py", 'check_bits(u, inst.ell, "predictor input"))]', 'check_bits(u, inst.ell, "predictor input")[::-1])]',
            "the predictor reads its group at the reversed u, so it replays another input of the fixing"),
+    Mutant("m30", "game.py", "latest[-1] = replies", "latest.append(replies)",
+           "a played game records every ask's reply prefix, about q^2/2 references for q answered queries"),
+    Mutant("m31", "game.py", "kept.clear()", "pass",
+           "an instance keeps one plan column per distinct plan ever scanned, with no bound"),
     Mutant("r1", "analysis.py", "if inst.hard_bit.value(witness) != int(inst.b[expected]):", "if False:",
            "the predictor's replay goes on past a reply that disagrees with b, so it bets where the live game already stopped"),
     Mutant("r2", "analysis.py", "replies += (witness,)", "replies += (z,)",

@@ -142,14 +142,15 @@ def _column(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callabl
 
     A plan (m < 256, ell <= EXHAUSTIVE_MAX_N) plays no game: drawn up to the
     step budget and cut at its first non-row (rule 2), it ends at the first row
-    whose hard bit differs from b's (rule 3), read off the packs themselves, or,
-    in a scan, off `inst._columns`: the scan keeps the whole column in
-    `inst._plan_columns` under the drawn plan and returns its `span`."""
+    whose hard bit differs from b's (rule 3), read off the packs themselves or,
+    in a scan, off every input's: the scan keeps the whole column in
+    `inst._plan_columns` under the drawn plan, emptied before a 65th plan,
+    and returns its `span`."""
     if inst.b is None:
         raise ValueError("instance has no off-range string b; attach one first")
     steps = range(strategy.max_queries if witness else min(strategy.max_queries, inst.c))
     if strategy.plan is not None and inst.m < 256 and inst.ell <= EXHAUSTIVE_MAX_N:
-        m, b, columns, kept = inst.m, inst.b.encode(), inst._columns, inst._plan_columns
+        m, b, kept, (mask, offsets) = inst.m, inst.b.encode(), inst._plan_columns, inst._rows
         plan = tuple(takewhile(lambda row: isinstance(row, int) and 0 <= row < m, islice(strategy.plan(m), len(steps))))
         firsts = tuple(dict.fromkeys(plan))  # a row asked again repeats its bit
         ends = [plan[: plan.index(row) + 1] for row in firsts] + [None]
@@ -157,14 +158,17 @@ def _column(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callabl
         def plan_column(inputs: Sequence[str], packs: Sequence[int], span: slice | None = None) -> list:
             if span is not None and (whole := kept.get(plan)):  # a later scan of the plan slices its kept column
                 return whole[span]
-            size = len(packs) if span is None else 1 << inst.n  # a plan's first scan builds all of it
-            ones = int.from_bytes(b"\1" * size, "little")
+            packs = packs if span is None else inst._inputs[1]  # a plan's first scan builds all of it
+            hard, ones = inst._hard_bits, int.from_bytes(b"\1" * len(packs), "little")
             first = ones * len(firsts)  # one byte per input: its index in ends, below 256 as m is
             for step, row in reversed(list(enumerate(firsts))):  # so the first success is written last
-                hard = columns.of(row, packs) if span is None else columns[row]
-                hit = int.from_bytes(hard.translate(_DIFFERS[b[row]]), "little")  # 0xff where b's bit differs
+                shift = offsets[row]
+                bits = bytes([hard[p >> shift & mask] for p in packs])  # the row's hard bit on each input
+                hit = int.from_bytes(bits.translate(_DIFFERS[b[row]]), "little")  # 0xff where b's bit differs
                 first = first & ~hit | ones * step & hit
-            column = list(map(ends.__getitem__, first.to_bytes(size, "little")))
+            column = list(map(ends.__getitem__, first.to_bytes(len(packs), "little")))
+            if span is not None and len(kept) >= 64:  # bounded, as the seeded-random memo is
+                kept.clear()
             return column if span is None else kept.setdefault(plan, column)[span]
 
         return plan_column
@@ -200,25 +204,28 @@ def _column(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callabl
 
 def _play(inst: Instance, strategy: StudentStrategy, a: str, witness: bool) -> Transcript:
     """One game on input a, checked and packed first, played by `_column`
-    with a copy of the strategy that records each ask's (replies, row).
+    with a copy of the strategy that records each ask's row and only the
+    latest ask's replies, so memory stays linear in the queries asked.
     Every ask but the last was answered, and the last only on a success or,
     in solve mode, as a legal row (rule 4); else rules 1-2 read its move."""
     packed = inst.restrictions(bits_to_int(check_bits(a, inst.n, "game input")))
     asks: list = []
+    latest: list = [()]
 
     def move(view: GameView, a: str, replies: tuple[str, ...]) -> Move:
-        asks.append((replies, strategy.move(view, a, replies)))
-        return asks[-1][1]
+        latest[-1] = replies
+        asks.append(strategy.move(view, a, replies))
+        return asks[-1]
 
     [trace] = _column(inst, replace(strategy, move=move, plan=None), witness)((a,), (packed,))
-    replies, row = asks[-1] if asks else ((), None)  # a solve budget of 0 asks nothing
+    replies, row = latest[-1], asks[-1] if asks else None  # a solve budget of 0 asks nothing
     answered = trace is not None or not witness and isinstance(row, int) and 0 <= row < inst.m
     if answered:
         mask, offsets = inst._rows
         replies += (inst._answers[packed >> offsets[row] & mask][0],)
     violation = not answered and row is not None and not isinstance(row, Output)
     output = row.value if isinstance(row, Output) else None
-    queries = tuple(r for _, r in asks[:len(replies)])
+    queries = tuple(asks[: len(replies)])
     return Transcript(a, queries, replies, trace is not None, violation, *((trace is None, output) if witness else ()))
 
 

@@ -13,20 +13,18 @@ ell <= 8 the first `evaluate` fills all 2^ell entries into a byte table and
 translates each output from the packed bytes; wider rows stay one entry per
 restriction met.  The game loop plays inputs packed this way, and every
 exhaustive scan reads them from one table per instance of every input's
-string and packing (`Instance._inputs`), and every plan scan from one hard-bit
-column per row asked (`Instance._columns`), keeping each drawn plan's whole
-trace column (`Instance._plan_columns`).
+string and packing (`Instance._inputs`), the first scan of each drawn plan
+keeping its whole trace column (`Instance._plan_columns`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
-import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import repeat
-from typing import Callable, Iterable
+from typing import Callable
 
 from .bits import all_bitstrings, bits_to_hex, bits_to_int, check_bits, hex_to_bits, int_to_bits
 from .crypto import HardBit, Permutation
@@ -54,26 +52,6 @@ class _Preimages(dict):
     def __missing__(self, u: int) -> tuple[str, str]:
         preimage = self.h.invert(int_to_bits(u, self.h.ell))
         hit = self[u] = (preimage, str(self.hard_bit.value(preimage)))
-        return hit
-
-
-class _Columns(dict):
-    """The plan scans' cache: row i -> its hard bit (b"0"/b"1") on every input in input order
-    (n <= EXHAUSTIVE_MAX_N, refused before the input table is built), one row filled per first read."""
-
-    def __init__(self, inst: Instance) -> None:
-        super().__init__()
-        self.inst = weakref.proxy(inst)  # no reference cycle, so a dropped instance is freed at once
-
-    def of(self, row: int, packs: Iterable[int]) -> bytes:
-        """Row `row`'s hard bit on each of `packs` (inputs' `restrictions`), one path for every slot width."""
-        mask, shift, hard = self.inst._rows[0], self.inst._rows[1][row], self.inst._hard_bits
-        return bytes([hard[p >> shift & mask] for p in packs])
-
-    def __missing__(self, row: int) -> bytes:
-        if self.inst.n > EXHAUSTIVE_MAX_N:
-            raise ValueError(f"n={self.inst.n} > {EXHAUSTIVE_MAX_N}: exhaustive scan refused")
-        hit = self[row] = self.of(row, self.inst._inputs[1])
         return hit
 
 
@@ -170,8 +148,7 @@ class Instance:
 
         return wide
 
-    _columns = cached_property(_Columns)  # not a field, like `_answers`: out of __eq__, repr, pickles and JSON
-    _plan_columns = cached_property(lambda self: {})  # not a field: a drawn plan -> its scans' trace column
+    _plan_columns = cached_property(lambda self: {})  # not a field, like `_answers`: a drawn plan -> its scans' trace column
 
     @cached_property
     def _hard_bits(self) -> bytes:

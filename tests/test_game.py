@@ -75,6 +75,22 @@ def test_witness_budget_is_strategy_own(inst_a):
     assert t.defined and t.output == "done"
 
 
+def test_a_witness_game_of_4000_answered_queries_holds_linear_memory():
+    # the recording copy keeps each ask's row and only the latest replies,
+    # not every ask's reply prefix (about q^2/2 references, 61 MiB here)
+    inst = greedy_instance(8, 3, 2, seed=0)
+    a = next(x for x in all_bitstrings(8) if evaluate(inst, x)[0] == inst.b[0])  # row 0 agrees with b
+    evaluate_partial(inst, constant_strategy(0), a)  # builds the instance's tables outside the measure
+    tracemalloc.start()
+    try:
+        transcript = evaluate_partial(inst, constant_strategy(0, 4000), a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert transcript.queries == (0,) * 4000 and len(transcript.replies) == 4000 and transcript.defined
+    assert peak < 1 << 20
+
+
 def test_witness_aborts_on_disagreement(inst_a):
     s = round_robin_strategy(2, output="done")
     t = evaluate_partial(inst_a, s, "0010")  # x2=1 disagrees at row 0
@@ -667,6 +683,23 @@ def test_kept_plan_columns_match_the_uncached_path_and_the_reference(which, rows
     assert all(trace is None or type(trace) is tuple for column in inst._plan_columns.values() for trace in column)
 
 
+def test_kept_plan_columns_are_emptied_before_a_65th_plan():
+    # 66 distinct two-row plans over m = 9 rows, then the first again: an
+    # instance keeps at most 64 plans, and every scan, before and after the
+    # cache is emptied, matches the reference
+    inst = dataclasses.replace(greedy_instance(6, 2, 1, seed=0, c=2, m=9))
+    inputs = list(all_bitstrings(inst.n))
+    plans = list(itertools.product(range(inst.m), repeat=2))[:66]
+    for count, plan in enumerate(plans + plans[:1], 1):
+        student = StudentStrategy(
+            "planned", 2, lambda view, a, replies, plan=plan: plan[len(replies)] if len(replies) < 2 else Output(),
+            plan=lambda m, plan=plan: iter(plan),
+        )
+        reference = [_stop_rule_reference(inst, student, a, False)[0].trace for a in inputs]
+        assert scan(inst, student) == reference
+        assert len(inst._plan_columns) == (count - 1) % 64 + 1 and plan in inst._plan_columns
+
+
 def test_a_scan_returns_a_list_of_its_own(inst_a_c2):
     for student in (round_robin_strategy(2), constant_strategy(1), seeded_random_strategy(2, seed=1)):
         for jobs in (1, 2):
@@ -747,9 +780,8 @@ def test_games_past_the_scan_cap_build_no_input_table(inst_n15):
         for scan_past_the_cap in (failure_set, definedness_set, trace_census):
             with pytest.raises(ValueError, match="n=15 > 14"):
                 scan_past_the_cap(inst_n15, student)
-    # a plan student's sample reads its own draws: no row or plan column is cached
-    assert "_inputs" not in vars(inst_n15) and not vars(inst_n15).get("_columns")
-    assert not vars(inst_n15).get("_plan_columns")
+    # a plan student's sample reads its own draws: no plan column is kept
+    assert "_inputs" not in vars(inst_n15) and not vars(inst_n15).get("_plan_columns")
 
 
 def test_a_plan_is_drawn_no_further_than_the_step_budget(inst_a_c2):
@@ -785,7 +817,7 @@ def test_plans_on_rows_wider_than_the_scan_cap_keep_the_game_loop():
     rng = random.Random(derive_seed("failure-sample", 2))
     drawn = [int_to_bits(rng.randrange(1 << n), n) for _ in range(8)]
     assert report.failures == tuple(a for a in drawn if not play(inst, student, a).success)
-    assert len(inst._answers) <= 3 * 8 and "_columns" not in vars(inst)
+    assert len(inst._answers) <= 3 * 8 and "_hard_bits" not in vars(inst)
 
 
 def test_transcript_is_an_immutable_value(inst_a):

@@ -29,7 +29,7 @@ from nwgame import (
 )
 from nwgame.bits import all_bitstrings, bits_to_int, int_to_bits
 from nwgame.crypto import HARD_BIT_KINDS, PERMUTATION_KINDS
-from nwgame.game import scan
+from nwgame.game import _column, scan
 from nwgame.generator import OFF_RANGE_MODES, evaluate
 from nwgame.seeds import derive_seed
 
@@ -408,49 +408,62 @@ def test_packed_input_column_is_each_inputs_restrictions(n, ell):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), wide=st.booleans(), hard=st.sampled_from(HARD_BIT_KINDS), seed=st.integers(0, 1 << 16))
 def test_hard_bit_columns_match_evaluate(data, wide, hard, seed):
-    # ell on both sides of the one-byte slot (8 / 9), every permutation kind
-    # (feistel needs an even ell) and hard bit, on every input of up to 12 bits
+    # a one-row plan student succeeds exactly where its row's hard bit differs
+    # from b's: ell on both sides of the one-byte slot (8 / 9), every
+    # permutation kind (feistel needs an even ell) and hard bit, on every
+    # input of up to 12 bits
     n = data.draw(st.integers(9, 12) if wide else st.integers(2, 12))
     ell = data.draw(st.integers(9, n) if wide else st.integers(1, min(n, 8)))
     perm = data.draw(st.sampled_from(PERMUTATION_KINDS if ell % 2 == 0 else ("table", "identity")))
     m = data.draw(st.integers(1, 6))
     rng = random.Random(seed)
     sets = tuple(tuple(sorted(rng.sample(range(n), ell))) for _ in range(m))
-    inst = Instance(Design(n, ell, ell, sets), Permutation(ell, perm, seed=seed), HardBit(hard), c=1)
+    b = int_to_bits(rng.randrange(1 << m), m)
+    inst = Instance(Design(n, ell, ell, sets), Permutation(ell, perm, seed=seed), HardBit(hard), c=1, b=b)
     rows = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
-    columns = [inst._columns[row] for row in rows]
-    assert sorted(inst._columns) == sorted(rows)  # only the rows read are built
     outputs = [evaluate(inst, x) for x in all_bitstrings(n)]
-    for row, column in zip(rows, columns):
-        assert column == "".join(out[row] for out in outputs).encode()
-        assert inst._columns[row] is column
 
-    # a sample's bits, off its own packs, whatever their order
-    values = [rng.randrange(1 << n) for _ in range(20)]
+    def expected(row, values):
+        return [(row,) if outputs[x][row] != b[row] else None for x in values]
+
     for row in rows:
-        assert inst._columns.of(row, [inst.restrictions(x) for x in values]) == "".join(outputs[x][row] for x in values).encode()
+        assert scan(inst, constant_strategy(row)) == expected(row, range(1 << n))
+    assert sorted(inst._plan_columns) == sorted((row,) for row in rows)  # one kept column per plan scanned
+
+    # a sample's bits, off its own packs, whatever their order, kept nowhere
+    values = [rng.randrange(1 << n) for _ in range(20)]
+    inputs, packs = [int_to_bits(x, n) for x in values], [inst.restrictions(x) for x in values]
+    for row in rows:
+        assert _column(inst, constant_strategy(row), False)(inputs, packs) == expected(row, values)
+    assert len(inst._plan_columns) == len(rows)
 
     # the cache is not a field: equality, repr and pickles ignore it, and a
     # replaced instance starts empty
-    assert dataclasses.replace(inst) == inst and "_columns" not in repr(inst)
-    assert "_columns" not in vars(pickle.loads(pickle.dumps(inst)))
-    assert "_columns" not in vars(dataclasses.replace(inst))
+    assert dataclasses.replace(inst) == inst and "_plan_columns" not in repr(inst)
+    assert "_plan_columns" not in vars(pickle.loads(pickle.dumps(inst)))
+    assert "_plan_columns" not in vars(dataclasses.replace(inst))
 
 
 def test_hard_bit_columns_refuse_past_the_scan_cap():
-    inst = Instance(Design(15, 4, 4, ((0, 1, 2, 3), (11, 12, 13, 14))), Permutation(4, "table"), HardBit(), c=1)
+    inst = Instance(Design(15, 4, 4, ((0, 1, 2, 3), (11, 12, 13, 14))), Permutation(4, "table"), HardBit(), c=1, b="00")
     with pytest.raises(ValueError, match="n=15 > 14"):
-        inst._columns[1]
-    assert "_inputs" not in vars(inst) and inst._columns == {}
+        scan(inst, constant_strategy(1))
     value = int("1" * 11 + "0101", 2)  # row 1 reads bits 11..14
-    assert inst._columns.of(1, [inst.restrictions(value)]) == evaluate(inst, int_to_bits(value, 15))[1].encode()
+    a = int_to_bits(value, 15)
+    for bit in "01":  # a sample of one input reads its own bit, against either bit of b
+        sampled = dataclasses.replace(inst, b="0" + bit)
+        column = _column(sampled, constant_strategy(1), False)([a], [sampled.restrictions(value)])
+        assert column == [(1,) if evaluate(sampled, a)[1] != bit else None]
+        assert "_inputs" not in vars(sampled) and not vars(sampled).get("_plan_columns")
+    assert "_inputs" not in vars(inst) and not vars(inst).get("_plan_columns")
 
 
 def test_an_instance_with_cached_columns_is_freed_without_the_cycle_collector():
-    # the columns hold their instance weakly, so a dropped instance (with its
-    # input table) is freed at once, not at the next cycle collection
+    # the kept plan columns hold nothing that refers back to their instance,
+    # so a dropped instance (with its input table) is freed at once, not at
+    # the next cycle collection
     inst = greedy_instance(6, 2, 1, seed=0, c=2)
-    assert scan(inst, round_robin_strategy(2)) and inst._columns
+    assert scan(inst, round_robin_strategy(2)) and inst._plan_columns
     dropped = weakref.ref(inst)
     gc.disable()
     try:
