@@ -90,7 +90,7 @@ MUTANTS = [
     Mutant("m20", "game.py", "takewhile(lambda row: isinstance(row, int) and 0 <= row < m, ",
            "takewhile(range(m).__contains__, ",
            "a plan column takes 1.0 as row 1, where the game loop takes it for no row"),
-    Mutant("m21", "hardcore.py", "row = stage_move(view if own_view else view.without_invert, a, own)",
+    Mutant("m21", "hardcore.py", "row = stage_move(view if own_view else without, a, own)",
            "row = stage_move(view, a, own)",
            "the composite hands every stage its own view, so an unflagged stage may invert in a flagged composite"),
     Mutant("m22", "analysis.py", "min(strategy.max_queries, inst.c)", "strategy.max_queries",
@@ -113,6 +113,13 @@ MUTANTS = [
            "a played game records every ask's reply prefix, about q^2/2 references for q answered queries"),
     Mutant("m31", "game.py", "kept.clear()", "pass",
            "an instance keeps one plan column per distinct plan ever scanned, with no bound"),
+    Mutant("m32", "hardcore.py", "stage.max_queries, stage.may_invert) for stage in stages)",
+           "stage.max_queries, stage.may_invert or not any(s.may_invert for s in stages)) for stage in stages)",
+           "with no flagged stage every stage gets the view driving the composite, so a flagged view lets an unflagged stage invert"),
+    Mutant("m33", "game.py", "if len(steps) > MAX_STEPS:", "if len(steps) >= MAX_STEPS:",
+           "a step budget of exactly MAX_STEPS is refused"),
+    Mutant("m34", "game.py", "if not 1 <= size <= MAX_SAMPLE:", "if not 1 <= size < MAX_SAMPLE:",
+           "a sample of exactly MAX_SAMPLE inputs is refused"),
     Mutant("r1", "analysis.py", "if inst.hard_bit.value(witness) != int(inst.b[expected]):", "if False:",
            "the predictor's replay goes on past a reply that disagrees with b, so it bets where the live game already stopped"),
     Mutant("r2", "analysis.py", "replies += (witness,)", "replies += (z,)",

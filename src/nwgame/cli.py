@@ -23,7 +23,7 @@ from .bits import check_bits, hex_to_bits
 from .crypto import DEFAULT_ROUNDS, HARD_BIT_KINDS, PERMUTATION_KINDS, HardBit, Permutation, check_bijection
 from .design import Design, build_polynomial_design, extend_greedy, require_valid, verify_design
 from .errors import ABSENT, REQUIRED, SearchExhausted, ValidationError, json_object, json_value
-from .game import EXHAUSTIVE_MAX_N, StudentStrategy, evaluate_partial, failure_set, play, strategy_from_spec
+from .game import EXHAUSTIVE_MAX_N, MAX_SAMPLE, StudentStrategy, evaluate_partial, failure_set, play, strategy_from_spec
 from .generator import ENUMERATION_MAX_N, OFF_RANGE_MODES, Instance, certify_off_range, make_instance, strict_violations
 from .seeds import derive_seed
 
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--witness", action="store_true", help="abort on disagreeing replies")
     g.set_defaults(func=_cmd_game_play)
     g = gsub.add_parser("failureset", parents=[instance, strategy, out, jobs])
-    g.add_argument("--sample", type=int, default=None, help=f"Monte-Carlo size for n > {EXHAUSTIVE_MAX_N}")
+    g.add_argument("--sample", type=int, default=None, help=f"Monte-Carlo size for n > {EXHAUSTIVE_MAX_N}, at most {MAX_SAMPLE}")
     g.add_argument("--sample-seed", type=int, default=0)
     g.set_defaults(func=_cmd_strategy_section)
 

@@ -27,6 +27,10 @@ from .generator import EXHAUSTIVE_MAX_N, Instance
 from .seeds import derive_seed, seed_stream
 from .sharding import run_sharded
 
+# The caps on a game's step budget (the game loop is quadratic in it; the largest
+# composite budget failure_bound admits is 4,465) and on a sampled failure set's size
+MAX_STEPS = 1 << 14
+MAX_SAMPLE = 1 << 16
 _DIFFERS = {ord("0"): bytes.maketrans(b"01", b"\0\xff"), ord("1"): bytes.maketrans(b"01", b"\xff\0")}
 
 
@@ -136,6 +140,7 @@ def _column(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callabl
     3. a reply's hard bit differs from b at the queried row: success;
     4. solve mode has answered min(max_queries, c) queries: the run fails
        and the student is not asked again.
+    That step budget is refused past MAX_STEPS before any move or plan draw.
     Each row maps to (bit offset of its slot, its bit of b) in a dict, so a
     move must be an int to be a row: `rows.get(1.0)` would find row 1.  A
     successful game's last reply is never added, since no move reads it.
@@ -149,6 +154,8 @@ def _column(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callabl
     if inst.b is None:
         raise ValueError("instance has no off-range string b; attach one first")
     steps = range(strategy.max_queries if witness else min(strategy.max_queries, inst.c))
+    if len(steps) > MAX_STEPS:
+        raise ValueError(f"{strategy.name!r} has a step budget of {len(steps)}, more than MAX_STEPS = {MAX_STEPS}")
     if strategy.plan is not None and inst.m < 256 and inst.ell <= EXHAUSTIVE_MAX_N:
         m, b, kept, (mask, offsets) = inst.m, inst.b.encode(), inst._plan_columns, inst._rows
         plan = tuple(takewhile(lambda row: isinstance(row, int) and 0 <= row < m, islice(strategy.plan(m), len(steps))))
@@ -278,15 +285,16 @@ def scan(inst: Instance, strategy: StudentStrategy, witness: bool = False, jobs:
 
 def failure_set(inst: Instance, strategy: StudentStrategy, jobs: int = 1, sample: tuple[int, int] | None = None) -> FailureReport:
     """All inputs where the solve-mode run fails (exhaustive, n <= EXHAUSTIVE_MAX_N), or
-    a seeded sample of them when `sample=(size, seed)` is given."""
+    a seeded sample of them when `sample=(size, seed)`, size in 1..MAX_SAMPLE, is given."""
     if sample is not None:
         size, seed = sample
-        if size < 1:
-            raise ValueError(f"sample size must be at least 1, got {size}")
+        if not 1 <= size <= MAX_SAMPLE:
+            raise ValueError(f"sample size must be in 1..{MAX_SAMPLE} (MAX_SAMPLE), got {size}")
+        play_sample = _column(inst, strategy, False)  # refuses a budget past MAX_STEPS before any list
         rng = random.Random(derive_seed("failure-sample", seed))
         values = [rng.randrange(1 << inst.n) for _ in range(size)]
         inputs = [int_to_bits(x, inst.n) for x in values]
-        column = _column(inst, strategy, False)(inputs, list(map(inst.restrictions, values)))
+        column = play_sample(inputs, list(map(inst.restrictions, values)))
     else:
         column = scan(inst, strategy, jobs=jobs)  # refuses n > EXHAUSTIVE_MAX_N before the input table is built
         inputs = inst._inputs[0]

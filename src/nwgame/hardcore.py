@@ -61,12 +61,11 @@ def compose(family: StudentFamily, k: int, started: dict[str, int] | None = None
     Any other call recomputes from stage 1, so the move is a pure function
     of (view, a, replies).  It stops with the stage outputs, and records in
     `started` (if given) the furthest stage past 1 begun on each input.
-    A stage may call invert only under its own may_invert flag: when some
-    stage may, every other one is handed `view.without_invert`.
+    A stage may call invert only under its own may_invert flag, whatever view
+    drives the composite: each unflagged stage is handed `view.without_invert`.
     """
     stages = family.stages[:stage_count(family, k)]
-    may_invert = any(stage.may_invert for stage in stages)
-    table = tuple((stage.move, stage.max_queries, stage.may_invert or not may_invert) for stage in stages)
+    table = tuple((stage.move, stage.max_queries, stage.may_invert) for stage in stages)
     violation = ProtocolViolation()
     # (view, a, replies, index, own, outputs): the stage, its own replies and
     # the finished stages' outputs; a game is saved when it has consumed every
@@ -77,6 +76,7 @@ def compose(family: StudentFamily, k: int, started: dict[str, int] | None = None
     def move(view: GameView, a: str, replies: tuple[str, ...]):
         nonlocal progress
         last_view, last_a, seen, index, own, outputs = progress
+        without = view.without_invert
         used = len(replies)
         if last_view is view and last_a == a and used and replies[:-1] == seen:
             # the reply to the query the last call returned
@@ -85,7 +85,7 @@ def compose(family: StudentFamily, k: int, started: dict[str, int] | None = None
             index, own, used, outputs = 0, (), 0, ()
         while index < k:
             stage_move, limit, own_view = table[index]
-            row = stage_move(view if own_view else view.without_invert, a, own)
+            row = stage_move(view if own_view else without, a, own)
             if row is None or isinstance(row, Output):
                 outputs += (None if row is None else row.value,)
                 index, own = index + 1, ()
@@ -107,7 +107,7 @@ def compose(family: StudentFamily, k: int, started: dict[str, int] | None = None
         name=f"composed[{name}]",
         max_queries=composed_budget(k),
         move=move,
-        may_invert=may_invert,
+        may_invert=any(stage.may_invert for stage in stages),
     )
 
 
@@ -137,8 +137,8 @@ class HardcoreReport:
             "meets_bound": self.meets_bound,
         }
         if self.size <= self.MEMBER_EMIT_CAP:
-            spec = f"0{(self.n + 3) // 4}x"  # bits_to_hex's width, ceil(n/4) nibbles; n >= ell >= 1
-            data["members_hex"] = [format(int(a, 2), spec) for a in self.members]
+            hex_of = f"%0{(self.n + 3) // 4}x".__mod__  # bits_to_hex's width, ceil(n/4) nibbles; n >= ell >= 1
+            data["members_hex"] = [hex_of(int(a, 2)) for a in self.members]
         return data
 
 

@@ -23,6 +23,7 @@ from nwgame import (
     strategy_from_spec,
 )
 from nwgame.bits import bits_to_hex
+from nwgame.game import MAX_SAMPLE, MAX_STEPS
 from nwgame.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -564,6 +565,26 @@ def test_bad_input_exits_config(workspace, capsys, args, config, named):
         assert repr(named) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, c, cap",
+    [
+        (["game", "play", "--witness", "--input", "0110", "--strategy", f"constant:0:{MAX_STEPS + 1}"], 1, "MAX_STEPS"),
+        (["game", "play", "--input", "0110", "--strategy", f"round-robin:{MAX_STEPS + 1}"], MAX_STEPS + 1, "MAX_STEPS"),
+        (["analyze", "census", "--strategy", f"seeded-random:{MAX_STEPS + 1}"], MAX_STEPS + 1, "MAX_STEPS"),
+        (["game", "failureset", "--strategy", "constant:0", "--sample", str(MAX_SAMPLE + 1)], 1, "MAX_SAMPLE"),
+    ],
+    ids=["witness-budget-past-the-cap", "solve-budget-past-the-cap", "census-budget-past-the-cap", "sample-past-the-cap"],
+)
+def test_step_and_sample_caps_exit_config(workspace, capsys, args, c, cap):
+    # a witness budget is max_queries, a solve budget min(max_queries, c)
+    tmp, _, instance = workspace
+    path = tmp / "wide.json"
+    path.write_text(json.dumps(dict(json.loads(instance.read_text()), c=c)))
+    assert main([*args, "--instance", str(path), "--out", str(tmp / "out.json")]) == EXIT_CONFIG
+    assert cap in capsys.readouterr().err
+    assert not (tmp / "out.json").exists()
+
+
 @pytest.mark.parametrize("position", [4, -1], ids=["position-past-n", "position-negative"])
 @pytest.mark.parametrize(
     "args",
@@ -773,7 +794,7 @@ ARGV_TOKENS = st.one_of(
     st.text(max_size=5),
     st.sampled_from(
         ["", "-", "1e3", "0x1f", "nan", "{", "[]", "{}", "[1]", '{"kind": 1}', "0,0", ",", ".", "missing.json",
-         *ARGV_FILES, "constant:9", "omniscient", "table:1"]
+         *ARGV_FILES, "constant:9", "omniscient", "table:1", f"constant:0:{MAX_STEPS + 1}", str(MAX_SAMPLE + 1)]
     ),
 )
 

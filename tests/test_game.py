@@ -22,11 +22,13 @@ from nwgame import (
     best_partial_assignment,
     build_predictor,
     compose,
+    composed_budget,
     constant_strategy,
     definedness_set,
     embed,
     extend_greedy,
     evaluate_partial,
+    failure_bound,
     failure_set,
     omniscient_strategy,
     play,
@@ -40,7 +42,7 @@ from nwgame import cli, game
 from nwgame.bits import all_bitstrings, int_to_bits
 from nwgame.cli import EXIT_OK, main
 from nwgame.design import restrict
-from nwgame.game import FailureReport, GameView, Transcript, scan
+from nwgame.game import MAX_SAMPLE, MAX_STEPS, FailureReport, GameView, Transcript, scan
 from nwgame.generator import evaluate
 from nwgame.seeds import derive_seed
 
@@ -89,6 +91,73 @@ def test_a_witness_game_of_4000_answered_queries_holds_linear_memory():
         tracemalloc.stop()
     assert transcript.queries == (0,) * 4000 and len(transcript.replies) == 4000 and transcript.defined
     assert peak < 1 << 20
+
+
+def _unplayable(budget: int) -> StudentStrategy:
+    """A plan student whose move and plan both fail the test when asked."""
+
+    def refuse(*args):
+        raise AssertionError("asked past the step cap")
+
+    return StudentStrategy("unplayable", budget, refuse, plan=refuse)
+
+
+def test_a_step_budget_past_max_steps_is_refused_before_any_move_or_plan_draw(inst_a):
+    # solve mode's budget is min(max_queries, c), witness mode's max_queries
+    wide = dataclasses.replace(inst_a, c=MAX_STEPS + 1)
+    student = _unplayable(MAX_STEPS + 1)
+    refusals = (
+        lambda: play(wide, student, "0000"),
+        lambda: evaluate_partial(inst_a, student, "0000"),
+        lambda: scan(wide, student),
+        lambda: scan(wide, student, witness=True),
+        lambda: failure_set(wide, student),
+        lambda: failure_set(wide, student, sample=(MAX_SAMPLE, 0)),
+        lambda: definedness_set(wide, student),
+        lambda: build_predictor(wide, student, (0,), "00"),
+    )
+    tracemalloc.start()
+    try:
+        for refused in refusals:
+            with pytest.raises(ValueError, match=f"'unplayable' has a step budget of {MAX_STEPS + 1}, more than MAX_STEPS"):
+                refused()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # refused before the sample's lists, which take megabytes at MAX_SAMPLE
+    assert "_inputs" not in vars(wide)  # refused before the scans' input table
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        play(wide, constant_strategy(0, MAX_STEPS + 1), "0000")
+    assert play(inst_a, constant_strategy(0, MAX_STEPS + 1), "0010").trace == (0,)  # c = 1 caps the solve budget
+
+
+def test_a_step_budget_at_max_steps_is_played(inst_a):
+    """A plan student at the cap, drawn to the cap, in both modes; its
+    repeated row decides each game at the first ask, so no long game runs."""
+    wide, at_cap, once = dataclasses.replace(inst_a, c=MAX_STEPS), constant_strategy(0, MAX_STEPS), constant_strategy(0)
+    assert scan(inst_a, at_cap, witness=True) == scan(inst_a, once, witness=True)
+    assert scan(wide, at_cap) == scan(wide, once)
+    assert failure_set(wide, at_cap, sample=(16, 0)) == failure_set(wide, once, sample=(16, 0))
+    for run in (play, evaluate_partial):
+        assert run(wide, at_cap, "0010").trace == (0,)  # row 0 disagrees with b at once
+    # the largest composite budget the failure ceiling's digits admit fits under the cap
+    assert composed_budget(94) == 4465 <= MAX_STEPS
+    failure_bound(inst_a.ell, 1, 94 * 94)
+    with pytest.raises(ValueError, match="digits"):
+        failure_bound(inst_a.ell, 1, 95 * 95)
+
+
+def test_a_sample_at_max_sample_is_played_and_past_it_refused_before_any_list(inst_a):
+    report = failure_set(inst_a, constant_strategy(0), sample=(MAX_SAMPLE, 0))
+    assert report.sample_size == report.failure_count + report.success_count == MAX_SAMPLE
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^sample size must be in 1\.\.{MAX_SAMPLE} \(MAX_SAMPLE\), got {MAX_SAMPLE + 1}$"):
+            failure_set(inst_a, _unplayable(1), sample=(MAX_SAMPLE + 1, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # a list of MAX_SAMPLE + 1 sampled ints alone takes 512 KiB
 
 
 def test_witness_aborts_on_disagreement(inst_a):

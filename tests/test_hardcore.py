@@ -590,6 +590,54 @@ def test_a_stage_inverts_only_under_its_own_flag(inst_a):
     assert t.defined and t.output == (inst.h.invert("00"), None)
 
 
+def test_an_unflagged_stage_may_not_invert_under_a_flagged_view():
+    """A composite with no flagged stage, driven by a hand-built view that may
+    invert, still hands its stage `view.without_invert`."""
+    inst = DIFFERENTIAL_INSTANCES[6]
+    composite = compose(StudentFamily((_peek(),)), 1)
+    assert not composite.may_invert
+    for may_invert in (True, False):
+        with pytest.raises(CapabilityError):
+            composite.move(GameView(inst, may_invert), "000000", ())
+
+
+def _probe(flag: bool, seen: list) -> StudentStrategy:
+    """Asks no query: tries view.invert once, records whether it was answered, and stops."""
+
+    def move(view, a, replies):
+        try:
+            view.invert(a[: view.ell])
+        except CapabilityError:
+            seen.append(False)
+        else:
+            seen.append(True)
+        return Output(flag)
+
+    return StudentStrategy(f"probe-{flag}", 0, move, may_invert=flag)
+
+
+@settings(max_examples=60, deadline=None)
+@given(flags=st.lists(st.booleans(), min_size=1, max_size=4), n=st.integers(4, 8), data=st.data())
+def test_each_stage_inverts_by_its_own_flag_under_either_view(flags, n, data):
+    """In a family that mixes flagged and unflagged stages, an unflagged
+    stage's invert always raises and a flagged stage's inverts whenever the
+    view driving the composite may: under either hand-built view, and in the
+    game the engine plays, whose view carries the composite's flag."""
+    inst, seen = DIFFERENTIAL_INSTANCES[n], []
+    a = data.draw(st.sampled_from(list(all_bitstrings(n))))
+    family = StudentFamily(tuple(_probe(flag, seen) for flag in flags))
+    k = data.draw(st.integers(1, len(flags)))
+    composite = compose(family, k)
+    assert composite.may_invert == any(flags[:k])
+    for may_invert in (False, True):
+        seen.clear()
+        assert composite.move(GameView(inst, may_invert), a, ()) == Output(tuple(flags[:k]))
+        assert seen == [flag and may_invert for flag in flags[:k]]
+    seen.clear()
+    assert evaluate_partial(inst, composite, a).output == tuple(flags[:k])
+    assert seen == flags[:k]
+
+
 def test_hardcore_section_reads_the_extraction_from_the_sweep(monkeypatch):
     """Every asked-for (k, k_max) plays one witness scan, a sweep to the larger of the two; both are
     checked against the family first, k_max before k, and asking for neither plays none."""
