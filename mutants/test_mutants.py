@@ -101,18 +101,18 @@ MUTANTS = [
            "a sample or predictor batch reads the first inputs' packs by position, not the packs of its own inputs"),
     Mutant("m25", "game.py", "inst.m < 256 and inst.ell <= EXHAUSTIVE_MAX_N:", "inst.m < 256:",
            "a plan on rows wider than the scan cap fills all 2^ell hard bits, where the game loop meets one per ask"),
-    Mutant("m26", "generator.py", "cached_property(lambda self: {})", "cached_property(lambda self: {None: [self]})",
-           "the plan-column cache holds its instance, a cycle that keeps every dropped instance alive until a collection"),
-    Mutant("m27", "game.py", "kept.get(plan)", "kept.get(tuple(strategy.plan(m)))",
-           "a scan looks its kept column up by the plan drawn without the step budget's cut, so a solve scan reads a witness scan's column"),
+    Mutant("m26", "game.py", "kept[0] = plan, column", "kept[0] = plan, column, inst",
+           "the plan-column slot also holds its instance, a cycle that keeps every dropped instance alive until a collection"),
+    Mutant("m27", "game.py", "(held := kept[0])[0] == plan", "(held := kept[0])[0] == tuple(strategy.plan(m))",
+           "a scan compares the slot's plan with the plan drawn without the step budget's cut, so a solve scan reads a witness scan's column"),
     Mutant("m28", "analysis.py", "p >> shift & mask for p in packs", "p >> shifts[i - 1] & mask for p in packs",
            "a witness table reads its row's restrictions at the previous row's slot"),
     Mutant("m29", "analysis.py", 'check_bits(u, inst.ell, "predictor input"))]', 'check_bits(u, inst.ell, "predictor input")[::-1])]',
            "the predictor reads its group at the reversed u, so it replays another input of the fixing"),
     Mutant("m30", "game.py", "latest[-1] = replies", "latest.append(replies)",
            "a played game records every ask's reply prefix, about q^2/2 references for q answered queries"),
-    Mutant("m31", "game.py", "kept.clear()", "pass",
-           "an instance keeps one plan column per distinct plan ever scanned, with no bound"),
+    Mutant("m31", "game.py", "kept[0] = plan, column", "kept[0] = (plan, column) if kept[0][0] is None else kept[0]",
+           "the plan-column slot is never refilled, so every scan of a later plan rebuilds its column"),
     Mutant("m32", "hardcore.py", "stage.max_queries, stage.may_invert) for stage in stages)",
            "stage.max_queries, stage.may_invert or not any(s.may_invert for s in stages)) for stage in stages)",
            "with no flagged stage every stage gets the view driving the composite, so a flagged view lets an unflagged stage invert"),

@@ -21,7 +21,7 @@ from typing import Any
 from . import analysis, hardcore
 from .bits import check_bits, hex_to_bits
 from .crypto import DEFAULT_ROUNDS, HARD_BIT_KINDS, PERMUTATION_KINDS, HardBit, Permutation, check_bijection
-from .design import Design, build_polynomial_design, extend_greedy, require_valid, verify_design
+from .design import Design, build_polynomial_design, extend_greedy, verify_design
 from .errors import ABSENT, REQUIRED, SearchExhausted, ValidationError, json_object, json_value
 from .game import EXHAUSTIVE_MAX_N, MAX_SAMPLE, StudentStrategy, evaluate_partial, failure_set, play, strategy_from_spec
 from .generator import ENUMERATION_MAX_N, OFF_RANGE_MODES, Instance, certify_off_range, make_instance, strict_violations
@@ -125,13 +125,13 @@ def _family(stages: Any) -> hardcore.StudentFamily:
 
 
 def _design_from_config(cfg: dict, extend_seed: int) -> Design:
-    """A design config: {"explicit": DESIGN} or the polynomial family
-    {"q", "degree"}, greedily extended to "extend_to" rows."""
+    """A design config: {"explicit": DESIGN}, which `Instance` checks, or the polynomial
+    family {"q", "degree"} greedily extended to "extend_to" rows, valid by construction."""
     if "explicit" in cfg:
         return Design.from_json_dict(json_object(cfg, {"explicit": (dict, REQUIRED)}, "design")["explicit"])
     cfg = json_object(cfg, {"q": (int, REQUIRED), "degree": (int, REQUIRED), "extend_to": (int, ABSENT)}, "design")
     base = build_polynomial_design(cfg["q"], cfg["degree"])
-    return require_valid(extend_greedy(base, cfg.get("extend_to", base.m), extend_seed))
+    return extend_greedy(base, cfg.get("extend_to", base.m), extend_seed)
 
 
 def _build_instance(

@@ -102,15 +102,9 @@ class Permutation:
 
 
 def check_bijection(h: Permutation) -> bool:
-    """Exhaustively verify invert(apply(v)) == v and that apply is onto.
-    Costs 2^ell evaluations; callers gate on ell."""
-    seen = set()
-    for v in all_bitstrings(h.ell):
-        u = h.apply(v)
-        if h.invert(u) != v:
-            return False
-        seen.add(u)
-    return len(seen) == 1 << h.ell
+    """Exhaustively verify invert(apply(v)) == v, which makes apply injective
+    on {0,1}^ell and so onto.  Costs 2^ell evaluations; callers gate on ell."""
+    return all(h.invert(h.apply(v)) == v for v in all_bitstrings(h.ell))
 
 
 @dataclass(frozen=True)

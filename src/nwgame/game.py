@@ -149,22 +149,22 @@ def _column(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callabl
     step budget and cut at its first non-row (rule 2), it ends at the first row
     whose hard bit differs from b's (rule 3), read off the packs themselves or,
     in a scan, off every input's: the scan keeps the whole column in
-    `inst._plan_columns` under the drawn plan, emptied before a 65th plan,
-    and returns its `span`."""
+    `inst._plan_column`, one slot that the next plan scanned refills, and
+    returns its `span`."""
     if inst.b is None:
         raise ValueError("instance has no off-range string b; attach one first")
     steps = range(strategy.max_queries if witness else min(strategy.max_queries, inst.c))
     if len(steps) > MAX_STEPS:
         raise ValueError(f"{strategy.name!r} has a step budget of {len(steps)}, more than MAX_STEPS = {MAX_STEPS}")
     if strategy.plan is not None and inst.m < 256 and inst.ell <= EXHAUSTIVE_MAX_N:
-        m, b, kept, (mask, offsets) = inst.m, inst.b.encode(), inst._plan_columns, inst._rows
+        m, b, kept, (mask, offsets) = inst.m, inst.b.encode(), inst._plan_column, inst._rows
         plan = tuple(takewhile(lambda row: isinstance(row, int) and 0 <= row < m, islice(strategy.plan(m), len(steps))))
         firsts = tuple(dict.fromkeys(plan))  # a row asked again repeats its bit
         ends = [plan[: plan.index(row) + 1] for row in firsts] + [None]
 
         def plan_column(inputs: Sequence[str], packs: Sequence[int], span: slice | None = None) -> list:
-            if span is not None and (whole := kept.get(plan)):  # a later scan of the plan slices its kept column
-                return whole[span]
+            if span is not None and (held := kept[0])[0] == plan:  # one read of the pair; a later scan of the plan slices it
+                return held[1][span]
             packs = packs if span is None else inst._inputs[1]  # a plan's first scan builds all of it
             hard, ones = inst._hard_bits, int.from_bytes(b"\1" * len(packs), "little")
             first = ones * len(firsts)  # one byte per input: its index in ends, below 256 as m is
@@ -174,9 +174,9 @@ def _column(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callabl
                 hit = int.from_bytes(bits.translate(_DIFFERS[b[row]]), "little")  # 0xff where b's bit differs
                 first = first & ~hit | ones * step & hit
             column = list(map(ends.__getitem__, first.to_bytes(len(packs), "little")))
-            if span is not None and len(kept) >= 64:  # bounded, as the seeded-random memo is
-                kept.clear()
-            return column if span is None else kept.setdefault(plan, column)[span]
+            if span is not None:
+                kept[0] = plan, column
+            return column if span is None else column[span]
 
         return plan_column
     view, move, answers, (mask, offsets) = GameView(inst, strategy.may_invert), strategy.move, inst._answers, inst._rows

@@ -13,8 +13,8 @@ ell <= 8 the first `evaluate` fills all 2^ell entries into a byte table and
 translates each output from the packed bytes; wider rows stay one entry per
 restriction met.  The game loop plays inputs packed this way, and every
 exhaustive scan reads them from one table per instance of every input's
-string and packing (`Instance._inputs`), the first scan of each drawn plan
-keeping its whole trace column (`Instance._plan_columns`).
+string and packing (`Instance._inputs`), the last drawn plan scanned keeping
+its whole trace column (`Instance._plan_column`).
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ class Instance:
 
         return wide
 
-    _plan_columns = cached_property(lambda self: {})  # not a field, like `_answers`: a drawn plan -> its scans' trace column
+    _plan_column = cached_property(lambda self: [(None, None)])  # not a field, like `_answers`: the last plan scanned, its column
 
     @cached_property
     def _hard_bits(self) -> bytes:

@@ -13,6 +13,7 @@ from nwgame import (
     HardBit,
     Instance,
     Permutation,
+    SearchExhausted,
     StudentFamily,
     build_polynomial_design,
     cli,
@@ -21,8 +22,10 @@ from nwgame import (
     extend_greedy,
     make_instance,
     strategy_from_spec,
+    verify_design,
 )
 from nwgame.bits import bits_to_hex
+from nwgame.design import POLYNOMIAL_MAX_ROWS
 from nwgame.game import MAX_SAMPLE, MAX_STEPS
 from nwgame.cli import (
     EXIT_CONFIG,
@@ -32,6 +35,24 @@ from nwgame.cli import (
     main,
     run_experiment,
 )
+
+
+BUILT_FAMILIES = [(q, degree) for q in (2, 3, 4, 5, 7, 8, 9) for degree in range(1, q) if q ** (degree + 1) <= POLYNOMIAL_MAX_ROWS]
+
+
+@settings(max_examples=25, deadline=None)
+@given(family=st.sampled_from(BUILT_FAMILIES), extra=st.integers(0, 6), seed=st.integers(0, 1 << 32))
+def test_every_design_that_design_build_emits_verifies(family, extra, seed):
+    # nothing rechecks a built design before it is written: polynomial rows
+    # share at most `degree` points, and extend_greedy appends only rows
+    # that share at most d points with every row before them
+    q, degree = family
+    extend_to = q ** (degree + 1) + extra
+    try:
+        design = cli._design_from_config({"q": q, "degree": degree, "extend_to": extend_to}, seed)
+    except SearchExhausted:
+        return  # `design build` exits 4 and emits no design
+    assert design.m == extend_to and verify_design(design).ok
 
 
 @pytest.fixture()

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from nwgame import HardBit, Permutation, check_bijection, preimage_bit
 from nwgame.bits import all_bitstrings
-from nwgame.crypto import FEISTEL_MAX_ENTRIES
+from nwgame.crypto import FEISTEL_MAX_ENTRIES, PERMUTATION_KINDS
 
 
 @pytest.mark.parametrize(
@@ -27,6 +27,31 @@ def test_check_bijection_catches_a_wrong_inverse():
     inverse[0], inverse[1] = inverse[1], inverse[0]
     object.__setattr__(h, "_inverse", inverse)
     assert not check_bijection(h)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(PERMUTATION_KINDS), seed=st.integers(0, 1 << 16),
+       forge=st.sampled_from(["", "_forward", "_inverse"]))
+def test_check_bijection_is_the_definition(data, kind, seed, forge):
+    # the definition: the 2^ell forward images are exactly {0,1}^ell, and
+    # invert undoes apply.  A table forged at `_forward` maps two points to
+    # one image, so it is not onto; one forged at `_inverse` swaps two
+    # entries, so invert does not undo apply
+    ell = data.draw(st.sampled_from(range(2, 11, 2)) if kind == "feistel" else st.integers(1, 10))
+    h = Permutation(ell=ell, kind=kind, seed=seed)
+    forge = forge if kind == "table" else ""
+    if forge:
+        i, j = data.draw(st.lists(st.integers(0, (1 << ell) - 1), min_size=2, max_size=2, unique=True))
+        entries = list(getattr(h, forge))
+        if forge == "_forward":
+            entries[i] = entries[j]
+        else:
+            entries[i], entries[j] = entries[j], entries[i]
+        object.__setattr__(h, forge, entries)
+    points = list(all_bitstrings(ell))
+    onto = sorted(map(h.apply, points)) == points
+    assert check_bijection(h) == (onto and all(h.invert(h.apply(v)) == v for v in points))
+    assert check_bijection(h) == (not forge)
 
 
 def test_invert_is_left_and_right_inverse():

@@ -733,8 +733,8 @@ def test_plan_columns_match_the_game_loop_and_the_reference(which, kind, row, qu
 @example(which=0, rows=[0, 1, 2], max_queries=3, witness_first=True, jobs=1)  # c = 1: the solve plan is (0,)
 @example(which=1, rows=[3, 4, 9, 0], max_queries=4, witness_first=False, jobs=2)  # a non-row cuts both plans
 def test_kept_plan_columns_match_the_uncached_path_and_the_reference(which, rows, max_queries, witness_first, jobs):
-    # a fresh instance keeps no column; each mode is scanned twice, so the
-    # second scan of each reads the column kept by the first
+    # a fresh instance keeps no column; the modes alternate, each scanned
+    # twice, so a scan reads the slot only where the other mode drew its plan
     inst = dataclasses.replace(PLAN_INSTANCES[which])
     student = StudentStrategy(
         "planned", max_queries, lambda view, a, replies: rows[len(replies)] if len(replies) < len(rows) else Output(),
@@ -743,30 +743,41 @@ def test_kept_plan_columns_match_the_uncached_path_and_the_reference(which, rows
     inputs = list(all_bitstrings(inst.n))
     for witness in (witness_first, not witness_first) * 2:
         reference = [_stop_rule_reference(inst, student, a, witness)[0].trace for a in inputs]
+        before = list(inst._plan_column)
         uncached = game._column(inst, student, witness)(*inst._inputs)  # no span: read off the packs, kept nowhere
+        assert inst._plan_column == before
         assert scan(inst, student, witness, jobs) == uncached == reference
-    # one entry per drawn plan: cut to the step budget, then at the first non-row
-    drawn = [tuple(itertools.takewhile(lambda r: isinstance(r, int) and 0 <= r < inst.m, rows[:budget]))
-             for budget in (max_queries, min(max_queries, inst.c))]
-    assert set(inst._plan_columns) == set(drawn)
-    assert all(trace is None or type(trace) is tuple for column in inst._plan_columns.values() for trace in column)
+        # the slot holds this scan's plan as drawn: cut to the step budget, then at the first non-row
+        budget = max_queries if witness else min(max_queries, inst.c)
+        drawn = tuple(itertools.takewhile(lambda r: isinstance(r, int) and 0 <= r < inst.m, rows[:budget]))
+        assert inst._plan_column == [(drawn, reference)]
+        assert all(trace is None or type(trace) is tuple for trace in inst._plan_column[0][1])
 
 
-def test_kept_plan_columns_are_emptied_before_a_65th_plan():
-    # 66 distinct two-row plans over m = 9 rows, then the first again: an
-    # instance keeps at most 64 plans, and every scan, before and after the
-    # cache is emptied, matches the reference
+def test_the_kept_plan_column_holds_the_last_plan_scanned():
+    # one slot: a scan of the plan it holds reads its column, a scan of
+    # another plan replaces it, and every scan matches the reference
     inst = dataclasses.replace(greedy_instance(6, 2, 1, seed=0, c=2, m=9))
     inputs = list(all_bitstrings(inst.n))
-    plans = list(itertools.product(range(inst.m), repeat=2))[:66]
-    for count, plan in enumerate(plans + plans[:1], 1):
-        student = StudentStrategy(
-            "planned", 2, lambda view, a, replies, plan=plan: plan[len(replies)] if len(replies) < 2 else Output(),
-            plan=lambda m, plan=plan: iter(plan),
+
+    def planned(plan):
+        return StudentStrategy(
+            "planned", 2, lambda view, a, replies: plan[len(replies)] if len(replies) < 2 else Output(),
+            plan=lambda m: iter(plan),
         )
-        reference = [_stop_rule_reference(inst, student, a, False)[0].trace for a in inputs]
-        assert scan(inst, student) == reference
-        assert len(inst._plan_columns) == (count - 1) % 64 + 1 and plan in inst._plan_columns
+
+    for plan in ((0, 1), (0, 1), (3, 2), (0, 1), (3, 2), (3, 2)):
+        [held] = inst._plan_column
+        reference = [_stop_rule_reference(inst, planned(plan), a, False)[0].trace for a in inputs]
+        assert scan(inst, planned(plan)) == reference
+        assert inst._plan_column == [(plan, reference)]
+        assert held[0] != plan or inst._plan_column[0] is held  # the same plan again reads the slot, not a rebuild
+
+    # a sample and the predictor's default-bit batch read their own inputs' bits and leave the slot as it was
+    [kept] = inst._plan_column
+    assert failure_set(inst, planned((5, 7)), sample=(20, 1)).sample_size == 20
+    build_predictor(inst, planned((5, 7)), (5,), "0" * (inst.n - inst.ell), tables={})
+    assert len(inst._plan_column) == 1 and inst._plan_column[0] is kept
 
 
 def test_a_scan_returns_a_list_of_its_own(inst_a_c2):
@@ -850,7 +861,7 @@ def test_games_past_the_scan_cap_build_no_input_table(inst_n15):
             with pytest.raises(ValueError, match="n=15 > 14"):
                 scan_past_the_cap(inst_n15, student)
     # a plan student's sample reads its own draws: no plan column is kept
-    assert "_inputs" not in vars(inst_n15) and not vars(inst_n15).get("_plan_columns")
+    assert "_inputs" not in vars(inst_n15) and vars(inst_n15).get("_plan_column", [(None, None)]) == [(None, None)]
 
 
 def test_a_plan_is_drawn_no_further_than_the_step_budget(inst_a_c2):

@@ -428,20 +428,20 @@ def test_hard_bit_columns_match_evaluate(data, wide, hard, seed):
 
     for row in rows:
         assert scan(inst, constant_strategy(row)) == expected(row, range(1 << n))
-    assert sorted(inst._plan_columns) == sorted((row,) for row in rows)  # one kept column per plan scanned
+        assert inst._plan_column == [((row,), expected(row, range(1 << n)))]  # the slot holds the last plan scanned
 
     # a sample's bits, off its own packs, whatever their order, kept nowhere
     values = [rng.randrange(1 << n) for _ in range(20)]
     inputs, packs = [int_to_bits(x, n) for x in values], [inst.restrictions(x) for x in values]
     for row in rows:
         assert _column(inst, constant_strategy(row), False)(inputs, packs) == expected(row, values)
-    assert len(inst._plan_columns) == len(rows)
+    assert inst._plan_column == [((rows[-1],), expected(rows[-1], range(1 << n)))]
 
-    # the cache is not a field: equality, repr and pickles ignore it, and a
+    # the slot is not a field: equality, repr and pickles ignore it, and a
     # replaced instance starts empty
-    assert dataclasses.replace(inst) == inst and "_plan_columns" not in repr(inst)
-    assert "_plan_columns" not in vars(pickle.loads(pickle.dumps(inst)))
-    assert "_plan_columns" not in vars(dataclasses.replace(inst))
+    assert dataclasses.replace(inst) == inst and "_plan_column" not in repr(inst)
+    assert "_plan_column" not in vars(pickle.loads(pickle.dumps(inst)))
+    assert "_plan_column" not in vars(dataclasses.replace(inst))
 
 
 def test_hard_bit_columns_refuse_past_the_scan_cap():
@@ -454,16 +454,16 @@ def test_hard_bit_columns_refuse_past_the_scan_cap():
         sampled = dataclasses.replace(inst, b="0" + bit)
         column = _column(sampled, constant_strategy(1), False)([a], [sampled.restrictions(value)])
         assert column == [(1,) if evaluate(sampled, a)[1] != bit else None]
-        assert "_inputs" not in vars(sampled) and not vars(sampled).get("_plan_columns")
-    assert "_inputs" not in vars(inst) and not vars(inst).get("_plan_columns")
+        assert "_inputs" not in vars(sampled) and vars(sampled).get("_plan_column", [(None, None)]) == [(None, None)]
+    assert "_inputs" not in vars(inst) and vars(inst).get("_plan_column", [(None, None)]) == [(None, None)]
 
 
 def test_an_instance_with_cached_columns_is_freed_without_the_cycle_collector():
-    # the kept plan columns hold nothing that refers back to their instance,
-    # so a dropped instance (with its input table) is freed at once, not at
-    # the next cycle collection
+    # the kept plan column's slot holds nothing that refers back to its
+    # instance, so a dropped instance (with its input table) is freed at
+    # once, not at the next cycle collection
     inst = greedy_instance(6, 2, 1, seed=0, c=2)
-    assert scan(inst, round_robin_strategy(2)) and inst._plan_columns
+    assert scan(inst, round_robin_strategy(2)) and inst._plan_column[0][1]
     dropped = weakref.ref(inst)
     gc.disable()
     try:
