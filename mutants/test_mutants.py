@@ -12,10 +12,16 @@ runs on the copy with `-x` and a fixed hypothesis seed, so a kill by a
 property test is deterministic.  A row is killed when some test fails
 (pytest's exit code 1); an error of the run itself (exit 2 to 5) fails the
 row instead of counting as a kill.  The rows run two at a time.
+
+A statement no test runs is a mutant no test can kill, so one more test runs
+tier-1 under a line tracer and names every statement of `src/nwgame` it never
+reached.
 """
 
 from __future__ import annotations
 
+import ast
+import json
 import os
 import re
 import shutil
@@ -31,6 +37,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "pyproject.toml", "README.md")
 WORKERS = 2
+# Each copy's tier-1 runs under this address-space cap (unmutated, it peaks near
+# 85 MB), so a mutant that draws a plan without end, such as m18 on a budget of
+# 2^64, fails with MemoryError instead of exhausting the host's memory
+CAPPED_PYTEST = "import resource, sys, pytest; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); sys.exit(pytest.main(sys.argv[1:]))"
 
 
 class Mutant(NamedTuple):
@@ -60,7 +70,7 @@ MUTANTS = [
     Mutant("m06", "game.py", "if witness:\n                    move(view, a, replies)",
            "if False:\n                    move(view, a, replies)",
            "witness mode drops its extra ask for the output"),
-    Mutant("m07", "game.py", "else min(strategy.max_queries, inst.c))", "else strategy.max_queries)",
+    Mutant("m07", "game.py", "else min(strategy.max_queries, inst.c)\n", "else strategy.max_queries\n",
            "the solve budget ignores c"),
     Mutant("m08", "analysis.py", "margins[prefix] -= count", "margins[prefix] -= 0",
            "margins ignore proper extensions"),
@@ -83,7 +93,7 @@ MUTANTS = [
            "a plan column keeps each input's last success, not its first"),
     Mutant("m17", "game.py", "translate(_DIFFERS[b[row]])", 'translate(_DIFFERS[ord("0")])',
            "a plan column ignores b's bit and succeeds on every hard bit 1"),
-    Mutant("m18", "game.py", "islice(strategy.plan(m), len(steps))", "strategy.plan(m)",
+    Mutant("m18", "game.py", "islice(strategy.plan(m), budget)", "strategy.plan(m)",
            "a plan is drawn past the step budget, so its column is not cut to the solve budget min(max_queries, c)"),
     Mutant("m19", "analysis.py", '"proper": -1', '"proper": 0',
            "the assignment search scores a proper extension 0, so its margin is the exact count alone"),
@@ -116,7 +126,7 @@ MUTANTS = [
     Mutant("m32", "hardcore.py", "stage.max_queries, stage.may_invert) for stage in stages)",
            "stage.max_queries, stage.may_invert or not any(s.may_invert for s in stages)) for stage in stages)",
            "with no flagged stage every stage gets the view driving the composite, so a flagged view lets an unflagged stage invert"),
-    Mutant("m33", "game.py", "if len(steps) > MAX_STEPS:", "if len(steps) >= MAX_STEPS:",
+    Mutant("m33", "game.py", "if budget > MAX_STEPS:", "if budget >= MAX_STEPS:",
            "a step budget of exactly MAX_STEPS is refused"),
     Mutant("m34", "game.py", "if not 1 <= size <= MAX_SAMPLE:", "if not 1 <= size < MAX_SAMPLE:",
            "a sample of exactly MAX_SAMPLE inputs is refused"),
@@ -142,7 +152,7 @@ def _run(mutant: Mutant) -> subprocess.CompletedProcess:
         assert text.count(mutant.old) == 1, f"{mutant.id}: the old text occurs {text.count(mutant.old)} times"
         target.write_text(text.replace(mutant.old, mutant.new))
         env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "tests"]
+        command = [sys.executable, "-c", CAPPED_PYTEST, "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "tests"]
         return subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True, timeout=600)
 
 
@@ -169,3 +179,69 @@ def test_tier1_kills_the_mutant(outcomes, mutant):
 def test_readme_counts_the_faults():
     match = re.search(r"Its (\d+) faults", " ".join((ROOT / "README.md").read_text().split()))
     assert match and int(match.group(1)) == len(MUTANTS), "README's mutant sentence must name len(MUTANTS)"
+
+
+# Runs pytest with the remaining arguments under a tracer that records each
+# line executed in a frame of a file under argv[1], then writes them to argv[2]
+TRACED_PYTEST = """
+import json, sys
+import pytest
+
+src, out = sys.argv[1], sys.argv[2]
+ran = set()
+
+def line(frame, event, arg):
+    if event == "line":
+        ran.add((frame.f_code.co_filename, frame.f_lineno))
+    return line
+
+def call(frame, event, arg):
+    return line if frame.f_code.co_filename.startswith(src) else None
+
+sys.settrace(call)
+code = pytest.main(sys.argv[3:])
+sys.settrace(None)
+with open(out, "w") as handle:
+    json.dump(sorted(ran), handle)
+sys.exit(code)
+"""
+
+# Statements tier-1 runs only in a child process (`python -m nwgame`), which
+# the tracer does not follow: `__main__.py`'s two, and `cli.entrypoint`'s body
+UNTRACED = {
+    ("__main__.py", "from .cli import entrypoint"), ("__main__.py", "entrypoint()"),
+    ("cli.py", "raise SystemExit(main())"),
+}
+
+
+def _unreached(path: Path, ran: set[int]) -> list[str]:
+    """Each statement of the file with none of its lines in `ran`, as
+    `file:line: source`, skipping docstrings and `global`/`nonlocal`, which
+    compile to no code of their own, and the statements in UNTRACED."""
+    tree = ast.parse(path.read_text())
+    bodies = [node.body for node in ast.walk(tree) if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))]
+    docstrings = {
+        id(body[0]) for body in bodies
+        if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
+    }
+    return [
+        f"{path.name}:{node.lineno}: {ast.unparse(node).splitlines()[0]}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.stmt) and not isinstance(node, (ast.Global, ast.Nonlocal)) and id(node) not in docstrings
+        and (path.name, ast.unparse(node)) not in UNTRACED and ran.isdisjoint(range(node.lineno, node.end_lineno + 1))
+    ]
+
+
+def test_tier1_runs_every_statement(tmp_path):
+    src = ROOT / "src" / "nwgame"
+    out = tmp_path / "ran.json"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, "-c", TRACED_PYTEST, f"{src}{os.sep}", str(out),
+               "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "tests"]
+    result = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=1800)
+    assert result.returncode == 0, "tier-1 failed under the tracer\n" + "\n".join(result.stdout.splitlines()[-15:])
+    ran: dict[str, set[int]] = {}
+    for filename, lineno in json.loads(out.read_text()):
+        ran.setdefault(filename, set()).add(lineno)
+    unreached = [line for path in sorted(src.glob("*.py")) for line in _unreached(path, ran.get(str(path), set()))]
+    assert not unreached, "statements tier-1 never runs:\n" + "\n".join(unreached)

@@ -91,9 +91,9 @@ class TraceCensus:
         }
 
 
-def trace_census(inst: Instance, strategy: StudentStrategy, jobs: int = 1) -> TraceCensus:
+def trace_census(inst: Instance, strategy: StudentStrategy) -> TraceCensus:
     """Play every input and tally traces of successful runs (n <= EXHAUSTIVE_MAX_N)."""
-    counts: dict[Trace, int] = dict(Counter(filter(None, scan(inst, strategy, jobs=jobs))))
+    counts: dict[Trace, int] = dict(Counter(filter(None, scan(inst, strategy))))
     best, best_count = min(counts.items(), key=_score_key(inst.m), default=(None, 0))
     return TraceCensus(inst.m, sum(counts.values()), counts, best, best_count)
 
@@ -138,9 +138,7 @@ def _final_row(inst: Instance, trace: Trace) -> int:
     return trace[-1]
 
 
-def best_partial_assignment(
-    inst: Instance, strategy: StudentStrategy, trace: Trace, jobs: int = 1
-) -> PartialAssignment:
+def best_partial_assignment(inst: Instance, strategy: StudentStrategy, trace: Trace) -> PartialAssignment:
     """Group all 2^n inputs by their bits outside the trace's final row and
     keep the fixing maximizing the margin; ties go to the lexicographically
     smallest fixing.
@@ -162,7 +160,7 @@ def best_partial_assignment(
         group = deposits if p in inside else fixings
         group += [x | 1 << (n - 1 - p) for x in group]
 
-    played, size = scan(inst, strategy, jobs=jobs), len(deposits)
+    played, size = scan(inst, strategy), len(deposits)
     score = {"exact": 1, "proper": -1, "other": 0}
     scored = {seen: score[_classify(seen, trace)] for seen in set(played)}
     scores = [scored[played[fixing | u]] for fixing in fixings for u in deposits]
@@ -352,18 +350,18 @@ def _fraction_json(value: Fraction) -> dict:
     return {"num": value.numerator, "den": value.denominator}
 
 
-def run_reduction(inst: Instance, strategy: StudentStrategy, jobs: int = 1) -> ReductionReport:
+def run_reduction(inst: Instance, strategy: StudentStrategy) -> ReductionReport:
     """Full pipeline: census, margin-best trace, assignment search, witness
     tables, predictor build, exact advantage measurement."""
     target = failure_bound(0, inst.m, inst.c)
     bound = failure_bound(inst.ell, inst.m, inst.c)
-    census = trace_census(inst, strategy, jobs=jobs)
-    failures = failure_set(inst, strategy, jobs=jobs)
+    census = trace_census(inst, strategy)
+    failures = failure_set(inst, strategy)
     picked = best_margin_trace(census)
     if picked is None:
         return ReductionReport(census, target, failures.failure_count, bound)
     trace, margin = picked
-    assignment = best_partial_assignment(inst, strategy, trace, jobs=jobs)
+    assignment = best_partial_assignment(inst, strategy, trace)
     predictor = build_predictor(inst, strategy, trace, assignment.outside)
     advantage = measure_advantage(inst, predictor)
     diagnostics = {

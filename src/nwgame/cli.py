@@ -149,14 +149,12 @@ def _build_instance(
     return inst, warnings
 
 
-def _assignment(inst: Instance, strategy: StudentStrategy, trace: analysis.Trace, jobs: int) -> dict:
-    best = analysis.best_partial_assignment(inst, strategy, trace, jobs=jobs)
+def _assignment(inst: Instance, strategy: StudentStrategy, trace: analysis.Trace) -> dict:
+    best = analysis.best_partial_assignment(inst, strategy, trace)
     return {"trace": list(trace), **best.to_json_dict()}
 
 
-def strategy_sections(
-    inst: Instance, strategy: StudentStrategy, analyses: list, jobs: int = 1
-) -> dict:
+def strategy_sections(inst: Instance, strategy: StudentStrategy, analyses: list) -> dict:
     """One strategy's report sections, one per analysis: census, assignment
     (None when no run succeeds), reduction and failures.  Census and
     assignment share one census; reduce and failureset scan on their own."""
@@ -164,18 +162,16 @@ def strategy_sections(
     census = None
     for kind in analyses:
         if kind in ("census", "assignment"):
-            census = census or analysis.trace_census(inst, strategy, jobs=jobs)
+            census = census or analysis.trace_census(inst, strategy)
         if kind == "census":
             sections["census"] = census.to_json_dict()
         elif kind == "assignment":
             picked = analysis.best_margin_trace(census)
-            sections["assignment"] = (
-                None if picked is None else _assignment(inst, strategy, picked[0], jobs)
-            )
+            sections["assignment"] = None if picked is None else _assignment(inst, strategy, picked[0])
         elif kind == "reduce":
-            sections["reduction"] = analysis.run_reduction(inst, strategy, jobs=jobs).to_json_dict()
+            sections["reduction"] = analysis.run_reduction(inst, strategy).to_json_dict()
         elif kind == "failureset":
-            sections["failures"] = failure_set(inst, strategy, jobs=jobs).to_json_dict()
+            sections["failures"] = failure_set(inst, strategy).to_json_dict()
     return sections
 
 
@@ -228,7 +224,7 @@ def run_experiment(config: dict, jobs: int = 1) -> dict:
     }
 
     for spec, strategy in strategies:
-        sections = strategy_sections(inst, strategy, resolved["analyses"], jobs=jobs)
+        sections = strategy_sections(inst, strategy, resolved["analyses"])
         report["strategies"].append({"name": strategy.name, "spec": spec, **sections})
 
     if hc is not None:
@@ -282,12 +278,12 @@ def _cmd_strategy_section(args: argparse.Namespace) -> dict:
     strategy = strategy_from_spec(_json_arg(args.strategy))
     name = args.subcommand
     if name == "assignment" and args.trace is not None:
-        payload = _assignment(inst, strategy, args.trace, args.jobs)
+        payload = _assignment(inst, strategy, args.trace)
     elif name == "failureset" and args.sample is not None:
         payload = failure_set(inst, strategy, sample=(args.sample, args.sample_seed)).to_json_dict()
     else:
         kind = "reduce" if name == "advantage" else name
-        (payload,) = strategy_sections(inst, strategy, [kind], jobs=args.jobs).values()
+        (payload,) = strategy_sections(inst, strategy, [kind]).values()
     if name == "assignment" and payload is None:
         payload = {"assignment": None, "reason": "no successful runs"}
     elif name == "advantage":
@@ -335,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     # parent parsers: each shared option is declared once, and the subcommands inherit it
     out, jobs, instance, strategy, family, strict = (argparse.ArgumentParser(add_help=False) for _ in range(6))
     out.add_argument("--out", default=None, help="write JSON here instead of stdout")
-    jobs.add_argument("--jobs", type=_jobs, default=1, help="worker shards, at least 1; never changes results")
+    jobs.add_argument("--jobs", type=_jobs, default=1, help="shards of each hard-core scan, at least 1; changes neither bytes nor speed")
     instance.add_argument("--instance", required=True)
     strategy.add_argument("--strategy", required=True)
     family.add_argument("--family", required=True, help="JSON list of stage specs, inline or a path")

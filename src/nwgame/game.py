@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from itertools import compress, islice, repeat, takewhile
+from itertools import compress, islice, takewhile
 from operator import not_
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -140,7 +140,8 @@ def _column(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callabl
     3. a reply's hard bit differs from b at the queried row: success;
     4. solve mode has answered min(max_queries, c) queries: the run fails
        and the student is not asked again.
-    That step budget is refused past MAX_STEPS before any move or plan draw.
+    That step budget, an int of any size, is refused past MAX_STEPS before any
+    move, range or plan draw.
     Each row maps to (bit offset of its slot, its bit of b) in a dict, so a
     move must be an int to be a row: `rows.get(1.0)` would find row 1.  A
     successful game's last reply is never added, since no move reads it.
@@ -153,12 +154,12 @@ def _column(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callabl
     returns its `span`."""
     if inst.b is None:
         raise ValueError("instance has no off-range string b; attach one first")
-    steps = range(strategy.max_queries if witness else min(strategy.max_queries, inst.c))
-    if len(steps) > MAX_STEPS:
-        raise ValueError(f"{strategy.name!r} has a step budget of {len(steps)}, more than MAX_STEPS = {MAX_STEPS}")
+    budget = strategy.max_queries if witness else min(strategy.max_queries, inst.c)
+    if budget > MAX_STEPS:
+        raise ValueError(f"{strategy.name!r} has a step budget of {budget}, more than MAX_STEPS = {MAX_STEPS}")
     if strategy.plan is not None and inst.m < 256 and inst.ell <= EXHAUSTIVE_MAX_N:
         m, b, kept, (mask, offsets) = inst.m, inst.b.encode(), inst._plan_column, inst._rows
-        plan = tuple(takewhile(lambda row: isinstance(row, int) and 0 <= row < m, islice(strategy.plan(m), len(steps))))
+        plan = tuple(takewhile(lambda row: isinstance(row, int) and 0 <= row < m, islice(strategy.plan(m), budget)))
         firsts = tuple(dict.fromkeys(plan))  # a row asked again repeats its bit
         ends = [plan[: plan.index(row) + 1] for row in firsts] + [None]
 
@@ -181,6 +182,7 @@ def _column(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callabl
         return plan_column
     view, move, answers, (mask, offsets) = GameView(inst, strategy.may_invert), strategy.move, inst._answers, inst._rows
     rows = dict(enumerate(zip(offsets, inst.b)))
+    steps = range(budget)
 
     def column(inputs: Iterable[str], packs: Iterable[int], span: slice | None = None) -> list:
         traces: list = []
@@ -283,7 +285,7 @@ def scan(inst: Instance, strategy: StudentStrategy, witness: bool = False, jobs:
     return shards[0] if len(shards) == 1 else [trace for shard in shards for trace in shard]
 
 
-def failure_set(inst: Instance, strategy: StudentStrategy, jobs: int = 1, sample: tuple[int, int] | None = None) -> FailureReport:
+def failure_set(inst: Instance, strategy: StudentStrategy, sample: tuple[int, int] | None = None) -> FailureReport:
     """All inputs where the solve-mode run fails (exhaustive, n <= EXHAUSTIVE_MAX_N), or
     a seeded sample of them when `sample=(size, seed)`, size in 1..MAX_SAMPLE, is given."""
     if sample is not None:
@@ -296,7 +298,7 @@ def failure_set(inst: Instance, strategy: StudentStrategy, jobs: int = 1, sample
         inputs = [int_to_bits(x, inst.n) for x in values]
         column = play_sample(inputs, list(map(inst.restrictions, values)))
     else:
-        column = scan(inst, strategy, jobs=jobs)  # refuses n > EXHAUSTIVE_MAX_N before the input table is built
+        column = scan(inst, strategy)  # refuses n > EXHAUSTIVE_MAX_N before the input table is built
         inputs = inst._inputs[0]
     failures = tuple(compress(inputs, map(not_, column)))
     return FailureReport(inst.n, sample is None, failures, len(inputs) - len(failures), *(sample or ()))
@@ -314,7 +316,7 @@ def constant_strategy(row: int, queries: int = 1, output: Any = None, name: str 
     def move(view: GameView, a: str, replies: tuple[str, ...]) -> Move:
         return row if len(replies) < queries else stop
 
-    return StudentStrategy(name or f"constant-{row}x{queries}", max_queries=queries, move=move, plan=lambda m: repeat(row, queries))
+    return StudentStrategy(name or f"constant-{row}x{queries}", max_queries=queries, move=move, plan=lambda m: (row for _ in range(queries)))
 
 
 def round_robin_strategy(max_queries: int, start: int = 0, output: Any = None, name: str | None = None) -> StudentStrategy:

@@ -148,9 +148,9 @@ def definedness_set(inst: Instance, strategy: StudentStrategy, jobs: int = 1) ->
     return set(compress(inst._inputs[0], map(not_, column)))
 
 
-def extract_hardcore(inst: Instance, family: StudentFamily, k: int, jobs: int = 1) -> HardcoreReport:
+def extract_hardcore(inst: Instance, family: StudentFamily, k: int) -> HardcoreReport:
     """Definedness set of composite k, each stage inverting only under its own flag: the sweep to k's last report."""
-    return sweep(inst, family, stage_count(family, k), jobs=jobs)[-1]
+    return sweep(inst, family, stage_count(family, k))[-1]
 
 
 def sweep(inst: Instance, family: StudentFamily, k_max: int, jobs: int = 1) -> list[HardcoreReport]:

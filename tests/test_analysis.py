@@ -58,12 +58,6 @@ def test_census_total_matches_failure_complement(inst_a):
         assert census.w_size + failures.failure_count == 16
 
 
-def test_census_jobs_invariant(inst_a):
-    one = trace_census(inst_a, omniscient_strategy(), jobs=1)
-    four = trace_census(inst_a, omniscient_strategy(), jobs=4)
-    assert one.counts == four.counts and one.best_trace == four.best_trace
-
-
 def test_margin_subtracts_extensions():
     inst = reference_instance(c=2)
     s = near_omniscient(inst, seed=5)
@@ -420,14 +414,6 @@ def test_reduction_on_two_query_student():
     assert report.advantage >= report.target
     assert report.diagnostics["missing_witness"] == 0
     assert report.diagnostics["forward_check_failures"] == 0
-
-
-def test_reduction_jobs_invariant():
-    inst = greedy_instance(6, 2, 1, seed=10, perm="table", perm_seed=7, c=2)
-    s = round_robin_strategy(2)
-    one = run_reduction(inst, s, jobs=1).to_json_dict()
-    four = run_reduction(inst, s, jobs=4).to_json_dict()
-    assert one == four
 
 
 def test_reduction_inverts_each_restriction_once(monkeypatch):

@@ -593,8 +593,13 @@ def test_bad_input_exits_config(workspace, capsys, args, config, named):
         (["game", "play", "--input", "0110", "--strategy", f"round-robin:{MAX_STEPS + 1}"], MAX_STEPS + 1, "MAX_STEPS"),
         (["analyze", "census", "--strategy", f"seeded-random:{MAX_STEPS + 1}"], MAX_STEPS + 1, "MAX_STEPS"),
         (["game", "failureset", "--strategy", "constant:0", "--sample", str(MAX_SAMPLE + 1)], 1, "MAX_SAMPLE"),
+        (["game", "play", "--witness", "--input", "0110", "--strategy", f"constant:0:{1 << 64}"], 1, "MAX_STEPS"),
+        (["game", "play", "--input", "0110", "--strategy", f"round-robin:{1 << 64}"], 1 << 64, "MAX_STEPS"),
     ],
-    ids=["witness-budget-past-the-cap", "solve-budget-past-the-cap", "census-budget-past-the-cap", "sample-past-the-cap"],
+    ids=[
+        "witness-budget-past-the-cap", "solve-budget-past-the-cap", "census-budget-past-the-cap", "sample-past-the-cap",
+        "witness-budget-2^64", "solve-budget-2^64",
+    ],
 )
 def test_step_and_sample_caps_exit_config(workspace, capsys, args, c, cap):
     # a witness budget is max_queries, a solve budget min(max_queries, c)
@@ -815,7 +820,8 @@ ARGV_TOKENS = st.one_of(
     st.text(max_size=5),
     st.sampled_from(
         ["", "-", "1e3", "0x1f", "nan", "{", "[]", "{}", "[1]", '{"kind": 1}', "0,0", ",", ".", "missing.json",
-         *ARGV_FILES, "constant:9", "omniscient", "table:1", f"constant:0:{MAX_STEPS + 1}", str(MAX_SAMPLE + 1)]
+         *ARGV_FILES, "constant:9", "omniscient", "table:1", f"constant:0:{MAX_STEPS + 1}", f"constant:0:{1 << 64}",
+         str(MAX_SAMPLE + 1)]
     ),
 )
 
