@@ -11,7 +11,9 @@ directory; its old text must occur exactly once in its file.  Tier-1 then
 runs on the copy with `-x` and a fixed hypothesis seed, so a kill by a
 property test is deterministic.  A row is killed when some test fails
 (pytest's exit code 1); an error of the run itself (exit 2 to 5) fails the
-row instead of counting as a kill.  The rows run two at a time.
+row instead of counting as a kill.  The rows run two at a time.  Tier-1's
+own `tests/conftest.py` caps its address space, so a mutant that allocates
+without end fails with MemoryError instead of exhausting the host's memory.
 
 A statement no test runs is a mutant no test can kill, so one more test runs
 tier-1 under a line tracer and names every statement of `src/nwgame` it never
@@ -37,10 +39,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "pyproject.toml", "README.md")
 WORKERS = 2
-# Each copy's tier-1 runs under this address-space cap (unmutated, it peaks near
-# 85 MB), so a mutant that draws a plan without end, such as m18 on a budget of
-# 2^64, fails with MemoryError instead of exhausting the host's memory
-CAPPED_PYTEST = "import resource, sys, pytest; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); sys.exit(pytest.main(sys.argv[1:]))"
 
 
 class Mutant(NamedTuple):
@@ -137,6 +135,14 @@ MUTANTS = [
 ]
 
 
+def _tier1(root: Path, launcher: list[str], timeout: int) -> subprocess.CompletedProcess:
+    """Tier-1 of the checkout at `root`, importing its `src/`, with a fixed
+    hypothesis seed; `launcher` is what follows the interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, *launcher, "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "tests"]
+    return subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, timeout=timeout)
+
+
 def _run(mutant: Mutant) -> subprocess.CompletedProcess:
     """Tier-1 on a copy of the checkout with the mutant applied."""
     with tempfile.TemporaryDirectory(prefix=f"mutant-{mutant.id}-") as tmp:
@@ -151,9 +157,7 @@ def _run(mutant: Mutant) -> subprocess.CompletedProcess:
         text = target.read_text()
         assert text.count(mutant.old) == 1, f"{mutant.id}: the old text occurs {text.count(mutant.old)} times"
         target.write_text(text.replace(mutant.old, mutant.new))
-        env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        command = [sys.executable, "-c", CAPPED_PYTEST, "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "tests"]
-        return subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True, timeout=600)
+        return _tier1(copy, ["-m", "pytest", "-x"], timeout=600)
 
 
 @pytest.fixture(scope="module")
@@ -235,10 +239,7 @@ def _unreached(path: Path, ran: set[int]) -> list[str]:
 def test_tier1_runs_every_statement(tmp_path):
     src = ROOT / "src" / "nwgame"
     out = tmp_path / "ran.json"
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    command = [sys.executable, "-c", TRACED_PYTEST, f"{src}{os.sep}", str(out),
-               "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "tests"]
-    result = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=1800)
+    result = _tier1(ROOT, ["-c", TRACED_PYTEST, f"{src}{os.sep}", str(out)], timeout=1800)
     assert result.returncode == 0, "tier-1 failed under the tracer\n" + "\n".join(result.stdout.splitlines()[-15:])
     ran: dict[str, set[int]] = {}
     for filename, lineno in json.loads(out.read_text()):

@@ -215,7 +215,6 @@ class Predictor:
     inst: Instance
     strategy: StudentStrategy
     trace: Trace
-    outside: str
     tables: dict[int, dict[str, str]]
     default_bit: int
     view: GameView
@@ -280,7 +279,6 @@ def build_predictor(
         inst=inst,
         strategy=strategy,
         trace=trace,
-        outside=outside,
         tables=tables,
         default_bit=default_bit,
         view=GameView(inst, strategy.may_invert),
