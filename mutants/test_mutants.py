@@ -128,6 +128,9 @@ MUTANTS = [
            "a step budget of exactly MAX_STEPS is refused"),
     Mutant("m34", "game.py", "if not 1 <= size <= MAX_SAMPLE:", "if not 1 <= size < MAX_SAMPLE:",
            "a sample of exactly MAX_SAMPLE inputs is refused"),
+    Mutant("m35", "cli.py", "a = asub.add_parser(name, parents=[instance, strategy, out])",
+           "a = asub.add_parser(name, parents=[instance, strategy, out, jobs])",
+           "the analyze subcommands take --jobs again, a shard count they use for nothing"),
     Mutant("r1", "analysis.py", "if inst.hard_bit.value(witness) != int(inst.b[expected]):", "if False:",
            "the predictor's replay goes on past a reply that disagrees with b, so it bets where the live game already stopped"),
     Mutant("r2", "analysis.py", "replies += (witness,)", "replies += (z,)",

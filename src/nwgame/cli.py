@@ -372,14 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--input", required=True)
     g.add_argument("--witness", action="store_true", help="abort on disagreeing replies")
     g.set_defaults(func=_cmd_game_play)
-    g = gsub.add_parser("failureset", parents=[instance, strategy, out, jobs])
+    g = gsub.add_parser("failureset", parents=[instance, strategy, out])
     g.add_argument("--sample", type=int, default=None, help=f"Monte-Carlo size for n > {EXHAUSTIVE_MAX_N}, at most {MAX_SAMPLE}")
     g.add_argument("--sample-seed", type=int, default=0)
     g.set_defaults(func=_cmd_strategy_section)
 
     asub = group("analyze", "census, assignments, reductions")
     for name in ("census", "assignment", "reduce", "advantage"):
-        a = asub.add_parser(name, parents=[instance, strategy, out, jobs])
+        a = asub.add_parser(name, parents=[instance, strategy, out])
         if name == "assignment":
             a.add_argument("--trace", type=_parse_trace, help="comma-separated rows; default: margin-best")
         a.set_defaults(func=_cmd_strategy_section)

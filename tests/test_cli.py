@@ -798,8 +798,8 @@ SUBCOMMAND_ARGVS = [
     ["instance", "check", "instance.json"],
     ["game", "play", "--instance", "instance.json", "--strategy", "round-robin:2", "--input", "0101"],
     ["game", "failureset", "--instance", "instance.json", "--strategy", "constant:0", "--sample", "8",
-     "--sample-seed", "1", "--jobs", "2"],
-    ["analyze", "census", "--instance", "instance.json", "--strategy", "seeded-random:2:1", "--jobs", "2"],
+     "--sample-seed", "1"],
+    ["analyze", "census", "--instance", "instance.json", "--strategy", "seeded-random:2:1"],
     ["analyze", "assignment", "--instance", "instance.json", "--strategy", "round-robin:2", "--trace", "0,1"],
     ["analyze", "reduce", "--instance", "instance.json", "--strategy", '{"kind": "constant", "row": 1}'],
     ["analyze", "advantage", "--instance", "instance.json", "--strategy", "round-robin:2"],
@@ -849,11 +849,24 @@ def test_jobs_below_one_exits_config(tmp_path, monkeypatch, capsys, jobs):
     monkeypatch.chdir(tmp_path)
     for name, data in ARGV_FILES.items():
         (tmp_path / name).write_text(json.dumps(data))
-    argvs = [argv for argv in SUBCOMMAND_ARGVS if argv[0] in ("analyze", "hardcore", "run") or argv[1] == "failureset"]
-    assert len(argvs) == 8
+    argvs = [argv for argv in SUBCOMMAND_ARGVS if argv[0] in ("hardcore", "run")]
+    assert len(argvs) == 3
     for argv in argvs:
         assert _exit_code([*argv, "--jobs", jobs]) == EXIT_CONFIG, argv
         assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+
+def test_per_student_subcommands_refuse_jobs(tmp_path, monkeypatch, capsys):
+    # the per-student analyses take no shard count, so argparse refuses --jobs there
+    monkeypatch.chdir(tmp_path)
+    for name, data in ARGV_FILES.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    argvs = [argv for argv in SUBCOMMAND_ARGVS if argv[0] == "analyze" or argv[1] == "failureset"]
+    assert len(argvs) == 5
+    for argv in argvs:
+        assert _exit_code([*argv, "--jobs", "2"]) == EXIT_CONFIG, argv
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
 
 

@@ -99,7 +99,7 @@ CASES = [
     ("analyze-census-constant", ["analyze", "census", "--instance", "<tmp>/i2f.json", "--strategy", "constant:3:2"]),
     ("analyze-assignment", ["analyze", "assignment", "--instance", "<tmp>/i3x.json", "--strategy", "round-robin:2"]),
     ("analyze-assignment-trace", ["analyze", "assignment", "--instance", "<tmp>/i3.json",
-                                  "--strategy", "seeded-random:2:4", "--trace", "3,0", "--jobs", "2"]),
+                                  "--strategy", "seeded-random:2:4", "--trace", "3,0"]),
     ("analyze-assignment-none", ["analyze", "assignment", "--instance", "<tmp>/i2.json", "--strategy", "constant:0:0"]),
     ("analyze-reduce", ["analyze", "reduce", "--instance", "<tmp>/i2f.json", "--strategy", "round-robin:2"]),
     ("analyze-advantage", ["analyze", "advantage", "--instance", "<tmp>/i3x.json", "--strategy", "round-robin:2:5"]),
