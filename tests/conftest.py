@@ -1,5 +1,7 @@
 import pytest
 
+from nwgame import StudentStrategy
+
 from helpers import reference_instance
 
 # Every tier-1 run, however launched, runs under this address-space cap (it
@@ -26,3 +28,19 @@ def inst_a():
 @pytest.fixture(scope="session")
 def inst_a_c2():
     return reference_instance(c=2)
+
+
+@pytest.fixture
+def game_loop_only(monkeypatch):
+    """While active, every `StudentStrategy` built, whether by a library
+    builder, `strategy_from_spec`, `compose` or `dataclasses.replace`, has
+    its `plan` cleared, so every scan, sample, predictor batch and in-process
+    `nwgame` command plays the game loop.  A later fast path that a strategy
+    field selects must be cleared here too."""
+    post_init = StudentStrategy.__post_init__
+
+    def loop_only(self):
+        post_init(self)
+        object.__setattr__(self, "plan", None)
+
+    monkeypatch.setattr(StudentStrategy, "__post_init__", loop_only)

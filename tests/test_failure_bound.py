@@ -19,15 +19,22 @@ INSTANCES = {
 }
 
 
+def one_query_rows(inst):
+    """Per input, the rows whose output bit differs from b's, where a
+    one-query student wins, and the rows that agree with b, where it loses."""
+    rows = {}
+    for a in all_bitstrings(inst.n):
+        out = evaluate(inst, a)
+        rows[a] = ([i for i in range(inst.m) if out[i] != inst.b[i]], [i for i in range(inst.m) if out[i] == inst.b[i]])
+    return rows
+
+
 def _one_query_student(inst, failures, seed):
     """A one-query table student that asks, on each input, a random row whose
     output bit differs from b's, so it wins, except on `failures` random
     inputs with a row that agrees with b, where it asks such a row and loses."""
     rng = random.Random(seed)
-    rows = {}
-    for a in all_bitstrings(inst.n):
-        out = evaluate(inst, a)
-        rows[a] = ([i for i in range(inst.m) if out[i] != inst.b[i]], [i for i in range(inst.m) if out[i] == inst.b[i]])
+    rows = one_query_rows(inst)
     losers = set(rng.sample(sorted(a for a, (_, agree) in rows.items() if agree), failures))
     moves = {a: (rng.choice(agree if a in losers else differ),) for a, (differ, agree) in rows.items()}
     return table_strategy(moves, max_queries=1, name=f"fails-{failures}-s{seed}")

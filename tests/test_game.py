@@ -802,7 +802,7 @@ def test_a_scan_returns_a_list_of_its_own(inst_a_c2):
 
 
 @pytest.mark.parametrize("c", [1, 2])
-def test_reports_are_the_same_bytes_with_every_plan_cleared(monkeypatch, c):
+def test_reports_are_the_same_bytes_with_every_plan_cleared(request, c):
     config = {
         "seed": 7,
         "c": c,
@@ -821,7 +821,7 @@ def test_reports_are_the_same_bytes_with_every_plan_cleared(monkeypatch, c):
     }
     built = json.dumps(cli.run_experiment(config), sort_keys=True)
     assert all(game.strategy_from_spec(spec).plan is not None for spec in config["strategies"])
-    monkeypatch.setattr(cli, "strategy_from_spec", lambda spec: dataclasses.replace(game.strategy_from_spec(spec), plan=None))
+    request.getfixturevalue("game_loop_only")
     assert json.dumps(cli.run_experiment(config), sort_keys=True) == built
 
 
