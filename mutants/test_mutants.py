@@ -87,31 +87,29 @@ MUTANTS = [
            "the predictor never bets, even when the student asks the final row"),
     Mutant("m15", "game.py", "known.append(row_seed(a, len(known)))", "known.append(row_seed(a, step))",
            "the seeded-random memo gives a skipped step the asked step's hash"),
-    Mutant("m16", "game.py", "for step, row in reversed(list(enumerate(firsts))):", "for step, row in enumerate(firsts):",
+    Mutant("m16", "game.py", "for shift, bit, trace in checks:", "for shift, bit, trace in reversed(checks):",
            "a plan column keeps each input's last success, not its first"),
-    Mutant("m17", "game.py", "translate(_DIFFERS[b[row]])", 'translate(_DIFFERS[ord("0")])',
+    Mutant("m17", "game.py", "answers[packed >> shift & mask][1] != bit", 'answers[packed >> shift & mask][1] != "0"',
            "a plan column ignores b's bit and succeeds on every hard bit 1"),
-    Mutant("m18", "game.py", "islice(strategy.plan(m), budget)", "strategy.plan(m)",
+    Mutant("m18", "game.py", "islice(strategy.plan(inst.m), budget)", "strategy.plan(inst.m)",
            "a plan is drawn past the step budget, so its column is not cut to the solve budget min(max_queries, c)"),
     Mutant("m19", "analysis.py", '"proper": -1', '"proper": 0',
            "the assignment search scores a proper extension 0, so its margin is the exact count alone"),
-    Mutant("m20", "game.py", "takewhile(lambda row: isinstance(row, int) and 0 <= row < m, ",
-           "takewhile(range(m).__contains__, ",
+    Mutant("m20", "game.py", "takewhile(lambda row: isinstance(row, int) and row in rows, ",
+           "takewhile(rows.__contains__, ",
            "a plan column takes 1.0 as row 1, where the game loop takes it for no row"),
     Mutant("m21", "hardcore.py", "row = stage_move(view if own_view else without, a, own)",
            "row = stage_move(view, a, own)",
            "the composite hands every stage its own view, so an unflagged stage may invert in a flagged composite"),
     Mutant("m22", "analysis.py", "min(strategy.max_queries, inst.c)", "strategy.max_queries",
            "build_predictor's budget check ignores c, so it accepts a trace the live game never finishes"),
-    Mutant("m23", "game.py", "shift = offsets[row]", "shift = offsets[row - 1]",
+    Mutant("m23", "game.py", "(*rows[row], ", "(*rows[row - 1], ",
            "a plan column reads its inputs at the previous row's slot"),
     Mutant("m24", "game.py", "packs = packs if span is None", "packs = inst._inputs[1][: len(packs)] if span is None",
            "a sample or predictor batch reads the first inputs' packs by position, not the packs of its own inputs"),
-    Mutant("m25", "game.py", "inst.m < 256 and inst.ell <= EXHAUSTIVE_MAX_N:", "inst.m < 256:",
-           "a plan on rows wider than the scan cap fills all 2^ell hard bits, where the game loop meets one per ask"),
     Mutant("m26", "game.py", "kept[0] = plan, column", "kept[0] = plan, column, inst",
            "the plan-column slot also holds its instance, a cycle that keeps every dropped instance alive until a collection"),
-    Mutant("m27", "game.py", "(held := kept[0])[0] == plan", "(held := kept[0])[0] == tuple(strategy.plan(m))",
+    Mutant("m27", "game.py", "(held := kept[0])[0] == plan", "(held := kept[0])[0] == tuple(strategy.plan(inst.m))",
            "a scan compares the slot's plan with the plan drawn without the step budget's cut, so a solve scan reads a witness scan's column"),
     Mutant("m28", "analysis.py", "p >> shift & mask for p in packs", "p >> shifts[i - 1] & mask for p in packs",
            "a witness table reads its row's restrictions at the previous row's slot"),

@@ -31,7 +31,6 @@ from .sharding import run_sharded
 # composite budget failure_bound admits is 4,465) and on a sampled failure set's size
 MAX_STEPS = 1 << 14
 MAX_SAMPLE = 1 << 16
-_DIFFERS = {ord("0"): bytes.maketrans(b"01", b"\0\xff"), ord("1"): bytes.maketrans(b"01", b"\xff\0")}
 
 
 @dataclass(frozen=True)
@@ -146,10 +145,10 @@ def _column(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callabl
     move must be an int to be a row: `rows.get(1.0)` would find row 1.  A
     successful game's last reply is never added, since no move reads it.
 
-    A plan (m < 256, ell <= EXHAUSTIVE_MAX_N) plays no game: drawn up to the
-    step budget and cut at its first non-row (rule 2), it ends at the first row
-    whose hard bit differs from b's (rule 3), read off the packs themselves or,
-    in a scan, off every input's: the scan keeps the whole column in
+    A plan asks no move: drawn up to the step budget and cut at its first non-row
+    (rule 2), it ends at the first row whose hard bit, read off the memo as the
+    game loop reads it, differs from b's (rule 3), on the packs themselves or,
+    in a scan, on every input's: the scan keeps the whole column in
     `inst._plan_column`, one slot that the next plan scanned refills, and
     returns its `span`."""
     if inst.b is None:
@@ -157,31 +156,31 @@ def _column(inst: Instance, strategy: StudentStrategy, witness: bool) -> Callabl
     budget = strategy.max_queries if witness else min(strategy.max_queries, inst.c)
     if budget > MAX_STEPS:
         raise ValueError(f"{strategy.name!r} has a step budget of {budget}, more than MAX_STEPS = {MAX_STEPS}")
-    if strategy.plan is not None and inst.m < 256 and inst.ell <= EXHAUSTIVE_MAX_N:
-        m, b, kept, (mask, offsets) = inst.m, inst.b.encode(), inst._plan_column, inst._rows
-        plan = tuple(takewhile(lambda row: isinstance(row, int) and 0 <= row < m, islice(strategy.plan(m), budget)))
-        firsts = tuple(dict.fromkeys(plan))  # a row asked again repeats its bit
-        ends = [plan[: plan.index(row) + 1] for row in firsts] + [None]
+    answers, (mask, offsets) = inst._answers, inst._rows
+    rows = dict(enumerate(zip(offsets, inst.b)))
+    if strategy.plan is not None:
+        kept = inst._plan_column
+        plan = tuple(takewhile(lambda row: isinstance(row, int) and row in rows, islice(strategy.plan(inst.m), budget)))
+        checks = [(*rows[row], plan[: plan.index(row) + 1]) for row in dict.fromkeys(plan)]  # a row asked again repeats its bit
 
         def plan_column(inputs: Sequence[str], packs: Sequence[int], span: slice | None = None) -> list:
             if span is not None and (held := kept[0])[0] == plan:  # one read of the pair; a later scan of the plan slices it
                 return held[1][span]
             packs = packs if span is None else inst._inputs[1]  # a plan's first scan builds all of it
-            hard, ones = inst._hard_bits, int.from_bytes(b"\1" * len(packs), "little")
-            first = ones * len(firsts)  # one byte per input: its index in ends, below 256 as m is
-            for step, row in reversed(list(enumerate(firsts))):  # so the first success is written last
-                shift = offsets[row]
-                bits = bytes([hard[p >> shift & mask] for p in packs])  # the row's hard bit on each input
-                hit = int.from_bytes(bits.translate(_DIFFERS[b[row]]), "little")  # 0xff where b's bit differs
-                first = first & ~hit | ones * step & hit
-            column = list(map(ends.__getitem__, first.to_bytes(len(packs), "little")))
+            column: list = []
+            for packed in packs:
+                for shift, bit, trace in checks:
+                    if answers[packed >> shift & mask][1] != bit:
+                        column.append(trace)
+                        break
+                else:
+                    column.append(None)
             if span is not None:
                 kept[0] = plan, column
             return column if span is None else column[span]
 
         return plan_column
-    view, move, answers, (mask, offsets) = GameView(inst, strategy.may_invert), strategy.move, inst._answers, inst._rows
-    rows = dict(enumerate(zip(offsets, inst.b)))
+    view, move = GameView(inst, strategy.may_invert), strategy.move
     steps = range(budget)
 
     def column(inputs: Iterable[str], packs: Iterable[int], span: slice | None = None) -> list:

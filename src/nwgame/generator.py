@@ -134,12 +134,12 @@ class Instance:
 
     @cached_property
     def _output(self) -> Callable[[int], str]:
-        # not a field: `evaluate` on an input's value.  Byte slots (ell <= 8) go
-        # through the translate table `_hard_bits` (bytes past 2^ell never occur
-        # in a slot); wider rows fill one memo entry per restriction met
+        # not a field: `evaluate` on an input's value.  Byte slots (ell <= 8) go through a
+        # translate table of every restriction's hard bit as b"0"/b"1" (bytes past 2^ell
+        # never occur in a slot); wider rows fill one memo entry per restriction met
         pack, answers, (mask, shifts) = self.restrictions, self._answers, self._rows
         if shifts.step == 8:
-            m, table = self.m, self._hard_bits
+            m, table = self.m, "".join([answers[u][1] for u in range(1 << self.ell)]).ljust(256).encode()
             return lambda x: pack(x).to_bytes(m, "little").translate(table).decode()
 
         def wide(x: int) -> str:
@@ -149,11 +149,6 @@ class Instance:
         return wide
 
     _plan_column = cached_property(lambda self: [(None, None)])  # not a field, like `_answers`: the last plan scanned, its column
-
-    @cached_property
-    def _hard_bits(self) -> bytes:
-        # not a field: each restriction's hard bit as b"0"/b"1", padded to byte slots' translate table
-        return "".join([self._answers[u][1] for u in range(1 << self.ell)]).ljust(256).encode()
 
     @cached_property
     def _inputs(self) -> tuple[tuple[str, ...], tuple[int, ...]]:

@@ -682,8 +682,8 @@ def test_library_student_stops_with_one_output_object(which):
             scan(inst, dataclasses.replace(student, move=recorded, plan=None), witness=witness)
 
 
-# rows of ell = 9 bits take two bytes each, so a plan there reads its columns
-# off the hard bits of every 9-bit restriction (`Instance._hard_bits`)
+# rows of ell = 9 bits take two bytes each, so a plan there reads each
+# input's two-byte slots off the memo, as the game loop does
 PLAN_INSTANCES = STOP_RULE_INSTANCES + [two_byte_slot_instance()]
 
 
@@ -825,23 +825,29 @@ def test_reports_are_the_same_bytes_with_every_plan_cleared(request, c):
     assert json.dumps(cli.run_experiment(config), sort_keys=True) == built
 
 
-def test_instances_of_256_rows_keep_the_game_loop():
+def test_plans_on_instances_of_255_and_256_rows_ask_no_move():
     wide = greedy_instance(13, 3, 2, seed=1, c=300, m=256)
     design = dataclasses.replace(wide.design, sets=wide.design.sets[:255])
     rng = random.Random(derive_seed("failure-sample", 5))
     drawn = [int_to_bits(rng.randrange(1 << 13), 13) for _ in range(20)]
-    for inst, loops in ((dataclasses.replace(wide, design=design, b=wide.b[:255], b_certified=False), False), (wide, True)):
+    for inst in (dataclasses.replace(wide, design=design, b=wide.b[:255], b_certified=False), wide):
         student, asked = round_robin_strategy(inst.m, start=1), []
+        looped = dataclasses.replace(student, plan=None)
 
         # this copy keeps the plan, which still names the rows its move asks,
-        # so the moves asked tell the game loop from the plan column
+        # so a move asked tells the game loop from the plan column
         def counted(view, a, replies, move=student.move):
             asked.append(a)
             return move(view, a, replies)
 
-        report = failure_set(inst, dataclasses.replace(student, move=counted), sample=(20, 5))
+        planned = dataclasses.replace(student, move=counted)
+        column = scan(inst, planned)
+        assert column == scan(inst, looped)
+        assert [column[int(a, 2)] for a in drawn] == [play(inst, student, a).trace for a in drawn]
+        report = failure_set(inst, planned, sample=(20, 5))
+        assert report == failure_set(inst, looped, sample=(20, 5))
         assert report.failures == tuple(a for a in drawn if not play(inst, student, a).success)
-        assert bool(asked) == loops
+        assert asked == [], inst.m
 
 
 @pytest.fixture(scope="module")
@@ -897,18 +903,23 @@ def test_a_plan_is_drawn_no_further_than_the_step_budget(inst_a_c2):
         assert iter(plan) is plan and len(list(plan)) == 3
 
 
-def test_plans_on_rows_wider_than_the_scan_cap_keep_the_game_loop():
-    # a plan student's sample meets only the restrictions it asks, as the game
-    # loop does, not all 2^ell of them (past 2^26 they would not fit)
+def test_plans_on_rows_wider_than_the_scan_cap_meet_only_the_restrictions_they_ask():
+    # a plan student's sample asks no move and meets only the restrictions it
+    # asks, as the game loop does, not all 2^ell of them (past 2^26 they would not fit)
     n, ell = 18, 15
     sets = (tuple(range(0, 15)), tuple(range(1, 16)), tuple(range(3, 18)))
     inst = Instance(Design(n, ell, 14, sets), Permutation(ell, "identity"), HardBit("parity"), c=3, b="010")
-    student = round_robin_strategy(3)
-    report = failure_set(inst, student, sample=(8, 2))
+    student, asked = round_robin_strategy(3), []
+
+    def counted(view, a, replies, move=student.move):
+        asked.append(a)
+        return move(view, a, replies)
+
+    report = failure_set(inst, dataclasses.replace(student, move=counted), sample=(8, 2))
+    assert asked == [] and len(inst._answers) <= 3 * 8
     rng = random.Random(derive_seed("failure-sample", 2))
     drawn = [int_to_bits(rng.randrange(1 << n), n) for _ in range(8)]
     assert report.failures == tuple(a for a in drawn if not play(inst, student, a).success)
-    assert len(inst._answers) <= 3 * 8 and "_hard_bits" not in vars(inst)
 
 
 def test_transcript_is_an_immutable_value(inst_a):
